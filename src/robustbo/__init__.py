@@ -9,25 +9,23 @@ from .adversary import CorruptionBudget, EagerBudget, GreedyClairvoyant, NoCorru
 from .algorithms import (
     BoState,
     DomainSpec,
+    Plan,
     acquisition_value,
     fit_hyperparameters_loo,
     maximize_acquisition,
     run_loop,
     standardize_targets,
-    step_a2,
-    step_fc,
-    step_gp_ucb,
+    step,
 )
 from .bench import ConfigError, ExperimentConfig, aggregate, load_config, run_experiment
-from .gp import GpPosterior, gp_fit, gp_predict
-from .kernels import FactorizationError, KernelSpec, cross_matrix, gram_matrix, info_gain, kernel_eval
+from .gp import GpPosterior, gp_fit
+from .kernels import FactorizationError, KernelSpec, cross_matrix, gram_matrix, info_gain
 from .objectives import Objective, forrester, make_objective, observe
-from .rcgp import RcgpPosterior, deviation_schur, rcgp_fit, rcgp_predict
+from .rcgp import RcgpPosterior, deviation_schur, rcgp_fit
 from .schedules import (
     CompactConvex,
     FiniteDomain,
     Rkhs,
-    ScheduleState,
     anchor_width,
     beta_prime,
     estimate_tc,

@@ -11,16 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.stats import qmc
 
 from .adversary import AdversaryPolicy, CorruptionBudget, corrupt
-from .gp import gp_fit
+from .gp import GpPosterior, gp_fit
 from .kernels import FactorizationError, KernelSpec, gram_matrix, info_gain, jittered_cho_factor, solve_cho
 from .objectives import Objective, observe
-from .rcgp import rcgp_fit
+from .rcgp import RcgpPosterior, rcgp_fit
 from .schedules import (
     AssumptionCase,
     Rkhs,
@@ -32,7 +32,7 @@ from .schedules import (
     wrench_width_adaptive,
     wrench_width_fixed,
 )
-from .weights import build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise, pimq_weights
+from .weights import ZERO_CENTER, build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise, pimq_weights
 
 __all__ = [
     "DomainSpec",
@@ -40,15 +40,17 @@ __all__ = [
     "StepRecord",
     "acquisition_value",
     "maximize_acquisition",
-    "step_gp_ucb",
-    "step_fc",
-    "step_a2",
+    "Plan",
+    "step",
     "run_loop",
     "fit_hyperparameters_loo",
     "standardize_targets",
 ]
 
 ALGORITHMS = ("gp_ucb", "fc", "a2")
+TC_MODES = ("estimate", "force_zero")
+A2_WIDTH_MODES = ("fixed", "adaptive")
+PIMQ_POLICIES = ("schedule", "heuristic", "manual")
 
 # Consistency factor making the median absolute deviation estimate the
 # standard deviation under Gaussian data.
@@ -115,6 +117,25 @@ class StepRecord:
     tc_estimate: int
 
 
+@dataclass(frozen=True)
+class Plan:
+    """The acquisition model and confidence parameter for step t.
+
+    model is the posterior the acquisition queries (in standardized space,
+    targets shifted by loc and divided by scale); tc is the corruption-count
+    estimate recorded for the step.  anchor is a2's fixed-center model and
+    None for the other algorithms.
+    """
+
+    t: int
+    loc: float
+    scale: float
+    model: Union[GpPosterior, RcgpPosterior]
+    beta: float
+    tc: int
+    anchor: Optional[RcgpPosterior] = None
+
+
 @dataclass
 class BoState:
     """Everything one optimization run owns: config, data, schedule, rng."""
@@ -153,12 +174,18 @@ class BoState:
     records: list = field(default_factory=list)
     t: int = 0
     n_seed_obs: int = 0
-    _plan: Optional[dict] = field(default=None, repr=False)
+    _plan: Optional[Plan] = field(default=None, repr=False)
     _frozen_std: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name, allowed in (
+            ("algorithm", ALGORITHMS),
+            ("tc_mode", TC_MODES),
+            ("a2_width_mode", A2_WIDTH_MODES),
+            ("pimq_policy", PIMQ_POLICIES),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
         self.noise_var_raw = self.objective.noise_var
 
     # -- data management -------------------------------------------------
@@ -167,11 +194,15 @@ class BoState:
         """Seed observations: never corrupted, drawn from the shared noise stream."""
         for x in np.atleast_2d(X0):
             y = observe(self.objective, x, self.noise_rng)
-            self.X.append(np.atleast_1d(np.asarray(x, dtype=float)))
-            self.y_clean.append(y)
-            self.y_obs.append(y)
-            self.corrupted.append(False)
+            self._append(x, y, y, False)
         self.n_seed_obs = len(self.X)
+
+    def _append(self, x, y_clean: float, y_observed: float, corrupted: bool) -> None:
+        # The only place the data change, so the only place the plan goes stale.
+        self.X.append(np.atleast_1d(np.asarray(x, dtype=float)))
+        self.y_clean.append(y_clean)
+        self.y_obs.append(y_observed)
+        self.corrupted.append(corrupted)
         self._plan = None
 
     def _data(self):
@@ -193,18 +224,14 @@ class BoState:
             self._frozen_std = standardize_targets(y_raw[: self.n_seed_obs], "zscore")
         return self._frozen_std
 
-    def _heuristic_width(self, ys: np.ndarray) -> float:
-        # 95% quantile of |y - median| on standardized targets, taken at the
-        # next-lowest order statistic so a sub-5% corrupted fraction cannot
-        # inflate it.
-        dev = np.abs(ys - np.median(ys))
-        return float(np.quantile(dev, self.heuristic_quantile, method="lower"))
+    def plan(self) -> Plan:
+        """Fitted model(s) and beta for the upcoming step, cached until the data change."""
+        if self._plan is None:
+            self._plan = _PLAN_BUILDERS[self.algorithm](self, self._step_inputs())
+        return self._plan
 
-    def _prepare(self) -> dict:
-        """Fit model(s) for the upcoming step and cache acquisition pieces."""
-        key = len(self.X)
-        if self._plan is not None and self._plan["key"] == key:
-            return self._plan
+    def _step_inputs(self) -> "_StepInputs":
+        """Shared preamble of every plan: standardize, refit hyperparameters, schedule."""
         t = self.t + 1
         X, y_raw = self._data()
         loc, scale = self._location_scale(y_raw)
@@ -215,97 +242,112 @@ class BoState:
         sigma = math.sqrt(nv)
 
         if self.hyperfit and self.hyperfit_space and len(ys) >= 3 and (t - 1) % self.hyperfit_every == 0:
-            params0 = pimq_params_for_noise(lambda q: np.zeros(len(np.atleast_2d(q))), self._schedule_width(sigma), self.pimq_c, nv)
-            wp = None if self.algorithm == "gp_ucb" else params0
+            wp = None
+            if self.algorithm != "gp_ucb":
+                n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
+                width = anchor_width(self.b_f, self.spec.outputscale, n_t)
+                wp = pimq_params_for_noise(ZERO_CENTER, width, self.pimq_c, nv)
             self.spec, nv = fit_hyperparameters_loo(self.algorithm, (X, ys), wp, self.hyperfit_space)
             sigma = math.sqrt(nv)
 
         gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) and len(ys) else 0.0
-        bp = beta_prime(self.case, t, self.delta / 2.0, gamma_t)
-        n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
-        kappa = self.spec.outputscale
-
-        plan = {"key": key, "t": t, "loc": loc, "scale": scale, "nv": nv, "beta_prime": bp}
-
-        if self.algorithm == "gp_ucb":
-            model = gp_fit(X, ys, self.spec, nv)
-            plan.update(model=model, beta=bp, tc=0)
-            self._plan = plan
-            return plan
-
-        # Plateau width for the zero-centered model.
-        if self.pimq_policy == "heuristic" and len(ys):
-            l_fc = self._heuristic_width(ys)
-        elif self.pimq_policy == "manual":
-            l_fc = self.pimq_half_width
-        else:
-            l_fc = anchor_width(self.b_f, kappa, n_t)
-        zero_center = lambda q: np.zeros(np.atleast_2d(q).shape[0])  # noqa: E731
-        # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
-        sup_delta_fc = math.sqrt(kappa) * (math.sqrt(bp) + self.b_f)
-
-        if self.algorithm == "fc":
-            params = pimq_params_for_noise(zero_center, l_fc, self.pimq_c, nv)
-            model = rcgp_fit(X, ys, self.spec, nv, params)
-            tc = estimate_tc(ys, np.full(len(ys), l_fc)) if len(ys) else 0
-            c_w = cw_from_c1(c1_bound(params, nv, sup_delta_fc), nv)
-            tc_eff = 0 if self.tc_mode == "force_zero" else tc
-            plan.update(model=model, beta=robust_beta(bp, c_w, tc_eff), tc=tc)
-            self._plan = plan
-            return plan
-
-        # a2: anchor refits first, then the wrench with the updated center.
-        anchor_params = pimq_params_for_noise(zero_center, l_fc, self.pimq_c, nv)
-        anchor = rcgp_fit(X, ys, self.spec, nv, anchor_params)
-        tc_anchor = estimate_tc(ys, np.full(len(ys), l_fc)) if len(ys) else 0
-        tc_eff = 0 if self.tc_mode == "force_zero" else tc_anchor
-        c_w_a = cw_from_c1(c1_bound(anchor_params, nv, sup_delta_fc), nv)
-        bp_end = beta_prime(self.case, self.horizon, self.delta / 2.0, gamma_t)
-        beta_anchor = robust_beta(bp_end, c_w_a, tc_eff)
-
-        def wrench_center(q):
-            mean, _ = anchor.predict(q)
-            return mean
-
-        l_wrench_sup = wrench_width_fixed(beta_anchor, kappa, n_t)
-        if self.pimq_policy in ("heuristic", "manual") and len(ys):
-            l_wrench = l_fc
-        elif self.a2_width_mode == "adaptive":
-            beta_anchor_t = robust_beta(bp, c_w_a, tc_eff)
-
-            def l_wrench(q):
-                _, var = anchor.predict(q)
-                return wrench_width_adaptive(beta_anchor_t, np.sqrt(var), n_t)
-
-        else:
-            l_wrench = l_wrench_sup
-
-        wrench_params = pimq_params_for_noise(wrench_center, l_wrench, self.pimq_c, nv)
-        wrench = rcgp_fit(X, ys, self.spec, nv, wrench_params)
-        if len(ys):
-            resid = ys - wrench_params.center_at(X)
-            tc = estimate_tc(resid, wrench_params.width_at(X))
-        else:
-            tc = 0
-        tc_eff = 0 if self.tc_mode == "force_zero" else tc
-        # C1 for the wrench uses the scalar width bound and the anchor's
-        # certified deviation as the center gap.
-        c1_params = pimq_params_for_noise(wrench_center, l_wrench if not callable(l_wrench) else l_wrench_sup, self.pimq_c, nv)
-        sup_delta_w = c_w_a * math.sqrt(tc_eff) * math.sqrt(kappa)
-        c_w_w = cw_from_c1(c1_bound(c1_params, nv, sup_delta_w), nv)
-        plan.update(
-            model=wrench,
-            anchor=anchor,
-            wrench_center=wrench_center,
-            beta=robust_beta(bp, c_w_w, tc_eff),
-            tc=tc,
+        return _StepInputs(
+            t=t,
+            loc=loc,
+            scale=scale,
+            X=X,
+            ys=ys,
+            nv=nv,
+            gamma_t=gamma_t,
+            bp=beta_prime(self.case, t, self.delta / 2.0, gamma_t),
+            n_t=noise_bound(self.case, sigma, self.horizon, self.delta / 2.0),
         )
-        self._plan = plan
-        return plan
 
-    def _schedule_width(self, sigma: float) -> float:
-        n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
-        return anchor_width(self.b_f, self.spec.outputscale, n_t)
+    def _effective_tc(self, tc: int) -> int:
+        return 0 if self.tc_mode == "force_zero" else tc
+
+
+@dataclass(frozen=True)
+class _StepInputs:
+    """What every plan builder starts from; ys and nv are in standardized units."""
+
+    t: int
+    loc: float
+    scale: float
+    X: np.ndarray
+    ys: np.ndarray
+    nv: float
+    gamma_t: float
+    bp: float  # beta' at step t
+    n_t: float  # noise bound over the horizon
+
+
+def _plan_gp_ucb(state: BoState, s: _StepInputs) -> Plan:
+    return Plan(s.t, s.loc, s.scale, gp_fit(s.X, s.ys, state.spec, s.nv), s.bp, 0)
+
+
+def _zero_centered_fit(state: BoState, s: _StepInputs):
+    """fc's model, also a2's anchor: (params, model, tc estimate, c_w)."""
+    if state.pimq_policy == "heuristic" and len(s.ys):
+        # 95% quantile of |y - median| on standardized targets, taken at the
+        # next-lowest order statistic so a sub-5% corrupted fraction cannot
+        # inflate it.
+        width = float(np.quantile(np.abs(s.ys - np.median(s.ys)), state.heuristic_quantile, method="lower"))
+    elif state.pimq_policy == "manual":
+        width = state.pimq_half_width
+    else:
+        width = anchor_width(state.b_f, state.spec.outputscale, s.n_t)
+    params = pimq_params_for_noise(ZERO_CENTER, width, state.pimq_c, s.nv)
+    model = rcgp_fit(s.X, s.ys, state.spec, s.nv, params)
+    tc = estimate_tc(s.ys, np.full(len(s.ys), width)) if len(s.ys) else 0
+    # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
+    sup_delta = math.sqrt(state.spec.outputscale) * (math.sqrt(s.bp) + state.b_f)
+    c_w = cw_from_c1(c1_bound(params, s.nv, sup_delta), s.nv)
+    return params, model, tc, c_w
+
+
+def _plan_fc(state: BoState, s: _StepInputs) -> Plan:
+    _, model, tc, c_w = _zero_centered_fit(state, s)
+    return Plan(s.t, s.loc, s.scale, model, robust_beta(s.bp, c_w, state._effective_tc(tc)), tc)
+
+
+def _plan_a2(state: BoState, s: _StepInputs) -> Plan:
+    """Anchor refits first, then the wrench centered on the anchor's mean."""
+    anchor_params, anchor, tc_anchor, c_w_a = _zero_centered_fit(state, s)
+    tc_eff = state._effective_tc(tc_anchor)
+    kappa = state.spec.outputscale
+    bp_end = beta_prime(state.case, state.horizon, state.delta / 2.0, s.gamma_t)
+    l_wrench_sup = wrench_width_fixed(robust_beta(bp_end, c_w_a, tc_eff), kappa, s.n_t)
+
+    def wrench_center(q):
+        mean, _ = anchor.predict(q)
+        return mean
+
+    if state.pimq_policy in ("heuristic", "manual") and len(s.ys):
+        l_wrench = anchor_params.half_width
+    elif state.a2_width_mode == "adaptive":
+        beta_anchor_t = robust_beta(s.bp, c_w_a, tc_eff)
+
+        def l_wrench(q):
+            _, var = anchor.predict(q)
+            return wrench_width_adaptive(beta_anchor_t, np.sqrt(var), s.n_t)
+
+    else:
+        l_wrench = l_wrench_sup
+
+    wrench_params = pimq_params_for_noise(wrench_center, l_wrench, state.pimq_c, s.nv)
+    wrench = rcgp_fit(s.X, s.ys, state.spec, s.nv, wrench_params)
+    tc = estimate_tc(s.ys - wrench_params.center_at(s.X), wrench_params.width_at(s.X)) if len(s.ys) else 0
+    tc_eff = state._effective_tc(tc)
+    # C1 for the wrench uses the scalar width bound and the anchor's
+    # certified deviation as the center gap.
+    c1_params = pimq_params_for_noise(wrench_center, l_wrench_sup if callable(l_wrench) else l_wrench, state.pimq_c, s.nv)
+    sup_delta_w = c_w_a * math.sqrt(tc_eff) * math.sqrt(kappa)
+    c_w_w = cw_from_c1(c1_bound(c1_params, s.nv, sup_delta_w), s.nv)
+    return Plan(s.t, s.loc, s.scale, wrench, robust_beta(s.bp, c_w_w, tc_eff), tc, anchor)
+
+
+_PLAN_BUILDERS = {"gp_ucb": _plan_gp_ucb, "fc": _plan_fc, "a2": _plan_a2}
 
 
 def _ucb(mean: np.ndarray, var: np.ndarray, beta: float) -> np.ndarray:
@@ -314,15 +356,15 @@ def _ucb(mean: np.ndarray, var: np.ndarray, beta: float) -> np.ndarray:
 
 def acquisition_value(state: BoState, x) -> float:
     """Upper-confidence acquisition at a single point, in standardized space."""
-    plan = state._prepare()
-    mean, var = plan["model"].predict(np.atleast_2d(np.asarray(x, dtype=float)))
-    return float(_ucb(mean, var, plan["beta"])[0])
+    plan = state.plan()
+    mean, var = plan.model.predict(np.atleast_2d(np.asarray(x, dtype=float)))
+    return float(_ucb(mean, var, plan.beta)[0])
 
 
 def _acquisition_batch(state: BoState, Xq: np.ndarray) -> np.ndarray:
-    plan = state._prepare()
-    mean, var = plan["model"].predict(Xq)
-    return _ucb(mean, var, plan["beta"])
+    plan = state.plan()
+    mean, var = plan.model.predict(Xq)
+    return _ucb(mean, var, plan.beta)
 
 
 def maximize_acquisition(state: BoState, domain: DomainSpec) -> np.ndarray:
@@ -352,43 +394,25 @@ def maximize_acquisition(state: BoState, domain: DomainSpec) -> np.ndarray:
     return best_x
 
 
-def _step(state: BoState) -> tuple[np.ndarray, float]:
-    plan = state._prepare()
-    t = plan["t"]
+def step(state: BoState) -> tuple[np.ndarray, float]:
+    """One BO step: maximize the acquisition, observe, let the adversary
+    corrupt, record.  Returns the query and the (possibly corrupted) value."""
+    plan = state.plan()
     try:
         x = maximize_acquisition(state, state.domain)
     except FactorizationError as exc:
-        raise FactorizationError(f"step {t}: {exc}") from exc
+        raise FactorizationError(f"step {plan.t}: {exc}") from exc
     y_clean = observe(state.objective, x, state.noise_rng)
-    y_observed, flag = corrupt(state.policy, state.budget, x, y_clean, t)
-    state.X.append(np.atleast_1d(x))
-    state.y_clean.append(y_clean)
-    state.y_obs.append(y_observed)
-    state.corrupted.append(flag)
-    state.records.append(StepRecord(t, np.atleast_1d(x), y_clean, y_observed, flag, plan["beta"], plan["tc"]))
-    state.t = t
-    state._plan = None
+    y_observed, flag = corrupt(state.policy, state.budget, x, y_clean, plan.t)
+    state._append(x, y_clean, y_observed, flag)
+    state.records.append(StepRecord(plan.t, np.atleast_1d(x), y_clean, y_observed, flag, plan.beta, plan.tc))
+    state.t = plan.t
     return x, y_observed
-
-
-def step_gp_ucb(state: BoState):
-    assert state.algorithm == "gp_ucb"
-    return _step(state)
-
-
-def step_fc(state: BoState):
-    assert state.algorithm == "fc"
-    return _step(state)
-
-
-def step_a2(state: BoState):
-    assert state.algorithm == "a2"
-    return _step(state)
 
 
 def run_loop(state: BoState, n_iterations: int) -> list[StepRecord]:
     for _ in range(n_iterations):
-        _step(state)
+        step(state)
     return state.records
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .adversary import CorruptionBudget, EagerBudget, GreedyClairvoyant, NoCorruption
-from .algorithms import ALGORITHMS, BoState, DomainSpec, run_loop
+from .algorithms import A2_WIDTH_MODES, ALGORITHMS, PIMQ_POLICIES, TC_MODES, BoState, DomainSpec, run_loop
 from .kernels import FactorizationError, KernelSpec
 from .objectives import Objective, make_objective
 from .schedules import CompactConvex, FiniteDomain, Rkhs
@@ -102,12 +102,15 @@ class ExperimentConfig:
         )
         if sched["case"] not in ("finite_domain", "compact_convex", "rkhs"):
             raise ConfigError(f"unknown schedule case {sched['case']!r}")
+        for key, allowed in (("tc_mode", TC_MODES), ("a2_width_mode", A2_WIDTH_MODES)):
+            if key in sched and sched[key] not in allowed:
+                raise ConfigError(f"unknown schedule {key} {sched[key]!r}; expected one of {allowed}")
         if sched["case"] == "compact_convex":
             _section(sched.get("compact_convex", {}), "schedule.compact_convex", {"a", "b", "r"}, {"a", "b", "r"})
         pimq = _section(
             top.get("pimq", {}), "pimq", {"policy", "shape_c", "heuristic_quantile", "half_width"},
         )
-        if pimq.get("policy", "schedule") not in ("schedule", "heuristic", "manual"):
+        if pimq.get("policy", "schedule") not in PIMQ_POLICIES:
             raise ConfigError(f"unknown pimq policy {pimq['policy']!r}")
         adv = _section(
             top["adversary"], "adversary",

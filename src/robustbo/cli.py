@@ -3,7 +3,6 @@
 Subcommands:
   run       execute an experiment config and write trace CSVs
   aggregate collapse written traces into per-algorithm regret curves
-  selftest  quick numerical consistency checks of the core formulas
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -16,14 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench
 from .bench import ConfigError
-from .gp import gp_fit
-from .kernels import FactorizationError, KernelSpec
-from .rcgp import deviation_schur, rcgp_fit
-from .weights import pimq_mw, pimq_params_for_noise
+from .kernels import FactorizationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,65 +51,6 @@ def _cmd_aggregate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(_args) -> int:
-    rng = np.random.default_rng(0)
-    spec = KernelSpec("rbf", 0.3)
-    failures = []
-
-    # Robust fit must reproduce the plain GP when all residuals are in-plateau.
-    for _ in range(20):
-        X = rng.uniform(0, 1, size=7)
-        y = rng.normal(0, 0.5, size=7)
-        params = pimq_params_for_noise(lambda q: np.zeros(np.atleast_2d(q).shape[0]), 10.0, 1.0, 0.25)
-        gp = gp_fit(X, y, spec, 0.25)
-        rc = rcgp_fit(X, y, spec, 0.25, params)
-        q = rng.uniform(0, 1, size=5)
-        gm, gv = gp.predict(q)
-        rm, rv = rc.predict(q)
-        if np.max(np.abs(gm - rm)) > 1e-10 or np.max(np.abs(gv - rv)) > 1e-10:
-            failures.append("plateau equivalence")
-            break
-
-    # Schur-complement deviation must match the direct mean difference.
-    for _ in range(20):
-        Xu = rng.uniform(0, 1, size=6)
-        yu = rng.normal(0, 0.5, size=6)
-        Xc = rng.uniform(0, 1, size=2)
-        yc = rng.normal(8, 1.0, size=2)
-        params = pimq_params_for_noise(lambda q: np.zeros(np.atleast_2d(q).shape[0]), 2.0, 1.0, 0.25)
-        X = np.concatenate([Xu, Xc])
-        y = np.concatenate([yu, yc])
-        full = rcgp_fit(X, y, spec, 0.25, params)
-        clean = gp_fit(Xu, yu, spec, 0.25)
-        q = rng.uniform(0, 1, size=4)
-        direct = full.predict(q)[0] - clean.predict(q)[0]
-        via_schur = deviation_schur((Xu, yu), (Xc, yc), spec, 0.25, params, q)
-        if np.max(np.abs(direct - via_schur)) > 1e-8:
-            failures.append("deviation identity")
-            break
-
-    # Mean-correction term must match the gradient of the log squared weight.
-    for _ in range(100):
-        y0 = float(rng.uniform(2.5, 8.0)) * (1 if rng.random() < 0.5 else -1)
-        params = pimq_params_for_noise(lambda q: np.zeros(np.atleast_2d(q).shape[0]), 2.0, 1.0, 0.25)
-        h = 1e-6
-
-        def log_w2(y):
-            from .weights import pimq_weight
-            return 2.0 * np.log(pimq_weight(params, 0.0, y))
-
-        fd = (log_w2(y0 + h) - log_w2(y0 - h)) / (2 * h)
-        analytic = pimq_mw(params, 0.25, 0.0, y0) / 0.25
-        if abs(fd - analytic) > 1e-4 * max(1.0, abs(analytic)):
-            failures.append("mean-correction gradient")
-            break
-
-    for name in ("plateau equivalence", "deviation identity", "mean-correction gradient"):
-        status = "FAIL" if name in failures else "PASS"
-        print(f"selftest {name}: {status}")
-    return EXIT_NUMERICAL if failures else EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="robustbo", description="Outlier-robust Bayesian optimization benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -130,9 +65,6 @@ def main(argv=None) -> int:
     p_agg.add_argument("--in", dest="traces", required=True, help="directory containing *_seed*.csv traces")
     p_agg.add_argument("--out", help="output CSV path (default: <traces>/aggregate.csv)")
     p_agg.set_defaults(fn=_cmd_aggregate)
-
-    p_self = sub.add_parser("selftest", help="quick numerical consistency checks")
-    p_self.set_defaults(fn=_cmd_selftest)
 
     args = parser.parse_args(argv)
     try:

@@ -13,15 +13,11 @@ import numpy as np
 
 from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho
 
-__all__ = ["GpPosterior", "gp_fit", "gp_predict"]
-
-# Round-off clamp bookkeeping (negative predictive variances snapped to 0).
-VARIANCE_CLAMP_COUNT = 0
+__all__ = ["GpPosterior", "gp_fit"]
 
 
 def _predict_core(spec: KernelSpec, X: np.ndarray, chol, alpha: np.ndarray, Xq: np.ndarray):
     """Shared posterior prediction: mean k'a, var k(x,x) - k' A^-1 k."""
-    global VARIANCE_CLAMP_COUNT
     if X.shape[0] == 0:
         mean = np.zeros(Xq.shape[0])
         var = np.full(Xq.shape[0], spec.outputscale)
@@ -29,10 +25,7 @@ def _predict_core(spec: KernelSpec, X: np.ndarray, chol, alpha: np.ndarray, Xq: 
     Kq = cross_matrix(spec, X, Xq)  # (n, m)
     mean = Kq.T @ alpha
     var = spec.outputscale - np.sum(Kq * solve_cho(chol, Kq), axis=0)
-    neg = var < 0.0
-    if np.any(neg):
-        VARIANCE_CLAMP_COUNT += int(np.count_nonzero(neg))
-        var = np.where(neg, 0.0, var)
+    var[var < 0.0] = 0.0  # negative only through round-off
     return mean, var
 
 
@@ -69,9 +62,3 @@ def gp_fit(X, y, spec: KernelSpec, noise_var: float) -> GpPosterior:
     chol = jittered_cho_factor(A, spec.outputscale)
     alpha = solve_cho(chol, y)
     return GpPosterior(X, y, spec, float(noise_var), chol, alpha)
-
-
-def gp_predict(post: GpPosterior, x) -> tuple[float, float]:
-    """Posterior (mean, variance) at a single point."""
-    mean, var = post.predict(x)
-    return float(mean[0]), float(var[0])

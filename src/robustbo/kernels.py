@@ -13,7 +13,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "KernelSpec",
-    "kernel_eval",
     "cross_matrix",
     "gram_matrix",
     "info_gain",
@@ -91,11 +90,6 @@ def cross_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     # Matern 5/2
     r = np.sqrt(5.0 * d2)
     return spec.outputscale * (1.0 + r + r * r / 3.0) * np.exp(-r)
-
-
-def kernel_eval(spec: KernelSpec, x, x_other) -> float:
-    """Evaluate k(x, x') for a single pair of points."""
-    return float(cross_matrix(spec, x, x_other)[0, 0])
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:

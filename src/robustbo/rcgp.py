@@ -16,7 +16,7 @@ from .gp import _predict_core, gp_fit
 from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho
 from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, WeightCorrections, build_corrections
 
-__all__ = ["RcgpPosterior", "rcgp_fit", "rcgp_predict", "deviation_schur"]
+__all__ = ["RcgpPosterior", "rcgp_fit", "deviation_schur"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,14 @@ class RcgpPosterior:
         return _predict_core(self.spec, self.X, self.chol, self.alpha, Xq)
 
 
+def _drop_negligible(params: PimqParams, X, y, corr: WeightCorrections):
+    """Remove the points whose weight is below NEGLIGIBLE_WEIGHT_RATIO of the cap."""
+    keep = corr.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max
+    if np.all(keep):
+        return X, y, corr
+    return X[keep], y[keep], WeightCorrections(corr.weights[keep], corr.jw[keep], corr.mw[keep])
+
+
 def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams) -> RcgpPosterior:
     """Fit the robust posterior with corrections derived from the weight function."""
     if not noise_var > 0:
@@ -45,11 +53,7 @@ def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams) -> Rc
         X = _as_points(X, spec.dim)
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y must have equal length")
-        corr = build_corrections(params, noise_var, X, y)
-        keep = corr.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max
-        if not np.all(keep):
-            X, y = X[keep], y[keep]
-            corr = WeightCorrections(corr.weights[keep], corr.jw[keep], corr.mw[keep])
+        X, y, corr = _drop_negligible(params, X, y, build_corrections(params, noise_var, X, y))
     if y.shape[0] == 0:
         X = np.empty((0, spec.dim))
         corr = WeightCorrections(np.empty(0), np.empty(0), np.empty(0))
@@ -59,11 +63,6 @@ def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams) -> Rc
     chol = jittered_cho_factor(A, spec.outputscale)
     alpha = solve_cho(chol, y - corr.mw)
     return RcgpPosterior(X, y, spec, float(noise_var), corr, chol, alpha)
-
-
-def rcgp_predict(post: RcgpPosterior, x) -> tuple[float, float]:
-    mean, var = post.predict(x)
-    return float(mean[0]), float(var[0])
 
 
 def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: PimqParams, x):
@@ -94,14 +93,10 @@ def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: 
         Kb = cross_matrix(spec, uc.X, B)
         return Kab - Ka.T @ solve_cho(uc.chol, Kb)
 
-    corr_c = build_corrections(params, noise_var, Xc, yc)
-    keep = corr_c.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max
-    if not np.all(keep):
-        Xc, yc = Xc[keep], yc[keep]
-        corr_c = WeightCorrections(corr_c.weights[keep], corr_c.jw[keep], corr_c.mw[keep])
-        if yc.shape[0] == 0:
-            dev = np.zeros(Xq.shape[0])
-            return dev if Xq.shape[0] > 1 else float(dev[0])
+    Xc, yc, corr_c = _drop_negligible(params, Xc, yc, build_corrections(params, noise_var, Xc, yc))
+    if yc.shape[0] == 0:
+        dev = np.zeros(Xq.shape[0])
+        return dev if Xq.shape[0] > 1 else float(dev[0])
     S = cov_uc(Xc, Xc) + noise_var * np.diag(corr_c.jw)
     S = 0.5 * (S + S.T)
     chol_s = jittered_cho_factor(S, spec.outputscale + noise_var * float(np.max(corr_c.jw)))

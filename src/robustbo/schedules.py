@@ -9,7 +9,7 @@ RKHS-norm-bounded objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -19,7 +19,6 @@ __all__ = [
     "CompactConvex",
     "Rkhs",
     "AssumptionCase",
-    "ScheduleState",
     "beta_prime",
     "noise_bound",
     "anchor_width",
@@ -140,39 +139,3 @@ def estimate_tc(residuals, widths) -> int:
         raise ValueError("residuals and widths must have equal length")
     return int(np.count_nonzero(r > w))
 
-
-@dataclass
-class ScheduleState:
-    """Per-run schedule bookkeeping for one optimization loop.
-
-    tc_mode selects between the running plateau-based estimate and forcing
-    the corruption count to zero inside beta (the cautious-posterior-only
-    variant).
-    """
-
-    delta: float
-    case: AssumptionCase
-    kappa: float
-    sigma_noise: float
-    horizon: int
-    b_f: float
-    tc_mode: str = "estimate"  # "estimate" | "force_zero"
-    n_t: float = field(init=False)
-    l_t: float = field(init=False)
-    tc_estimate: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.tc_mode not in ("estimate", "force_zero"):
-            raise ValueError(f"unknown tc_mode {self.tc_mode!r}")
-        # delta/2 to the noise event, delta/2 to the confidence event.
-        self.n_t = noise_bound(self.case, self.sigma_noise, self.horizon, self.delta / 2.0)
-        self.l_t = anchor_width(self.b_f, self.kappa, self.n_t)
-
-    def effective_tc(self) -> int:
-        return 0 if self.tc_mode == "force_zero" else self.tc_estimate
-
-    def beta(self, t: int, c_w: float, gamma_t: float = 0.0) -> float:
-        bp = beta_prime(self.case, t, self.delta / 2.0, gamma_t)
-        return robust_beta(bp, c_w, self.effective_tc())

@@ -20,9 +20,7 @@ __all__ = [
     "PimqParams",
     "WeightCorrections",
     "pimq_params_for_noise",
-    "hard_threshold_params",
     "pimq_weight",
-    "imq_weight",
     "NEGLIGIBLE_WEIGHT_RATIO",
     "pimq_mw",
     "build_corrections",
@@ -42,9 +40,6 @@ def _as_points(x) -> np.ndarray:
         return arr.reshape(-1, 1)
     return arr
 
-
-# c for the hard-threshold limiting case (weight collapses just past the plateau).
-HARD_THRESHOLD_C = 1e-6
 
 # Weight ratio below which a point is treated as fully rejected.  Its residual
 # pull on the posterior mean is at most ~shape_c times this ratio; dropping the
@@ -96,18 +91,6 @@ class PimqParams:
 def pimq_params_for_noise(center, half_width, shape_c, noise_var) -> PimqParams:
     """Build P-IMQ params with the cap pinned to sqrt(noise_var / 2)."""
     return PimqParams(center, half_width, float(shape_c), math.sqrt(noise_var / 2.0))
-
-
-def hard_threshold_params(center, half_width, noise_var) -> PimqParams:
-    """Hard-threshold weight as the c -> 0 limit of the P-IMQ."""
-    return pimq_params_for_noise(center, half_width, HARD_THRESHOLD_C, noise_var)
-
-
-def imq_weight(center_val: float, c: float, scale: float, y: float) -> float:
-    """Plain inverse multi-quadric weight scale * (1 + (y-center)^2/c^2)^(-1/2)."""
-    if not c > 0:
-        raise ValueError("c must be positive")
-    return scale / math.sqrt(1.0 + ((y - center_val) / c) ** 2)
 
 
 def _excess(params: PimqParams, X, y):

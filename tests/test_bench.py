@@ -60,6 +60,20 @@ def test_invalid_values_rejected():
             ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("schedule", "tc_mode", "forcezero"),
+        ("schedule", "tc_mode", "sometimes"),
+        ("schedule", "a2_width_mode", "adaptve"),
+        ("pimq", "policy", "manul"),
+    ],
+)
+def test_unknown_mode_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(small_config(**{section: {key: value}}))
+
+
 def test_missing_required_key_rejected():
     raw = small_config()
     del raw["kernel"]

@@ -1,37 +1,37 @@
 import numpy as np
 import pytest
 
-from robustbo.gp import gp_fit, gp_predict
+from robustbo.gp import gp_fit
 from robustbo.kernels import KernelSpec
 
 
 def test_empty_data_returns_prior(rbf):
     post = gp_fit([], [], rbf, 1.0)
-    mean, var = gp_predict(post, 0.3)
-    assert mean == 0.0
-    assert var == rbf.outputscale
+    mean, var = post.predict(0.3)
+    assert mean[0] == 0.0
+    assert var[0] == rbf.outputscale
 
 
 def test_single_point_posterior_by_hand():
     spec = KernelSpec("rbf", 1.0, 1.0)
     post = gp_fit([0.0], [1.0], spec, 1.0)
-    mean, var = gp_predict(post, 0.0)
-    assert mean == pytest.approx(0.5, abs=1e-12)
-    assert var == pytest.approx(0.5, abs=1e-12)
+    mean, var = post.predict(0.0)
+    assert mean[0] == pytest.approx(0.5, abs=1e-12)
+    assert var[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_far_from_data_reverts_to_prior():
     spec = KernelSpec("rbf", 0.1, 1.3)
     post = gp_fit([0.0], [5.0], spec, 0.5)
-    mean, var = gp_predict(post, 50.0)
-    assert abs(mean) < 1e-6
-    assert var == pytest.approx(1.3, abs=1e-6)
+    mean, var = post.predict(50.0)
+    assert abs(mean[0]) < 1e-6
+    assert var[0] == pytest.approx(1.3, abs=1e-6)
 
 
 def test_duplicate_observation_shrinks_variance(rbf):
     one = gp_fit([0.2], [1.0], rbf, 0.5)
     two = gp_fit([0.2, 0.2], [1.0, 1.0], rbf, 0.5)
-    assert gp_predict(two, 0.2)[1] < gp_predict(one, 0.2)[1]
+    assert two.predict(0.2)[1][0] < one.predict(0.2)[1][0]
 
 
 def test_variance_bounds(rng, rbf):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_inplateau_dataset
-from robustbo.gp import gp_fit, gp_predict
-from robustbo.rcgp import deviation_schur, rcgp_fit, rcgp_predict
+from robustbo.gp import gp_fit
+from robustbo.rcgp import deviation_schur, rcgp_fit
 from robustbo.weights import ZERO_CENTER, pimq_params_for_noise
 
 GRID = np.linspace(0.0, 1.0, 101)
@@ -12,8 +12,8 @@ GRID = np.linspace(0.0, 1.0, 101)
 def test_no_data_prior(rbf):
     params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1.0, 1.0)
     post = rcgp_fit([], [], rbf, 1.0, params)
-    mean, var = rcgp_predict(post, 0.5)
-    assert mean == 0.0 and var == rbf.outputscale
+    mean, var = post.predict(0.5)
+    assert mean[0] == 0.0 and var[0] == rbf.outputscale
 
 
 def test_single_inplateau_point_matches_plain_gp():
@@ -22,9 +22,9 @@ def test_single_inplateau_point_matches_plain_gp():
     spec = KernelSpec("rbf", 1.0, 1.0)
     params = pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, 1.0)
     post = rcgp_fit([0.0], [1.0], spec, 1.0, params)
-    mean, var = rcgp_predict(post, 0.0)
-    assert mean == pytest.approx(0.5, abs=1e-12)
-    assert var == pytest.approx(0.5, abs=1e-12)
+    mean, var = post.predict(0.0)
+    assert mean[0] == pytest.approx(0.5, abs=1e-12)
+    assert var[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_plateau_equivalence_bitwise(rng, rbf):

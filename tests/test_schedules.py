@@ -9,7 +9,6 @@ from robustbo.schedules import (
     CompactConvex,
     FiniteDomain,
     Rkhs,
-    ScheduleState,
     anchor_width,
     beta_prime,
     estimate_tc,
@@ -107,18 +106,6 @@ def test_anchor_width_contains_clean_residuals(rng):
     f = rng.uniform(-b_f * math.sqrt(kappa), b_f * math.sqrt(kappa), size=T)
     noise = np.clip(rng.normal(0, sigma, size=T), -3.5, 3.5)
     assert np.all(np.abs(f + noise) <= width)
-
-
-def test_schedule_state_modes():
-    st_est = ScheduleState(0.1, FiniteDomain(100), 1.0, 1.0, 100, 2.0)
-    st_est.tc_estimate = 3
-    st_zero = ScheduleState(0.1, FiniteDomain(100), 1.0, 1.0, 100, 2.0, tc_mode="force_zero")
-    st_zero.tc_estimate = 3
-    bp = beta_prime(FiniteDomain(100), 5, 0.05)
-    assert st_zero.beta(5, 2.0) == bp
-    assert st_est.beta(5, 2.0) == robust_beta(bp, 2.0, 3) > bp
-    with pytest.raises(ValueError):
-        ScheduleState(0.1, FiniteDomain(100), 1.0, 1.0, 100, 2.0, tc_mode="sometimes")
 
 
 def test_case_validation():

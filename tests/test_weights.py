@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustbo.weights import (
-    HARD_THRESHOLD_C,
     ZERO_CENTER,
     PimqParams,
     build_corrections,
     c1_bound,
     cw_from_c1,
-    hard_threshold_params,
-    imq_weight,
     pimq_mw,
     pimq_params_for_noise,
     pimq_weight,
@@ -37,10 +34,12 @@ def test_plateau_boundary_inclusive():
 
 
 def test_imq_weight_values():
-    assert imq_weight(0.0, 1.0, 2.5, 0.0) == 2.5
-    assert imq_weight(0.0, 1.0, 1.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    # a zero-width plateau leaves the plain inverse multi-quadric
+    assert pimq_weight(PimqParams(ZERO_CENTER, 0.0, 1.0, 2.5), 0.0, 0.0) == 2.5
+    imq = PimqParams(ZERO_CENTER, 0.0, 1.0, 1.0)
+    assert pimq_weight(imq, 0.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
     with pytest.raises(ValueError):
-        imq_weight(0.0, 0.0, 1.0, 1.0)
+        PimqParams(ZERO_CENTER, 0.0, 0.0, 1.0)
 
 
 @given(r1=st.floats(0, 50), r2=st.floats(0, 50))
@@ -119,8 +118,8 @@ def test_adaptive_width_callable():
 
 
 def test_hard_threshold_collapses_fast():
-    params = hard_threshold_params(ZERO_CENTER, 1.0, 1.0)
-    assert params.shape_c == HARD_THRESHOLD_C
+    # the hard threshold is the shape_c -> 0 limit of the P-IMQ
+    params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1e-6, 1.0)
     assert pimq_weight(params, 0.0, 1.0) == params.w_max
     assert pimq_weight(params, 0.0, 1.001) < 1e-3 * params.w_max
 
