@@ -1,6 +1,6 @@
 """Outlier-robust Bayesian optimization with confidence-bound guarantees.
 
-Public surface: kernels and GP/robust-GP posteriors, plateau-IMQ weight
+Public surface: kernels, the GP posterior (plain or robust), plateau-IMQ weight
 machinery, confidence schedules, adversarial corruption channels, benchmark
 objectives, the optimization loops, and the benchmark harness.
 """

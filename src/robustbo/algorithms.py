@@ -11,16 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.stats import qmc
 
 from .adversary import AdversaryPolicy, CorruptionBudget, corrupt
 from .gp import GpPosterior, gp_fit
-from .kernels import FactorizationError, KernelSpec, gram_matrix, info_gain, jittered_cho_factor, solve_cho
+# gram_matrix and jittered_cho_factor are unused here; perfbench's tracer wraps them in this module.
+from .kernels import FactorizationError, KernelSpec, gram_matrix, info_gain, jittered_cho_factor, solve_cho  # noqa: F401
 from .objectives import Objective, observe
-from .rcgp import RcgpPosterior, rcgp_fit
+from .rcgp import rcgp_fit
 from .schedules import (
     AssumptionCase,
     Rkhs,
@@ -130,10 +131,10 @@ class Plan:
     t: int
     loc: float
     scale: float
-    model: Union[GpPosterior, RcgpPosterior]
+    model: GpPosterior
     beta: float
     tc: int
-    anchor: Optional[RcgpPosterior] = None
+    anchor: Optional[GpPosterior] = None
 
 
 @dataclass
@@ -356,9 +357,7 @@ def _ucb(mean: np.ndarray, var: np.ndarray, beta: float) -> np.ndarray:
 
 def acquisition_value(state: BoState, x) -> float:
     """Upper-confidence acquisition at a single point, in standardized space."""
-    plan = state.plan()
-    mean, var = plan.model.predict(np.atleast_2d(np.asarray(x, dtype=float)))
-    return float(_ucb(mean, var, plan.beta)[0])
+    return float(_acquisition_batch(state, np.atleast_2d(x))[0])
 
 
 def _acquisition_batch(state: BoState, Xq: np.ndarray) -> np.ndarray:
@@ -388,7 +387,7 @@ def maximize_acquisition(state: BoState, domain: DomainSpec) -> np.ndarray:
                 cand[:, j] = np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], domain.coord_grid)
                 vals = _acquisition_batch(state, cand)
                 x = cand[int(np.argmax(vals))]
-        v = float(_acquisition_batch(state, x.reshape(1, -1))[0])
+        v = acquisition_value(state, x)
         if v > best_v:
             best_x, best_v = x, v
     return best_x
@@ -453,26 +452,18 @@ def fit_hyperparameters_loo(model_kind: str, data, weight_params, search_space: 
 
     best = None
     for ls, os_, nv in product(ls_grid, os_grid, nv_grid):
-        if robust:
-            corr = build_corrections(weight_params, nv, X, y)
-            jw, mw = corr.jw, corr.mw
-        else:
-            jw, mw = np.ones(n), np.zeros(n)
+        corr = build_corrections(weight_params, nv, X, y) if robust else None
         try:
-            spec = KernelSpec(family, ls, os_)
-            A = gram_matrix(spec, X)
-            A[np.diag_indices_from(A)] += nv * jw
-            chol = jittered_cho_factor(A, spec.outputscale)
+            post = gp_fit(X, y, KernelSpec(family, ls, os_), nv, corr)
         except (ValueError, FactorizationError):
             continue
-        alpha = solve_cho(chol, y - mw)
-        Ainv_diag = np.diag(solve_cho(chol, np.eye(n)))
+        Ainv_diag = np.diag(solve_cho(post.chol, np.eye(n)))
         if np.any(Ainv_diag <= 1e-12):
             continue
-        loo_resid = alpha / Ainv_diag
+        loo_resid = post.alpha / Ainv_diag
         objective = float(np.sum(wbar * loo_resid**2))
         if best is None or objective < best[0]:
-            best = (objective, spec, float(nv))
+            best = (objective, post.spec, float(nv))
     if best is None:
         raise ValueError("no viable candidate in the hyperparameter grid")
     return best[1], best[2]

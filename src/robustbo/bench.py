@@ -326,7 +326,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             state.add_initial(X0)
             try:
                 run_loop(state, cfg.n_iterations)
-            except FactorizationError as exc:
+            except (FactorizationError, ValueError) as exc:
+                # A failed Cholesky or a non-finite value in a solve; a TypeError stays loud.
                 failures[f"{algorithm}/seed{seed}"] = str(exc)
                 continue
             rows = _trace_rows(state, f_star)

@@ -1,64 +1,67 @@
-"""Standard conjugate GP posterior with Cholesky-based solves.
+"""The one conjugate GP posterior, plain or robust, with Cholesky-based solves.
 
-Also serves as the idealized uncorrupted-posterior oracle in the
-robustness tests, so the prediction path is shared (bit-for-bit) with
-the robust posterior in :mod:`robustbo.rcgp`.
+The robust posterior (:mod:`robustbo.rcgp`) is this fit with K + noise_var*J_w
+and targets y - m_w; the plain GP is J_w = I, m_w = 0 on the same lines, so an
+all-in-plateau robust fit is bit-identical to the plain fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho
+from .weights import WeightCorrections
 
 __all__ = ["GpPosterior", "gp_fit"]
 
 
-def _predict_core(spec: KernelSpec, X: np.ndarray, chol, alpha: np.ndarray, Xq: np.ndarray):
-    """Shared posterior prediction: mean k'a, var k(x,x) - k' A^-1 k."""
-    if X.shape[0] == 0:
-        mean = np.zeros(Xq.shape[0])
-        var = np.full(Xq.shape[0], spec.outputscale)
-        return mean, var
-    Kq = cross_matrix(spec, X, Xq)  # (n, m)
-    mean = Kq.T @ alpha
-    var = spec.outputscale - np.sum(Kq * solve_cho(chol, Kq), axis=0)
-    var[var < 0.0] = 0.0  # negative only through round-off
-    return mean, var
-
-
 @dataclass(frozen=True)
 class GpPosterior:
-    """Immutable fitted GP: training data plus the factorized K + noise_var*I."""
+    """Immutable fitted GP: data, corrections (None: plain GP), factorized K + noise_var*J_w."""
 
     X: np.ndarray
     y: np.ndarray
     spec: KernelSpec
     noise_var: float
+    corrections: Optional[WeightCorrections]
     chol: object = field(repr=False)
     alpha: np.ndarray = field(repr=False)
 
     def predict(self, Xq):
-        """Vectorized posterior mean and variance at query points (m, d)."""
+        """Vectorized posterior mean k'a and variance k(x,x) - k' A^-1 k at query points (m, d)."""
         Xq = _as_points(Xq, self.spec.dim)
-        return _predict_core(self.spec, self.X, self.chol, self.alpha, Xq)
+        if self.X.shape[0] == 0:
+            return np.zeros(Xq.shape[0]), np.full(Xq.shape[0], self.spec.outputscale)
+        Kq = cross_matrix(self.spec, self.X, Xq)  # (n, m)
+        mean = Kq.T @ self.alpha
+        var = self.spec.outputscale - np.sum(Kq * solve_cho(self.chol, Kq), axis=0)
+        var[var < 0.0] = 0.0  # negative only through round-off
+        return mean, var
 
 
-def gp_fit(X, y, spec: KernelSpec, noise_var: float) -> GpPosterior:
-    """Fit the conjugate GP posterior via Cholesky of K + noise_var*I."""
+def gp_fit(X, y, spec: KernelSpec, noise_var: float,
+           corrections: Optional[WeightCorrections] = None) -> GpPosterior:
+    """Fit the conjugate GP posterior via Cholesky of K + noise_var*J_w on y - m_w.
+
+    corrections=None is the plain GP (J_w = I, m_w = 0); otherwise it holds
+    one (jw, mw) entry per point.  The only place the noise diagonal is added
+    to a Gram matrix.
+    """
     if not noise_var > 0:
         raise ValueError("noise_var must be positive")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] == 0:
-        X = np.empty((0, spec.dim))
-        return GpPosterior(X, y, spec, noise_var, None, np.empty(0))
+        return GpPosterior(np.empty((0, spec.dim)), y, spec, noise_var, corrections, None, np.empty(0))
     X = _as_points(X, spec.dim)
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y must have equal length")
+    # noise_var * 1.0 and y - 0.0 are exact, so identity corrections give the plain fit's bits.
+    jw, mw = (1.0, 0.0) if corrections is None else (corrections.jw, corrections.mw)
     A = gram_matrix(spec, X)
-    A[np.diag_indices_from(A)] += noise_var
+    A[np.diag_indices_from(A)] += noise_var * jw
     chol = jittered_cho_factor(A, spec.outputscale)
-    alpha = solve_cho(chol, y)
-    return GpPosterior(X, y, spec, float(noise_var), chol, alpha)
+    alpha = solve_cho(chol, y - mw)
+    return GpPosterior(X, y, spec, float(noise_var), corrections, chol, alpha)

@@ -142,5 +142,5 @@ def info_gain(spec: KernelSpec, X, noise_var: float) -> float:
 
 
 def solve_cho(chol, b: np.ndarray) -> np.ndarray:
-    """cho_solve wrapper shared by the GP and RCGP posteriors."""
+    """cho_solve wrapper shared by every posterior solve."""
     return cho_solve(chol, b)

@@ -1,39 +1,24 @@
 """Robust conjugate GP posterior and the Schur-complement deviation oracle.
 
-The robust posterior replaces K + noise_var*I with K + noise_var*J_w and
-shifts the targets by m_w.  When every residual sits inside the weight
-plateau, J_w is the identity and m_w is zero, so the update collapses to
-the standard GP bit-for-bit.
+The robust posterior is :func:`robustbo.gp.gp_fit` with the P-IMQ
+corrections: K + noise_var*J_w and targets shifted by m_w.  When every
+residual sits inside the weight plateau, J_w is the identity and m_w is
+zero, so the fit runs the plain GP's arithmetic on the plain GP's numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .gp import _predict_core, gp_fit
-from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho
+from .gp import GpPosterior, gp_fit
+# gram_matrix is unused here; perfbench's tracer wraps it in this module.
+from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho  # noqa: F401
 from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, WeightCorrections, build_corrections
 
 __all__ = ["RcgpPosterior", "rcgp_fit", "deviation_schur"]
 
-
-@dataclass(frozen=True)
-class RcgpPosterior:
-    """Immutable fitted robust GP: data, corrections, factorized K + noise_var*J_w."""
-
-    X: np.ndarray
-    y: np.ndarray
-    spec: KernelSpec
-    noise_var: float
-    corrections: WeightCorrections
-    chol: object = field(repr=False)
-    alpha: np.ndarray = field(repr=False)
-
-    def predict(self, Xq):
-        Xq = _as_points(Xq, self.spec.dim)
-        return _predict_core(self.spec, self.X, self.chol, self.alpha, Xq)
+# The robust posterior is the GP posterior with corrections; the name stays for callers.
+RcgpPosterior = GpPosterior
 
 
 def _drop_negligible(params: PimqParams, X, y, corr: WeightCorrections):
@@ -44,25 +29,15 @@ def _drop_negligible(params: PimqParams, X, y, corr: WeightCorrections):
     return X[keep], y[keep], WeightCorrections(corr.weights[keep], corr.jw[keep], corr.mw[keep])
 
 
-def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams) -> RcgpPosterior:
-    """Fit the robust posterior with corrections derived from the weight function."""
-    if not noise_var > 0:
-        raise ValueError("noise_var must be positive")
+def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams) -> GpPosterior:
+    """Fit the robust posterior: P-IMQ corrections, drop the rejected points, then gp_fit.
+
+    The result always carries a WeightCorrections, empty when no point is kept.
+    """
     y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] > 0:
-        X = _as_points(X, spec.dim)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y must have equal length")
-        X, y, corr = _drop_negligible(params, X, y, build_corrections(params, noise_var, X, y))
-    if y.shape[0] == 0:
-        X = np.empty((0, spec.dim))
-        corr = WeightCorrections(np.empty(0), np.empty(0), np.empty(0))
-        return RcgpPosterior(X, y, spec, noise_var, corr, None, np.empty(0))
-    A = gram_matrix(spec, X)
-    A[np.diag_indices_from(A)] += noise_var * corr.jw
-    chol = jittered_cho_factor(A, spec.outputscale)
-    alpha = solve_cho(chol, y - corr.mw)
-    return RcgpPosterior(X, y, spec, float(noise_var), corr, chol, alpha)
+    X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
+    X, y, corr = _drop_negligible(params, X, y, build_corrections(params, noise_var, X, y))
+    return gp_fit(X, y, spec, noise_var, corr)
 
 
 def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: PimqParams, x):

@@ -93,47 +93,6 @@ def pimq_params_for_noise(center, half_width, shape_c, noise_var) -> PimqParams:
     return PimqParams(center, half_width, float(shape_c), math.sqrt(noise_var / 2.0))
 
 
-def _excess(params: PimqParams, X, y):
-    """Per-point (z, s): residual excess over the plateau edge and its sign."""
-    X = _as_points(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    resid = y - params.center_at(X)
-    r = np.abs(resid)
-    s = np.sign(resid)
-    z = r - params.width_at(X)
-    return z, s
-
-
-def pimq_weights(params: PimqParams, X, y) -> np.ndarray:
-    """Vectorized P-IMQ weights; exactly w_max on/inside the plateau boundary."""
-    z, _ = _excess(params, X, y)
-    out = np.full(z.shape, params.w_max)
-    outside = z > 0
-    if np.any(outside):
-        out[outside] = params.w_max / np.sqrt(1.0 + (z[outside] / params.shape_c) ** 2)
-    return out
-
-
-def pimq_weight(params: PimqParams, x, y: float) -> float:
-    return float(pimq_weights(params, x, [y])[0])
-
-
-def pimq_mws(params: PimqParams, noise_var: float, X, y) -> np.ndarray:
-    """Vectorized mean-correction terms; exactly 0 on/inside the plateau."""
-    z, s = _excess(params, X, y)
-    out = np.zeros(z.shape)
-    outside = z > 0
-    if np.any(outside):
-        c2 = params.shape_c**2
-        zo = z[outside]
-        out[outside] = -2.0 * noise_var * (zo * s[outside] / c2) / (1.0 + zo * zo / c2)
-    return out
-
-
-def pimq_mw(params: PimqParams, noise_var: float, x, y: float) -> float:
-    return float(pimq_mws(params, noise_var, x, [y])[0])
-
-
 @dataclass(frozen=True)
 class WeightCorrections:
     """Per-point weights and the induced diagonal/vector posterior corrections."""
@@ -146,12 +105,16 @@ class WeightCorrections:
 def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorrections:
     """Weights, J_w diagonal noise_var/(2 w^2), and m_w vector for a dataset.
 
-    In-plateau entries are forced to exactly (1, 0) so the robust update is
-    bit-identical to the standard GP there.
+    The one implementation of the P-IMQ formula.  In-plateau entries are
+    forced to exactly (w_max, 1, 0) so the robust update is bit-identical to
+    the standard GP there.
     """
-    z, s = _excess(params, X, y)
-    if np.asarray(y).size != z.shape[0]:
+    X = _as_points(X)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if X.shape[0] != y.shape[0]:
         raise ValueError("X and y must have equal length")
+    resid = y - params.center_at(X)
+    z = np.abs(resid) - params.width_at(X)  # residual excess over the plateau edge
     w = np.full(z.shape, params.w_max)
     jw = np.ones(z.shape)
     mw = np.zeros(z.shape)
@@ -159,11 +122,29 @@ def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorre
     if np.any(outside):
         c2 = params.shape_c**2
         zo = z[outside]
-        q = 1.0 + zo * zo / c2  # (w_max / w)^2
-        w[outside] = params.w_max / np.sqrt(q)
-        jw[outside] = noise_var / (2.0 * params.w_max**2) * q
-        mw[outside] = -2.0 * noise_var * (zo * s[outside] / c2) / q
+        # q = inf is the infinite-outlier limit (|y| huge or infinite): the
+        # weight is 0 and rcgp_fit drops the point, so the overflow in zo * zo
+        # and the inf/inf of m_w are expected; finite q keeps its exact bits.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = 1.0 + zo * zo / c2  # (w_max / w)^2
+            w[outside] = params.w_max / np.sqrt(q)
+            jw[outside] = noise_var / (2.0 * params.w_max**2) * q
+            mw[outside] = -2.0 * noise_var * (zo * np.sign(resid[outside]) / c2) / q
     return WeightCorrections(w, jw, mw)
+
+
+def pimq_weights(params: PimqParams, X, y) -> np.ndarray:
+    """Vectorized P-IMQ weights; exactly w_max on/inside the plateau boundary."""
+    return build_corrections(params, 1.0, X, y).weights  # weights do not depend on noise_var
+
+
+def pimq_weight(params: PimqParams, x, y: float) -> float:
+    return float(pimq_weights(params, x, [y])[0])
+
+
+def pimq_mw(params: PimqParams, noise_var: float, x, y: float) -> float:
+    """Mean-correction term of one point; exactly 0 on/inside the plateau."""
+    return float(build_corrections(params, noise_var, x, [y]).mw[0])
 
 
 def c1_bound(params: PimqParams, noise_var: float, sup_delta: float) -> float:

@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,10 @@ from robustbo.bench import (
     run_experiment,
     write_trace,
 )
+from robustbo.cli import EXIT_OK, main
 from robustbo.objectives import make_objective
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**over):
@@ -181,3 +188,43 @@ def test_eager_budget_config():
     rows = run_experiment(cfg)[("gp_ucb", 0)]
     assert [r["corrupted"] for r in rows] == [1, 1, 0, 0, 0]
     assert rows[0]["y_observed"] == -50.0
+
+
+def _eager_queries(value):
+    """fc and a2 query sequences on the small shipped config under an eager
+    adversary that writes `value`; fails on any warning."""
+    cfg = load_config(CONFIG_DIR / "forrester_corrupted_small.json")
+    adv = {"policy": "eager_budget", "corruption_value": value, "budget": cfg.adversary["budget"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_experiment(dataclasses.replace(cfg, adversary=adv, algorithms=("fc", "a2")))
+    assert all(any(r["y_observed"] == value for r in rows) for rows in results.values())
+    return {key: [r["x0"] for r in rows] for key, rows in results.items()}
+
+
+@pytest.fixture(scope="module")
+def eager_reference_queries():
+    return _eager_queries(1e6)
+
+
+@pytest.mark.parametrize("value", [1e300, math.inf, -math.inf])
+def test_saturation_holds_to_the_infinite_limit(value, eager_reference_queries):
+    # Every such outlier is dropped, so the robust loops cannot tell 1e6 from inf.
+    assert _eager_queries(value) == eager_reference_queries
+
+
+def test_failing_cell_is_recorded_not_fatal(tmp_path):
+    raw = small_config(
+        algorithms=["gp_ucb", "fc", "a2"],
+        adversary={"policy": "eager_budget", "corruption_value": math.inf,
+                   "budget": {"mode": "fixed_count", "count": 2}},
+    )
+    results = run_experiment(ExperimentConfig.from_dict(raw))
+    assert sorted(results) == [("a2", 0), ("fc", 0)]
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert list(meta["failures"]) == ["gp_ucb/seed0"]
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == ["a2_seed0.csv", "fc_seed0.csv"]

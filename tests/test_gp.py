@@ -3,6 +3,7 @@ import pytest
 
 from robustbo.gp import gp_fit
 from robustbo.kernels import KernelSpec
+from robustbo.weights import WeightCorrections
 
 
 def test_empty_data_returns_prior(rbf):
@@ -81,3 +82,14 @@ def test_rejects_mismatched_lengths(rbf):
 def test_rejects_nonpositive_noise(rbf):
     with pytest.raises(ValueError):
         gp_fit([0.0], [1.0], rbf, 0.0)
+
+
+def test_identity_corrections_run_the_plain_fit(rng, rbf):
+    # J_w = I and m_w = 0 passed explicitly give the plain fit's factor and weights bit for bit
+    X = rng.uniform(0, 1, size=9)
+    y = rng.normal(size=9)
+    plain = gp_fit(X, y, rbf, 0.3)
+    ident = gp_fit(X, y, rbf, 0.3, WeightCorrections(np.ones(9), np.ones(9), np.zeros(9)))
+    assert plain.corrections is None
+    assert np.array_equal(plain.chol[0], ident.chol[0])
+    assert np.array_equal(plain.alpha, ident.alpha)

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import make_inplateau_dataset
 from robustbo.gp import gp_fit
-from robustbo.rcgp import deviation_schur, rcgp_fit
-from robustbo.weights import ZERO_CENTER, pimq_params_for_noise
+from robustbo.rcgp import RcgpPosterior, deviation_schur, rcgp_fit
+from robustbo.weights import ZERO_CENTER, build_corrections, pimq_params_for_noise
 
 GRID = np.linspace(0.0, 1.0, 101)
 
@@ -14,6 +14,7 @@ def test_no_data_prior(rbf):
     post = rcgp_fit([], [], rbf, 1.0, params)
     mean, var = post.predict(0.5)
     assert mean[0] == 0.0 and var[0] == rbf.outputscale
+    assert post.corrections.jw.shape == (0,)  # always a WeightCorrections, even empty
 
 
 def test_single_inplateau_point_matches_plain_gp():
@@ -35,6 +36,18 @@ def test_plateau_equivalence_bitwise(rng, rbf):
     rm, rv = robust.predict(GRID)
     assert np.array_equal(pm, rm)
     assert np.array_equal(pv, rv)
+
+
+def test_robust_fit_is_gp_fit_on_the_kept_points(rng, rbf):
+    # corrections, drop the rejected point, then the one gp_fit
+    X = rng.uniform(0, 1, size=7)
+    y = np.append(rng.normal(0, 0.5, size=6), 1e9)
+    params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1.0, 0.25)
+    robust = rcgp_fit(X, y, rbf, 0.25, params)
+    assert isinstance(robust, RcgpPosterior) and robust.X.shape == (6, 1)
+    expected = gp_fit(X[:6], y[:6], rbf, 0.25, build_corrections(params, 0.25, X[:6], y[:6]))
+    for a, b in zip(robust.predict(GRID), expected.predict(GRID)):
+        assert np.array_equal(a, b)
 
 
 def test_variance_bounds(rng, rbf):
