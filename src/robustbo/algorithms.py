@@ -8,6 +8,7 @@ standardized space, and the caller accounts regret in raw space.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -165,6 +166,7 @@ class BoState:
     hyperfit: bool = False
     hyperfit_every: int = 5
     hyperfit_space: Optional[dict] = None
+    # Raw-unit noise variance: the objective's, until a hyperparameter refit replaces it.
     noise_var_raw: float = field(init=False)
 
     # Run data (raw space unless noted).
@@ -187,6 +189,8 @@ class BoState:
         ):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         self.noise_var_raw = self.objective.noise_var
 
     # -- data management -------------------------------------------------
@@ -246,9 +250,9 @@ class BoState:
             wp = None
             if self.algorithm != "gp_ucb":
                 n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
-                width = anchor_width(self.b_f, self.spec.outputscale, n_t)
-                wp = pimq_params_for_noise(ZERO_CENTER, width, self.pimq_c, nv)
+                wp = pimq_params_for_noise(ZERO_CENTER, self._plateau_width(ys, n_t), self.pimq_c, nv)
             self.spec, nv = fit_hyperparameters_loo(self.algorithm, (X, ys), wp, self.hyperfit_space)
+            self.noise_var_raw = nv * scale**2  # kept, like the kernel, until the next refit
             sigma = math.sqrt(nv)
 
         gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) and len(ys) else 0.0
@@ -263,6 +267,17 @@ class BoState:
             bp=beta_prime(self.case, t, self.delta / 2.0, gamma_t),
             n_t=noise_bound(self.case, sigma, self.horizon, self.delta / 2.0),
         )
+
+    def _plateau_width(self, ys: np.ndarray, n_t: float) -> float:
+        """Half-width of the zero-centred plateau (fc's model, a2's anchor, the LOO weights)."""
+        if self.pimq_policy == "heuristic" and len(ys):
+            # 95% quantile of |y - median| on standardized targets, taken at the
+            # next-lowest order statistic so a sub-5% corrupted fraction cannot
+            # inflate it.
+            return float(np.quantile(np.abs(ys - np.median(ys)), self.heuristic_quantile, method="lower"))
+        if self.pimq_policy == "manual":
+            return self.pimq_half_width
+        return anchor_width(self.b_f, self.spec.outputscale, n_t)
 
     def _effective_tc(self, tc: int) -> int:
         return 0 if self.tc_mode == "force_zero" else tc
@@ -289,18 +304,9 @@ def _plan_gp_ucb(state: BoState, s: _StepInputs) -> Plan:
 
 def _zero_centered_fit(state: BoState, s: _StepInputs):
     """fc's model, also a2's anchor: (params, model, tc estimate, c_w)."""
-    if state.pimq_policy == "heuristic" and len(s.ys):
-        # 95% quantile of |y - median| on standardized targets, taken at the
-        # next-lowest order statistic so a sub-5% corrupted fraction cannot
-        # inflate it.
-        width = float(np.quantile(np.abs(s.ys - np.median(s.ys)), state.heuristic_quantile, method="lower"))
-    elif state.pimq_policy == "manual":
-        width = state.pimq_half_width
-    else:
-        width = anchor_width(state.b_f, state.spec.outputscale, s.n_t)
-    params = pimq_params_for_noise(ZERO_CENTER, width, state.pimq_c, s.nv)
+    params = pimq_params_for_noise(ZERO_CENTER, state._plateau_width(s.ys, s.n_t), state.pimq_c, s.nv)
     model = rcgp_fit(s.X, s.ys, state.spec, s.nv, params)
-    tc = estimate_tc(s.ys, np.full(len(s.ys), width)) if len(s.ys) else 0
+    tc = estimate_tc(s.ys, params.half_width)
     # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
     sup_delta = math.sqrt(state.spec.outputscale) * (math.sqrt(s.bp) + state.b_f)
     c_w = cw_from_c1(c1_bound(params, s.nv, sup_delta), s.nv)
@@ -313,38 +319,28 @@ def _plan_fc(state: BoState, s: _StepInputs) -> Plan:
 
 
 def _plan_a2(state: BoState, s: _StepInputs) -> Plan:
-    """Anchor refits first, then the wrench centered on the anchor's mean."""
+    """Anchor refits first, then the wrench, whose plateau center (and adaptive
+    width) is one anchor predict at the data, shared by the fit and tc."""
     anchor_params, anchor, tc_anchor, c_w_a = _zero_centered_fit(state, s)
     tc_eff = state._effective_tc(tc_anchor)
     kappa = state.spec.outputscale
     bp_end = beta_prime(state.case, state.horizon, state.delta / 2.0, s.gamma_t)
-    l_wrench_sup = wrench_width_fixed(robust_beta(bp_end, c_w_a, tc_eff), kappa, s.n_t)
-
-    def wrench_center(q):
-        mean, _ = anchor.predict(q)
-        return mean
-
-    if state.pimq_policy in ("heuristic", "manual") and len(s.ys):
-        l_wrench = anchor_params.half_width
+    width_bound = wrench_width_fixed(robust_beta(bp_end, c_w_a, tc_eff), kappa, s.n_t)  # scalar, for C1
+    center, var = anchor.predict(s.X)
+    if state.pimq_policy in ("heuristic", "manual"):
+        width = width_bound = anchor_params.half_width
     elif state.a2_width_mode == "adaptive":
-        beta_anchor_t = robust_beta(s.bp, c_w_a, tc_eff)
-
-        def l_wrench(q):
-            _, var = anchor.predict(q)
-            return wrench_width_adaptive(beta_anchor_t, np.sqrt(var), s.n_t)
-
+        width = wrench_width_adaptive(robust_beta(s.bp, c_w_a, tc_eff), np.sqrt(var), s.n_t)
     else:
-        l_wrench = l_wrench_sup
-
-    wrench_params = pimq_params_for_noise(wrench_center, l_wrench, state.pimq_c, s.nv)
+        width = width_bound
+    wrench_params = pimq_params_for_noise(center, width, state.pimq_c, s.nv)
     wrench = rcgp_fit(s.X, s.ys, state.spec, s.nv, wrench_params)
-    tc = estimate_tc(s.ys - wrench_params.center_at(s.X), wrench_params.width_at(s.X)) if len(s.ys) else 0
+    tc = estimate_tc(s.ys - center, width)
     tc_eff = state._effective_tc(tc)
     # C1 for the wrench uses the scalar width bound and the anchor's
     # certified deviation as the center gap.
-    c1_params = pimq_params_for_noise(wrench_center, l_wrench_sup if callable(l_wrench) else l_wrench, state.pimq_c, s.nv)
     sup_delta_w = c_w_a * math.sqrt(tc_eff) * math.sqrt(kappa)
-    c_w_w = cw_from_c1(c1_bound(c1_params, s.nv, sup_delta_w), s.nv)
+    c_w_w = cw_from_c1(c1_bound(dataclasses.replace(wrench_params, half_width=width_bound), s.nv, sup_delta_w), s.nv)
     return Plan(s.t, s.loc, s.scale, wrench, robust_beta(s.bp, c_w_w, tc_eff), tc, anchor)
 
 
@@ -396,11 +392,11 @@ def maximize_acquisition(state: BoState, domain: DomainSpec) -> np.ndarray:
 def step(state: BoState) -> tuple[np.ndarray, float]:
     """One BO step: maximize the acquisition, observe, let the adversary
     corrupt, record.  Returns the query and the (possibly corrupted) value."""
-    plan = state.plan()
     try:
+        plan = state.plan()  # the fits, and so the Cholesky factorizations, run here
         x = maximize_acquisition(state, state.domain)
     except FactorizationError as exc:
-        raise FactorizationError(f"step {plan.t}: {exc}") from exc
+        raise FactorizationError(f"step {state.t + 1}: {exc}") from exc
     y_clean = observe(state.objective, x, state.noise_rng)
     y_observed, flag = corrupt(state.policy, state.budget, x, y_clean, plan.t)
     state._append(x, y_clean, y_observed, flag)

@@ -44,6 +44,9 @@ __all__ = [
 STREAM_INITIAL = 0
 STREAM_NOISE = 1
 
+# metadata.json is strict JSON: a non-finite config float is echoed as a string float() reads back.
+_NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+
 
 class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
@@ -311,18 +314,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run every (algorithm, seed) cell; return {(algorithm, seed): rows}.
 
     A numerical failure in one cell is recorded and skipped; it does not
-    abort the rest of the experiment.  When out_dir is given, each cell is
-    written to <algorithm>_seed<seed>.csv plus a metadata.json echo.
+    abort the rest of the experiment.  A bad config value raises ConfigError
+    before any cell runs.  When out_dir is given, each cell is written to
+    <algorithm>_seed<seed>.csv plus a metadata.json echo.
     """
     start_time = time.monotonic()
-    objective = make_objective(cfg.objective, cfg.noise_var)
-    domain = DomainSpec.from_bounds(objective.bounds, cfg.grid_size)
-    x_star, f_star = optimum_on_grid(objective, domain.grid)
+    try:
+        objective = make_objective(cfg.objective, cfg.noise_var)
+        domain = DomainSpec.from_bounds(objective.bounds, cfg.grid_size)
+        x_star, f_star = optimum_on_grid(objective, domain.grid)
+        states = {(a, s): _build_state(cfg, a, s, objective, domain, x_star) for s in cfg.seeds for a in cfg.algorithms}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     results, failures = {}, {}
     for seed in cfg.seeds:
         X0 = _initial_design(objective, cfg.n_initial, seed)
         for algorithm in cfg.algorithms:
-            state = _build_state(cfg, algorithm, seed, objective, domain, x_star)
+            state = states[(algorithm, seed)]
             state.add_initial(X0)
             try:
                 run_loop(state, cfg.n_iterations)
@@ -339,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
 
         meta = {
             "name": cfg.name,
-            "config": _config_echo(cfg),
+            "config": json.loads(json.dumps(_config_echo(cfg)), parse_constant=_NON_FINITE.get),
             "x_star": [float(v) for v in np.atleast_1d(x_star)],
             "f_star": f_star,
             "failures": failures,
@@ -348,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         }
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         with open(Path(out_dir) / "metadata.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+            json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     if failures and not results:
         raise FactorizationError(f"every cell failed: {failures}")

@@ -130,12 +130,12 @@ def robust_beta(beta_prime_val: float, c_w: float, tc_estimate: int) -> float:
 
 
 def estimate_tc(residuals, widths) -> int:
-    """Count of observations whose residual magnitude exceeds its plateau width."""
+    """Count of observations whose residual magnitude exceeds its plateau width (NaN counts)."""
     r = np.abs(np.asarray(residuals, dtype=float))
     w = np.asarray(widths, dtype=float)
     if w.ndim == 0:
         w = np.full(r.shape, float(w))
     if r.shape != w.shape:
         raise ValueError("residuals and widths must have equal length")
-    return int(np.count_nonzero(r > w))
+    return int(np.count_nonzero(~(r <= w)))
 

@@ -1,8 +1,9 @@
 """Robust weight functions and the posterior correction terms they induce.
 
 The plateau-IMQ weight is constant at its cap within a residual band of
-half-width L around a center function g, and decays like an inverse
-multi-quadric outside it.  The cap is tied to the noise level
+half-width L around a center g, and decays like an inverse multi-quadric
+outside it.  The fit only reads g and L at the weighted points, so both are
+plain values there: one float for every point or one entry per point.  The cap is tied to the noise level
 (W_max = sigma_noise / sqrt(2)) so that in-plateau points reproduce the
 standard GP update exactly: their diagonal correction is exactly 1 and
 their mean correction exactly 0.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,17 +29,7 @@ __all__ = [
     "cw_from_c1",
 ]
 
-ZERO_CENTER = lambda x: np.zeros(np.shape(x)[0] if np.ndim(x) else 1)  # noqa: E731
-
-
-def _as_points(x) -> np.ndarray:
-    """Promote to (n, d): scalars and 1-D arrays are read as n points in 1-D."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return arr.reshape(1, 1)
-    if arr.ndim == 1:
-        return arr.reshape(-1, 1)
-    return arr
+ZERO_CENTER = 0.0
 
 
 # Weight ratio below which a point is treated as fully rejected.  Its residual
@@ -52,13 +43,14 @@ NEGLIGIBLE_WEIGHT_RATIO = 1e-4
 class PimqParams:
     """Plateau-IMQ weight parameters.
 
-    center maps an (n, d) point array to (n,) center values. half_width may
-    be a scalar or a per-point callable (adaptive plateau). w_max must equal
-    sigma_noise / sqrt(2) for the model it corrects.
+    center and half_width are the plateau's center and half-width at the
+    weighted points: a float for every point, or a 1-D array with one entry
+    per point (an adaptive plateau).  w_max must equal sigma_noise / sqrt(2)
+    for the model it corrects.
     """
 
-    center: Callable[[np.ndarray], np.ndarray]
-    half_width: Union[float, Callable[[np.ndarray], np.ndarray]]
+    center: Union[float, np.ndarray]
+    half_width: Union[float, np.ndarray]
     shape_c: float
     w_max: float
 
@@ -67,25 +59,8 @@ class PimqParams:
             raise ValueError("shape_c must be positive")
         if not self.w_max > 0:
             raise ValueError("w_max must be positive")
-        if not callable(self.half_width) and self.half_width < 0:
+        if np.any(np.asarray(self.half_width) < 0):
             raise ValueError("half_width must be nonnegative")
-
-    def center_at(self, X) -> np.ndarray:
-        X = _as_points(X)
-        g = np.asarray(self.center(X), dtype=float).reshape(-1)
-        if g.shape[0] != X.shape[0]:
-            raise ValueError("center function returned wrong length")
-        return g
-
-    def width_at(self, X) -> np.ndarray:
-        X = _as_points(X)
-        if callable(self.half_width):
-            L = np.asarray(self.half_width(X), dtype=float).reshape(-1)
-        else:
-            L = np.full(X.shape[0], float(self.half_width))
-        if np.any(L < 0):
-            raise ValueError("half_width must be nonnegative")
-        return L
 
 
 def pimq_params_for_noise(center, half_width, shape_c, noise_var) -> PimqParams:
@@ -105,26 +80,28 @@ class WeightCorrections:
 def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorrections:
     """Weights, J_w diagonal noise_var/(2 w^2), and m_w vector for a dataset.
 
-    The one implementation of the P-IMQ formula.  In-plateau entries are
+    The one implementation of the P-IMQ formula.  X is only checked against
+    y's length; the plateau is read from params.  In-plateau entries are
     forced to exactly (w_max, 1, 0) so the robust update is bit-identical to
     the standard GP there.
     """
-    X = _as_points(X)
     y = np.asarray(y, dtype=float).reshape(-1)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y must have equal length")
-    resid = y - params.center_at(X)
-    z = np.abs(resid) - params.width_at(X)  # residual excess over the plateau edge
+    g, L = np.asarray(params.center, dtype=float), np.asarray(params.half_width, dtype=float)
+    n_x = np.shape(X)[0] if np.ndim(X) else 1
+    if n_x != y.shape[0] or any(v.ndim and v.shape != y.shape for v in (g, L)):
+        raise ValueError("X, y and any per-point center or half_width must have equal length")
+    resid = y - g
+    z = np.abs(resid) - L  # residual excess over the plateau edge
     w = np.full(z.shape, params.w_max)
     jw = np.ones(z.shape)
     mw = np.zeros(z.shape)
-    outside = z > 0
+    outside = ~(z <= 0)  # a NaN observation counts as outside
     if np.any(outside):
         c2 = params.shape_c**2
-        zo = z[outside]
-        # q = inf is the infinite-outlier limit (|y| huge or infinite): the
-        # weight is 0 and rcgp_fit drops the point, so the overflow in zo * zo
-        # and the inf/inf of m_w are expected; finite q keeps its exact bits.
+        zo = np.where(np.isnan(z[outside]), np.inf, z[outside])
+        # q = inf is the infinite-outlier limit (|y| huge, infinite or NaN):
+        # the weight is 0 and rcgp_fit drops the point, so the overflow in
+        # zo * zo and the inf/inf of m_w are expected; finite q keeps its bits.
         with np.errstate(over="ignore", invalid="ignore"):
             q = 1.0 + zo * zo / c2  # (w_max / w)^2
             w[outside] = params.w_max / np.sqrt(q)
@@ -150,13 +127,13 @@ def pimq_mw(params: PimqParams, noise_var: float, x, y: float) -> float:
 def c1_bound(params: PimqParams, noise_var: float, sup_delta: float) -> float:
     """Closed-form upper bound on the weighted-influence constant.
 
-    sup_delta bounds the gap between the center function and the clean
-    posterior mean over the domain.  Requires a scalar plateau width.
+    sup_delta bounds the gap between the center and the clean posterior mean
+    over the domain.  Requires a scalar plateau width.
     """
     if sup_delta < 0:
         raise ValueError("sup_delta must be nonnegative")
     L = params.half_width
-    if callable(L):
+    if np.ndim(L) != 0:
         raise ValueError("c1_bound requires a scalar plateau width")
     c = params.shape_c
     c_m = 4.0 * noise_var / (3.0 * math.sqrt(3.0) * c)

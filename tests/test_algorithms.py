@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from robustbo import gp
 from robustbo.adversary import CorruptionBudget, EagerBudget, NoCorruption
 from robustbo.algorithms import (
     BoState,
@@ -16,7 +17,7 @@ from robustbo.algorithms import (
     step,
 )
 from robustbo.gp import gp_fit
-from robustbo.kernels import KernelSpec
+from robustbo.kernels import FactorizationError, KernelSpec
 from robustbo.objectives import make_objective
 from robustbo.rcgp import rcgp_fit
 from robustbo.schedules import FiniteDomain, beta_prime
@@ -176,12 +177,25 @@ def test_a2_wrench_center_is_anchor_mean():
     state = corrupted_a2_state()
     plan = state.plan()
     X, ys, nv = standardized_data(state, plan)
-    center = lambda q: plan.anchor.predict(q)[0]  # noqa: E731
+    center = plan.anchor.predict(X)[0]
     params = pimq_params_for_noise(center, state.pimq_half_width, state.pimq_c, nv)
     expected = rcgp_fit(X, ys, state.spec, nv, params)
     grid = state.domain.grid
     for got, want in zip(plan.model.predict(grid), expected.predict(grid)):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("width_mode", ["fixed", "adaptive"])
+def test_a2_plan_predicts_with_its_anchor_once(width_mode, monkeypatch):
+    # the wrench's plateau center (and adaptive width) come from one anchor predict at the data
+    state = make_state("a2", seed=2, policy=EagerBudget(40.0), budget_count=4, a2_width_mode=width_mode)
+    state.add_initial(seed_points())
+    run_loop(state, 6)
+    calls = []
+    predict = gp.GpPosterior.predict
+    monkeypatch.setattr(gp.GpPosterior, "predict", lambda self, Xq: calls.append(len(Xq)) or predict(self, Xq))
+    state.plan()
+    assert calls == [len(state.X)]
 
 
 def test_a2_anchor_is_the_fc_model():
@@ -192,6 +206,24 @@ def test_a2_anchor_is_the_fc_model():
     grid = state.domain.grid
     for got, want in zip(anchor.predict(grid), fc.plan().model.predict(grid)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_step_number_prefixes_a_factorization_failure(monkeypatch):
+    state = make_state("fc")
+    state.add_initial(seed_points())
+
+    def fail(A, outputscale):
+        raise FactorizationError("Cholesky failed")
+
+    monkeypatch.setattr(gp, "jittered_cho_factor", fail)
+    with pytest.raises(FactorizationError, match="^step 1: Cholesky failed"):
+        step(state)
+
+
+def test_delta_outside_unit_interval_rejected():
+    for delta in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="delta"):
+            make_state("gp_ucb", delta=delta)
 
 
 def test_corruption_increases_robust_confidence_width():
@@ -305,6 +337,40 @@ def test_hyperfit_loop_refits_and_keeps_fc_equal_to_gp_ucb():
             np.testing.assert_array_equal(got, want)
     # clean data sit inside the plateau, so the weighted refit picks the same kernel
     assert queries["gp_ucb"] == queries["fc"]
+
+
+def test_hyperfit_noise_variance_kept_between_refits():
+    space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
+    state = make_state("fc", seed=4, hyperfit=True, hyperfit_every=3, hyperfit_space=space)
+    state.add_initial(seed_points())
+    run_loop(state, 3)
+    fitted = state.plan().model.noise_var  # step 4 refits
+    assert fitted in space["noise_var"] and fitted != state.objective.noise_var / state.plan().scale**2
+    step(state)
+    nv = state.plan().model.noise_var  # step 5 does not refit
+    assert abs(nv - fitted) <= np.spacing(fitted)  # kept in raw units, so equal up to one rounding
+
+
+@pytest.mark.parametrize("policy", ["manual", "heuristic"])
+def test_hyperfit_weights_use_the_fc_plateau_width(policy, monkeypatch):
+    from robustbo import algorithms
+
+    widths = []
+    loo = algorithms.fit_hyperparameters_loo
+
+    def spy(kind, data, wp, space):
+        widths.append(wp.half_width)
+        return loo(kind, data, wp, space)
+
+    monkeypatch.setattr(algorithms, "fit_hyperparameters_loo", spy)
+    state = make_state("fc", hyperfit=True, hyperfit_every=1, hyperfit_space=SPACE,
+                       pimq_policy=policy, pimq_half_width=0.7)
+    state.add_initial(seed_points())
+    _, ys, _ = standardized_data(state, state.plan())  # step 1 refits
+    if policy == "manual":
+        assert widths == [0.7]
+    else:
+        assert widths == [float(np.quantile(np.abs(ys - np.median(ys)), 0.95, method="lower"))]
 
 
 def test_loo_validation():

@@ -17,7 +17,7 @@ from robustbo.bench import (
     run_experiment,
     write_trace,
 )
-from robustbo.cli import EXIT_OK, main
+from robustbo.cli import EXIT_CONFIG, EXIT_OK, main
 from robustbo.objectives import make_objective
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -198,7 +198,7 @@ def _eager_queries(value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = run_experiment(dataclasses.replace(cfg, adversary=adv, algorithms=("fc", "a2")))
-    assert all(any(r["y_observed"] == value for r in rows) for rows in results.values())
+    assert all(any(np.array_equal(r["y_observed"], value, equal_nan=True) for r in rows) for rows in results.values())
     return {key: [r["x0"] for r in rows] for key, rows in results.items()}
 
 
@@ -207,10 +207,14 @@ def eager_reference_queries():
     return _eager_queries(1e6)
 
 
-@pytest.mark.parametrize("value", [1e300, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [1e300, math.inf, -math.inf, math.nan])
 def test_saturation_holds_to_the_infinite_limit(value, eager_reference_queries):
-    # Every such outlier is dropped, so the robust loops cannot tell 1e6 from inf.
+    # Every such outlier is dropped, so the robust loops cannot tell 1e6 from inf or NaN.
     assert _eager_queries(value) == eager_reference_queries
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def test_failing_cell_is_recorded_not_fatal(tmp_path):
@@ -225,6 +229,25 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
-    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text(), parse_constant=_reject_constant)
     assert list(meta["failures"]) == ["gp_ucb/seed0"]
+    assert float(meta["config"]["adversary"]["corruption_value"]) == math.inf
     assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == ["a2_seed0.csv", "fc_seed0.csv"]
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"kernel": {"family": "laplace"}},
+        {"objective": {"name": "hartmann", "noise_var": 1.0}},
+        {"objective": {"name": "forrester", "noise_var": -1.0}},
+        {"schedule": {"delta": 2.0}},
+    ],
+    ids=["kernel-family", "objective", "noise-var", "delta"],
+)
+def test_bad_config_value_exits_config_error(over, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(algorithms=["gp_ucb", "fc", "a2"], **over)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()  # raised before any cell ran: no trace, no metadata

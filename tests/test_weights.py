@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -110,11 +111,33 @@ def test_extreme_outlier_influence_vanishes():
     assert abs(corr.mw[0]) < 1e-5
 
 
-def test_adaptive_width_callable():
-    params = pimq_params_for_noise(ZERO_CENTER, lambda X: 1.0 + np.atleast_2d(X)[:, 0], 1.0, 1.0)
+def test_adaptive_width_per_point():
+    params = pimq_params_for_noise(ZERO_CENTER, np.array([1.0, 4.0]), 1.0, 1.0)
     w = pimq_weights(params, [0.0, 3.0], [1.5, 1.5])
-    assert w[0] < params.w_max  # width 1 at x=0, residual 1.5 outside
-    assert w[1] == params.w_max  # width 4 at x=3, inside
+    assert w[0] < params.w_max  # width 1 at the first point, residual 1.5 outside
+    assert w[1] == params.w_max  # width 4 at the second point, inside
+
+
+def test_per_point_center():
+    params = pimq_params_for_noise(np.array([0.0, 10.0]), 1.0, 1.0, 1.0)
+    w = pimq_weights(params, [0.0, 0.5], [10.0, 10.5])
+    assert w[0] < params.w_max  # 10 away from center 0
+    assert w[1] == params.w_max  # 0.5 away from center 10
+
+
+@pytest.mark.parametrize("field", ["center", "half_width"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_per_point_values_of_wrong_length_rejected(field, length):
+    params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1.0, 1.0)
+    params = dataclasses.replace(params, **{field: np.ones(length)})
+    with pytest.raises(ValueError):
+        build_corrections(params, 1.0, [0.0, 0.5], [1.0, 2.0])
+
+
+def test_nan_observation_is_the_infinite_outlier():
+    params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1.0, 1.0)
+    nan, inf = build_corrections(params, 1.0, [0.0, 0.5], [math.nan, math.inf]).weights
+    assert nan == inf == 0.0
 
 
 def test_hard_threshold_collapses_fast():
@@ -138,8 +161,8 @@ def test_c1_bound_monotone_in_width_and_gap():
     assert c1_bound(narrow, nv, 2.0) > c1_bound(narrow, nv, 0.0)
 
 
-def test_c1_bound_rejects_callable_width():
-    params = pimq_params_for_noise(ZERO_CENTER, lambda X: np.ones(len(np.atleast_2d(X))), 1.0, 1.0)
+def test_c1_bound_rejects_per_point_width():
+    params = pimq_params_for_noise(ZERO_CENTER, np.ones(3), 1.0, 1.0)
     with pytest.raises(ValueError):
         c1_bound(params, 1.0, 0.0)
 
@@ -155,5 +178,7 @@ def test_param_validation():
         PimqParams(ZERO_CENTER, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         PimqParams(ZERO_CENTER, -1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        PimqParams(ZERO_CENTER, np.array([1.0, -1e-300]), 1.0, 1.0)
     with pytest.raises(ValueError):
         PimqParams(ZERO_CENTER, 1.0, 1.0, 0.0)
