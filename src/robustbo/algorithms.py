@@ -86,11 +86,15 @@ def standardize_targets(y, mode: str) -> tuple[float, float]:
 
     "robust" uses median and the scaled median absolute deviation, so a few
     corrupted observations cannot move the constants no matter how extreme
-    they are.  "zscore" uses mean/std; "none" is the identity.
+    they are.  "zscore" uses mean/std; "none" is the identity.  Only the
+    finite observations count: a ±inf or NaN one is the infinite-outlier
+    limit, which the robust fits drop, so it must not make loc or scale
+    non-finite.
     """
     if mode == "none":
         return 0.0, 1.0
     y = np.asarray(y, dtype=float)
+    y = y[np.isfinite(y)]
     if y.size == 0:
         return 0.0, 1.0
     if mode == "zscore":
@@ -324,15 +328,16 @@ def _plan_a2(state: BoState, s: _StepInputs) -> Plan:
     anchor_params, anchor, tc_anchor, c_w_a = _zero_centered_fit(state, s)
     tc_eff = state._effective_tc(tc_anchor)
     kappa = state.spec.outputscale
-    bp_end = beta_prime(state.case, state.horizon, state.delta / 2.0, s.gamma_t)
-    width_bound = wrench_width_fixed(robust_beta(bp_end, c_w_a, tc_eff), kappa, s.n_t)  # scalar, for C1
-    center, var = anchor.predict(s.X)
     if state.pimq_policy in ("heuristic", "manual"):
-        width = width_bound = anchor_params.half_width
-    elif state.a2_width_mode == "adaptive":
+        width_bound = anchor_params.half_width
+    else:
+        bp_end = beta_prime(state.case, state.horizon, state.delta / 2.0, s.gamma_t)
+        width_bound = wrench_width_fixed(robust_beta(bp_end, c_w_a, tc_eff), kappa, s.n_t)  # scalar, for C1
+    if state.pimq_policy == "schedule" and state.a2_width_mode == "adaptive":
+        center, var = anchor.predict(s.X)  # the adaptive width is the only reader of the variance
         width = wrench_width_adaptive(robust_beta(s.bp, c_w_a, tc_eff), np.sqrt(var), s.n_t)
     else:
-        width = width_bound
+        center, width = anchor.predict_mean(s.X), width_bound
     wrench_params = pimq_params_for_noise(center, width, state.pimq_c, s.nv)
     wrench = rcgp_fit(s.X, s.ys, state.spec, s.nv, wrench_params)
     tc = estimate_tc(s.ys - center, width)
@@ -364,29 +369,27 @@ def _acquisition_batch(state: BoState, Xq: np.ndarray) -> np.ndarray:
 
 def maximize_acquisition(state: BoState, domain: DomainSpec) -> np.ndarray:
     """Argmax of the acquisition: grid scan in 1-D, multi-start coordinate
-    refinement otherwise.  Ties break toward the lowest grid index."""
+    refinement otherwise.  Ties break toward the lowest grid index.
+
+    Above 1-D every Sobol start moves together: each sweep coordinate is one
+    predict over all starts' candidate lines, 2*d + 1 predicts per search.
+    """
     if domain.grid is not None:
         if domain.grid.shape[0] == 0:
             raise ValueError("empty acquisition domain")
         vals = _acquisition_batch(state, domain.grid)
         return domain.grid[int(np.argmax(vals))].copy()
 
-    d = domain.dim
-    starts = qmc.Sobol(d, scramble=False).random(domain.n_starts)
-    starts = qmc.scale(starts, domain.bounds[:, 0], domain.bounds[:, 1])
-    best_x, best_v = None, -np.inf
-    for x0 in starts:
-        x = x0.copy()
-        for _ in range(2):  # coordinate sweeps
-            for j in range(d):
-                cand = np.tile(x, (domain.coord_grid, 1))
-                cand[:, j] = np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], domain.coord_grid)
-                vals = _acquisition_batch(state, cand)
-                x = cand[int(np.argmax(vals))]
-        v = acquisition_value(state, x)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x
+    d, n, k = domain.dim, domain.n_starts, domain.coord_grid
+    starts = qmc.Sobol(d, scramble=False).random(n)
+    x = qmc.scale(starts, domain.bounds[:, 0], domain.bounds[:, 1])  # (n, d): every start at once
+    for _ in range(2):  # coordinate sweeps
+        for j in range(d):
+            cand = np.repeat(x, k, axis=0)  # start i's line is rows i*k .. i*k + k-1
+            cand[:, j] = np.tile(np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], k), n)
+            vals = _acquisition_batch(state, cand).reshape(n, k)
+            x = cand.reshape(n, k, d)[np.arange(n), np.argmax(vals, axis=1)]  # first maximum per start
+    return x[int(np.argmax(_acquisition_batch(state, x)))].copy()  # first start on a tie
 
 
 def step(state: BoState) -> tuple[np.ndarray, float]:

@@ -44,6 +44,14 @@ __all__ = [
 STREAM_INITIAL = 0
 STREAM_NOISE = 1
 
+# The adversary keys each policy and each budget mode read.
+_POLICY_KEYS = {
+    "none": set(),
+    "greedy_clairvoyant": {"near_thresh", "far_thresh", "low_value", "high_value", "budget"},
+    "eager_budget": {"corruption_value", "budget"},
+}
+_BUDGET_KEYS = {"fixed_count": {"count"}, "time_budget": {"alpha"}}
+
 # metadata.json is strict JSON: a non-finite config float is echoed as a string float() reads back.
 _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
@@ -115,16 +123,17 @@ class ExperimentConfig:
         )
         if pimq.get("policy", "schedule") not in PIMQ_POLICIES:
             raise ConfigError(f"unknown pimq policy {pimq['policy']!r}")
-        adv = _section(
-            top["adversary"], "adversary",
-            {"policy", "near_thresh", "far_thresh", "low_value", "high_value",
-             "corruption_value", "budget"},
-            {"policy"},
-        )
-        if adv["policy"] not in ("none", "greedy_clairvoyant", "eager_budget"):
+        adv_keys = {"policy"}.union(*_POLICY_KEYS.values())
+        adv = _section(top["adversary"], "adversary", adv_keys, {"policy"})
+        if adv["policy"] not in _POLICY_KEYS:
             raise ConfigError(f"unknown adversary policy {adv['policy']!r}")
+        _section(adv, "adversary", adv_keys, {"policy"} | _POLICY_KEYS[adv["policy"]])
         if adv["policy"] != "none":
-            _section(adv.get("budget", None) or {}, "adversary.budget", {"mode", "count", "alpha"}, {"mode"})
+            budget_keys = {"mode"}.union(*_BUDGET_KEYS.values())
+            budget = _section(adv["budget"] or {}, "adversary.budget", budget_keys, {"mode"})
+            if budget["mode"] not in _BUDGET_KEYS:
+                raise ConfigError(f"unknown budget mode {budget['mode']!r}")
+            _section(budget, "adversary.budget", budget_keys, {"mode"} | _BUDGET_KEYS[budget["mode"]])
         hyper = _section(
             top.get("hyperfit", {}), "hyperfit", {"enabled", "every", "search_space"},
         )
@@ -215,10 +224,8 @@ def _build_adversary(cfg: ExperimentConfig, x_star: np.ndarray):
     b = adv["budget"]
     if b["mode"] == "fixed_count":
         budget = CorruptionBudget("fixed_count", cfg.n_iterations, count=int(b["count"]))
-    elif b["mode"] == "time_budget":
-        budget = CorruptionBudget("time_budget", cfg.n_iterations, alpha=float(b["alpha"]))
     else:
-        raise ConfigError(f"unknown budget mode {b['mode']!r}")
+        budget = CorruptionBudget("time_budget", cfg.n_iterations, alpha=float(b["alpha"]))
     if adv["policy"] == "greedy_clairvoyant":
         policy = GreedyClairvoyant(
             x_star,

@@ -32,14 +32,24 @@ class GpPosterior:
 
     def predict(self, Xq):
         """Vectorized posterior mean k'a and variance k(x,x) - k' A^-1 k at query points (m, d)."""
-        Xq = _as_points(Xq, self.spec.dim)
-        if self.X.shape[0] == 0:
-            return np.zeros(Xq.shape[0]), np.full(Xq.shape[0], self.spec.outputscale)
-        Kq = cross_matrix(self.spec, self.X, Xq)  # (n, m)
-        mean = Kq.T @ self.alpha
+        mean, Kq = self._mean(Xq)
+        if Kq is None:
+            return mean, np.full(mean.shape[0], self.spec.outputscale)
         var = self.spec.outputscale - np.sum(Kq * solve_cho(self.chol, Kq), axis=0)
         var[var < 0.0] = 0.0  # negative only through round-off
         return mean, var
+
+    def predict_mean(self, Xq):
+        """predict's mean alone, without the n x n solve of the variance."""
+        return self._mean(Xq)[0]
+
+    def _mean(self, Xq):
+        """Posterior mean at query points (m, d) and its cross-covariance (None without data)."""
+        Xq = _as_points(Xq, self.spec.dim)
+        if self.X.shape[0] == 0:
+            return np.zeros(Xq.shape[0]), None
+        Kq = cross_matrix(self.spec, self.X, Xq)  # (n, m)
+        return Kq.T @ self.alpha, Kq
 
 
 def gp_fit(X, y, spec: KernelSpec, noise_var: float,

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from robustbo import gp
 from robustbo.adversary import CorruptionBudget, EagerBudget, NoCorruption
@@ -18,7 +21,7 @@ from robustbo.algorithms import (
 )
 from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec
-from robustbo.objectives import make_objective
+from robustbo.objectives import Objective, make_objective
 from robustbo.rcgp import rcgp_fit
 from robustbo.schedules import FiniteDomain, beta_prime
 from robustbo.weights import pimq_params_for_noise
@@ -67,6 +70,24 @@ def test_standardize_degenerate_falls_back():
     assert standardize_targets([], "zscore") == (0.0, 1.0)
     with pytest.raises(ValueError):
         standardize_targets([1.0], "sometimes")
+
+
+@pytest.mark.parametrize("mode", ["robust", "zscore"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_standardize_reads_only_finite_values(mode, bad):
+    assert standardize_targets([1.0, 2.0, 3.0, 4.0, bad], mode) == standardize_targets([1.0, 2.0, 3.0, 4.0], mode)
+    assert standardize_targets([bad, bad], mode) == (0.0, 1.0)
+
+
+@given(
+    y=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf])), max_size=12),
+    mode=st.sampled_from(["robust", "zscore"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_standardize_stays_finite(y, mode):
+    loc, scale = standardize_targets(y, mode)
+    assert math.isfinite(loc) and math.isfinite(scale) and scale > 0
+    assert (loc, scale) == standardize_targets([v for v in y if math.isfinite(v)], mode)
 
 
 # -- acquisition ------------------------------------------------------------
@@ -192,10 +213,13 @@ def test_a2_plan_predicts_with_its_anchor_once(width_mode, monkeypatch):
     state.add_initial(seed_points())
     run_loop(state, 6)
     calls = []
-    predict = gp.GpPosterior.predict
-    monkeypatch.setattr(gp.GpPosterior, "predict", lambda self, Xq: calls.append(len(Xq)) or predict(self, Xq))
+    for name in ("predict", "predict_mean"):
+        method = getattr(gp.GpPosterior, name)
+        spy = lambda self, Xq, name=name, method=method: calls.append((name, len(Xq))) or method(self, Xq)
+        monkeypatch.setattr(gp.GpPosterior, name, spy)
     state.plan()
-    assert calls == [len(state.X)]
+    # only the adaptive width reads the anchor's variance
+    assert calls == [("predict" if width_mode == "adaptive" else "predict_mean", len(state.X))]
 
 
 def test_a2_anchor_is_the_fc_model():
@@ -278,6 +302,104 @@ def test_multistart_refinement_on_2d_objective():
     state.add_initial(np.array([[0.0, 5.0], [5.0, 10.0], [-3.0, 2.0], [8.0, 12.0]]))
     x, _ = step(state)
     assert obj.in_domain(x) and x.shape == (2,)
+
+
+def _reference_search(state, domain):
+    """The per-start coordinate search the batched one replaced: each Sobol
+    start refined on its own, the first start kept on equal final values."""
+    plan = state.plan()
+
+    def ucb(X):
+        mean, var = plan.model.predict(X)
+        return mean + math.sqrt(plan.beta) * np.sqrt(var)
+
+    d = domain.dim
+    starts = qmc.Sobol(d, scramble=False).random(domain.n_starts)
+    starts = qmc.scale(starts, domain.bounds[:, 0], domain.bounds[:, 1])
+    best_x, best_v = None, -np.inf
+    for x0 in starts:
+        x = x0.copy()
+        for _ in range(2):
+            for j in range(d):
+                cand = np.tile(x, (domain.coord_grid, 1))
+                cand[:, j] = np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], domain.coord_grid)
+                x = cand[int(np.argmax(ucb(cand)))]
+        v = float(ucb(np.atleast_2d(x))[0])
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_x
+
+
+_BRANIN = make_objective("branin", 1.0)
+_SPHERE3 = Objective("sphere3", np.array([[-1.0, 1.0], [0.0, 2.0], [-2.0, 0.5]]),
+                     lambda x: -float(np.sum((x - 0.3) ** 2)), 0.01)
+_SEARCH_CASES = {
+    # objective, lengthscale, seed points, eager outlier for the corrupted fc state
+    "branin2d": (_BRANIN, [3.0, 3.0], np.array([[0.0, 5.0], [5.0, 10.0], [-3.0, 2.0], [8.0, 12.0], [2.0, 1.0]]), 300.0),
+    "sphere3d": (_SPHERE3, [0.6, 0.6, 0.6], np.array([[-0.5, 0.5, -1.0], [0.5, 1.5, 0.0], [0.9, 0.1, -1.8],
+                                                     [-0.9, 1.9, 0.3], [0.0, 1.0, -0.5]]), 5.0),
+}
+
+
+def make_search_state(case, algorithm, n_starts=64, steps=0, with_data=True, **kw):
+    objective, lengthscale, X0, outlier = _SEARCH_CASES[case]
+    domain = dataclasses.replace(DomainSpec.from_bounds(objective.bounds), n_starts=n_starts)
+    if algorithm == "fc":  # corrupted: the first observations are outliers the robust fit downweights
+        kw = dict(policy=EagerBudget(outlier), budget_count=2, pimq_policy="manual", **kw)
+    state = make_state(algorithm, objective=objective, domain=domain, spec=KernelSpec("matern52", lengthscale, 1.0),
+                       case=FiniteDomain(1001), **kw)
+    if with_data:
+        state.add_initial(X0)
+    run_loop(state, steps)
+    return state
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol:UserWarning")  # n_starts = 10
+@pytest.mark.parametrize("n_starts", [64, 10])
+@pytest.mark.parametrize("algorithm", ["gp_ucb", "fc"])
+@pytest.mark.parametrize("case", ["branin2d", "sphere3d"])
+def test_batched_search_matches_the_per_start_loop(case, algorithm, n_starts):
+    state = make_search_state(case, algorithm, n_starts, steps=3)
+    if algorithm == "fc":
+        assert state.corrupted[-3:] == [True, True, False]
+        assert np.any(state.plan().model.corrections.jw != 1.0)
+    x = maximize_acquisition(state, state.domain)
+    assert np.array_equal(x, _reference_search(state, state.domain))
+    assert state.objective.in_domain(x)
+
+
+@pytest.mark.parametrize("case", ["branin2d", "sphere3d"])
+def test_batched_search_predicts_once_per_sweep_coordinate(case, monkeypatch):
+    state = make_search_state(case, "fc", steps=2)
+    state.plan()  # the fit is not part of the search
+    sizes = []
+    predict = gp.GpPosterior.predict
+    monkeypatch.setattr(gp.GpPosterior, "predict", lambda self, Xq: sizes.append(len(Xq)) or predict(self, Xq))
+    maximize_acquisition(state, state.domain)
+    d, block = state.domain.dim, state.domain.n_starts * state.domain.coord_grid
+    assert sizes == [block] * (2 * d) + [state.domain.n_starts]
+
+
+def test_batched_search_on_the_prior_keeps_the_first_start():
+    # A flat acquisition ties everywhere: every sweep keeps the lowest grid
+    # index, so every start ends at the lower corner and the first one is kept.
+    state = make_search_state("sphere3d", "gp_ucb", with_data=False, standardize="none")
+    x = maximize_acquisition(state, state.domain)
+    assert np.array_equal(x, _reference_search(state, state.domain))
+    assert np.array_equal(x, state.domain.bounds[:, 0])
+
+
+def test_batched_search_keeps_the_first_of_tied_starts():
+    # One low observation in a corner of the unit square, with a short
+    # lengthscale: away from it the acquisition is exactly the prior's, so
+    # starts settle on different points of equal value and the first start wins.
+    square = Objective("square", np.array([[0.0, 1.0], [0.0, 1.0]]), lambda x: -10.0, 0.01)
+    state = make_state("gp_ucb", objective=square, domain=DomainSpec.from_bounds(square.bounds),
+                       spec=KernelSpec("rbf", [0.02, 0.02], 1.0), case=FiniteDomain(1001), standardize="none")
+    state.add_initial(np.zeros((1, 2)))
+    x = maximize_acquisition(state, state.domain)
+    assert np.array_equal(x, _reference_search(state, state.domain))
+    assert not np.array_equal(x, x[::-1]) and acquisition_value(state, x) == acquisition_value(state, x[::-1])
 
 
 # -- hyperparameter fitting -------------------------------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robustbo.bench import (
     ConfigError,
@@ -190,14 +192,14 @@ def test_eager_budget_config():
     assert rows[0]["y_observed"] == -50.0
 
 
-def _eager_queries(value):
-    """fc and a2 query sequences on the small shipped config under an eager
-    adversary that writes `value`; fails on any warning."""
+def _eager_queries(value, **over):
+    """fc and a2 query sequences on the small shipped config (fields replaced
+    by `over`) under an eager adversary that writes `value`; fails on any warning."""
     cfg = load_config(CONFIG_DIR / "forrester_corrupted_small.json")
     adv = {"policy": "eager_budget", "corruption_value": value, "budget": cfg.adversary["budget"]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = run_experiment(dataclasses.replace(cfg, adversary=adv, algorithms=("fc", "a2")))
+        results = run_experiment(dataclasses.replace(cfg, adversary=adv, algorithms=("fc", "a2"), **over))
     assert all(any(np.array_equal(r["y_observed"], value, equal_nan=True) for r in rows) for rows in results.values())
     return {key: [r["x0"] for r in rows] for key, rows in results.items()}
 
@@ -211,6 +213,22 @@ def eager_reference_queries():
 def test_saturation_holds_to_the_infinite_limit(value, eager_reference_queries):
     # Every such outlier is dropped, so the robust loops cannot tell 1e6 from inf or NaN.
     assert _eager_queries(value) == eager_reference_queries
+
+
+@pytest.fixture(scope="module")
+def nan_reference_queries():
+    return {mode: _eager_queries(math.nan, standardize=mode) for mode in ("robust", "zscore")}
+
+
+@given(value=st.sampled_from([math.inf, -math.inf, math.nan]), mode=st.sampled_from(["robust", "zscore"]))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_non_finite_outliers_are_one_limit_under_running_standardization(value, mode, nan_reference_queries):
+    # loc and scale read only the finite observations and the robust fits drop
+    # the non-finite ones, so ±inf and NaN give one query sequence; a
+    # non-finite loc would instead leave every run on the prior's first grid point.
+    reference = nan_reference_queries[mode]
+    assert all(len(set(queries)) > 1 for queries in reference.values())
+    assert _eager_queries(value, standardize=mode) == reference
 
 
 def _reject_constant(token):
@@ -242,8 +260,16 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"objective": {"name": "hartmann", "noise_var": 1.0}},
         {"objective": {"name": "forrester", "noise_var": -1.0}},
         {"schedule": {"delta": 2.0}},
+        {"adversary": {"policy": "eager_budget", "budget": {"mode": "fixed_count", "count": 2}}},
+        {"adversary": {"policy": "greedy_clairvoyant", "near_thresh": 0.1, "low_value": -10.0, "high_value": 25.0,
+                       "budget": {"mode": "fixed_count", "count": 2}}},
+        {"adversary": {"policy": "eager_budget", "corruption_value": -50.0}},
+        {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count"}}},
+        {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "time_budget"}}},
+        {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "forever"}}},
     ],
-    ids=["kernel-family", "objective", "noise-var", "delta"],
+    ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
+         "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"

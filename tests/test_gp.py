@@ -93,3 +93,14 @@ def test_identity_corrections_run_the_plain_fit(rng, rbf):
     assert plain.corrections is None
     assert np.array_equal(plain.chol[0], ident.chol[0])
     assert np.array_equal(plain.alpha, ident.alpha)
+
+
+def test_predict_mean_is_predicts_mean(rng, rbf):
+    # the mean-only path skips the variance solve and returns predict's mean bit for bit
+    X = rng.uniform(0, 1, size=12)
+    y = rng.normal(size=12)
+    jw = np.where(np.arange(12) % 3 == 0, 4.0, 1.0)
+    grid = np.linspace(0, 1, 57)
+    for post in (gp_fit([], [], rbf, 0.3), gp_fit(X, y, rbf, 0.3),
+                 gp_fit(X, y, rbf, 0.3, WeightCorrections(np.ones(12), jw, -0.1 * (jw - 1.0)))):
+        assert np.array_equal(post.predict_mean(grid), post.predict(grid)[0])
