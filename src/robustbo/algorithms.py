@@ -9,6 +9,7 @@ standardized space, and the caller accounts regret in raw space.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -22,7 +23,7 @@ from .gp import GpPosterior, gp_fit
 # gram_matrix and jittered_cho_factor are unused here; perfbench's tracer wraps them in this module.
 from .kernels import FactorizationError, KernelSpec, gram_matrix, info_gain, jittered_cho_factor, solve_cho  # noqa: F401
 from .objectives import Objective, observe
-from .rcgp import rcgp_fit
+from .rcgp import rcgp_data, rcgp_fit
 from .schedules import (
     AssumptionCase,
     Rkhs,
@@ -57,6 +58,7 @@ PIMQ_POLICIES = ("schedule", "heuristic", "manual")
 # Consistency factor making the median absolute deviation estimate the
 # standard deviation under Gaussian data.
 _MAD_SCALE = 1.4826
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,17 @@ class DomainSpec:
     @property
     def dim(self) -> int:
         return self.bounds.shape[0]
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """The d > 1 search's starts: the first n_starts unscrambled Sobol
+        points, scaled to the bounds and drawn once, since every step uses the
+        same ones.  The next power of two is drawn and cut, which gives the
+        points random(n_starts) gives without scipy's balance warning."""
+        points = qmc.Sobol(self.dim, scramble=False).random_base2(max(0, (self.n_starts - 1).bit_length()))
+        starts = qmc.scale(points[: self.n_starts], self.bounds[:, 0], self.bounds[:, 1])
+        starts.flags.writeable = False
+        return starts
 
     @staticmethod
     def from_bounds(bounds, grid_size: int = 1001) -> "DomainSpec":
@@ -97,19 +110,24 @@ def standardize_targets(y, mode: str) -> tuple[float, float]:
     y = y[np.isfinite(y)]
     if y.size == 0:
         return 0.0, 1.0
+    # Values of 2**500 or more are first scaled by a power of two, which is
+    # exact, so no difference, square or midpoint overflows; smaller values
+    # keep np.mean/np.std/np.median's bits.
+    e = max(0, math.frexp(float(np.max(np.abs(y))))[1] - 500)
+    u = np.ldexp(y, -e)
     if mode == "zscore":
-        loc = float(np.mean(y))
-        scale = float(np.std(y))
+        loc, scale = float(np.mean(u)), float(np.std(u))
     elif mode == "robust":
-        loc = float(np.median(y))
-        scale = _MAD_SCALE * float(np.median(np.abs(y - loc)))
-        if not (np.isfinite(scale) and scale > 0):
-            scale = float(np.std(y))
+        loc = float(np.median(u))
+        scale = _MAD_SCALE * float(np.median(np.abs(u - loc)))
+        if not scale > 0:
+            scale = float(np.std(u))
     else:
         raise ValueError(f"unknown standardize mode {mode!r}")
-    if not (np.isfinite(scale) and scale > 0):
-        scale = 1.0
-    return loc, scale
+    if not scale > 0:
+        return loc * 2.0**e, 1.0
+    # A scale beyond the largest float (a spread of order 1e308) is capped there.
+    return loc * 2.0**e, min(scale * 2.0**e, _FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -183,6 +201,8 @@ class BoState:
     n_seed_obs: int = 0
     _plan: Optional[Plan] = field(default=None, repr=False)
     _frozen_std: Optional[tuple] = field(default=None, repr=False)
+    # The last model of each plan role, for the next plan to extend; see _fit.
+    _fits: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name, allowed in (
@@ -244,8 +264,12 @@ class BoState:
         t = self.t + 1
         X, y_raw = self._data()
         loc, scale = self._location_scale(y_raw)
-        ys = (y_raw - loc) / scale
-        nv = self.noise_var_raw / scale**2
+        with np.errstate(over="ignore"):  # a gap beyond the float range is the infinite-outlier limit: ±inf
+            ys = (y_raw - loc) / scale
+        try:
+            nv = self.noise_var_raw / scale**2
+        except OverflowError:  # a scale above 1e154 (finite values near 1e308), against which the noise vanishes
+            nv = 0.0
         if nv <= 0:
             nv = 1e-12  # noiseless objectives still need a proper Gram regularizer
         sigma = math.sqrt(nv)
@@ -302,14 +326,57 @@ class _StepInputs:
     n_t: float  # noise bound over the horizon
 
 
+def _is_fit_of(post: GpPosterior, state: BoState, nv: float, X, y, corr) -> bool:
+    """Whether post is gp_fit(X, y, state.spec, nv, corr, state.domain.grid):
+    the same kernel object, noise and grid, and the same points, targets and
+    corrections, bit for bit."""
+    if (post.spec is not state.spec or post.noise_var != nv or (post.corrections is None) != (corr is None)
+            or (None if post.grid is None else post.grid.points) is not state.domain.grid):
+        return False
+    pairs = [(post.X, X), (post.y, y)]
+    if corr is not None:
+        pairs += [(getattr(post.corrections, f), getattr(corr, f)) for f in ("weights", "jw", "mw")]
+    return all(np.array_equal(a, b) for a, b in pairs)
+
+
+def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
+    """The plain (params None) or robust posterior on the step's data and grid.
+
+    The rule reads the data: when the previous plan's model for the same
+    role is exactly the fit of the kept data without the newest point, that
+    model is the answer if the newest point is dropped, and is extended by
+    it otherwise; the extension equals a refit up to round-off.  A moved
+    standardization changes every old target, a moved plateau the
+    corrections of the old points outside it, a hyperparameter refit the
+    kernel object; those steps refit with gp_fit/rcgp_fit, as does an
+    extension the factor cannot take.
+    """
+    if params is None:
+        X, y, corr = s.X, s.ys, None
+    else:
+        X, y, corr = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
+    prev, model = state._fits.get(role), None
+    m = None if prev is None else prev.y.shape[0]
+    if m is not None and m <= y.shape[0] <= m + 1 and _is_fit_of(
+            prev, state, s.nv, X[:m], y[:m], None if corr is None else corr[:m]):
+        model = prev if y.shape[0] == m else prev.extend(X[m], y[m], None if corr is None else corr[m:])
+    if model is None:
+        if params is None:
+            model = gp_fit(s.X, s.ys, state.spec, s.nv, None, state.domain.grid)
+        else:
+            model = rcgp_fit(s.X, s.ys, state.spec, s.nv, params, state.domain.grid)
+    state._fits[role] = model
+    return model
+
+
 def _plan_gp_ucb(state: BoState, s: _StepInputs) -> Plan:
-    return Plan(s.t, s.loc, s.scale, gp_fit(s.X, s.ys, state.spec, s.nv), s.bp, 0)
+    return Plan(s.t, s.loc, s.scale, _fit(state, "model", s), s.bp, 0)
 
 
-def _zero_centered_fit(state: BoState, s: _StepInputs):
+def _zero_centered_fit(state: BoState, s: _StepInputs, role: str):
     """fc's model, also a2's anchor: (params, model, tc estimate, c_w)."""
     params = pimq_params_for_noise(ZERO_CENTER, state._plateau_width(s.ys, s.n_t), state.pimq_c, s.nv)
-    model = rcgp_fit(s.X, s.ys, state.spec, s.nv, params)
+    model = _fit(state, role, s, params)
     tc = estimate_tc(s.ys, params.half_width)
     # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
     sup_delta = math.sqrt(state.spec.outputscale) * (math.sqrt(s.bp) + state.b_f)
@@ -318,14 +385,14 @@ def _zero_centered_fit(state: BoState, s: _StepInputs):
 
 
 def _plan_fc(state: BoState, s: _StepInputs) -> Plan:
-    _, model, tc, c_w = _zero_centered_fit(state, s)
+    _, model, tc, c_w = _zero_centered_fit(state, s, "model")
     return Plan(s.t, s.loc, s.scale, model, robust_beta(s.bp, c_w, state._effective_tc(tc)), tc)
 
 
 def _plan_a2(state: BoState, s: _StepInputs) -> Plan:
-    """Anchor refits first, then the wrench, whose plateau center (and adaptive
+    """The anchor first, then the wrench, whose plateau center (and adaptive
     width) is one anchor predict at the data, shared by the fit and tc."""
-    anchor_params, anchor, tc_anchor, c_w_a = _zero_centered_fit(state, s)
+    anchor_params, anchor, tc_anchor, c_w_a = _zero_centered_fit(state, s, "anchor")
     tc_eff = state._effective_tc(tc_anchor)
     kappa = state.spec.outputscale
     if state.pimq_policy in ("heuristic", "manual"):
@@ -339,7 +406,7 @@ def _plan_a2(state: BoState, s: _StepInputs) -> Plan:
     else:
         center, width = anchor.predict_mean(s.X), width_bound
     wrench_params = pimq_params_for_noise(center, width, state.pimq_c, s.nv)
-    wrench = rcgp_fit(s.X, s.ys, state.spec, s.nv, wrench_params)
+    wrench = _fit(state, "model", s, wrench_params)
     tc = estimate_tc(s.ys - center, width)
     tc_eff = state._effective_tc(tc)
     # C1 for the wrench uses the scalar width bound and the anchor's
@@ -377,12 +444,11 @@ def maximize_acquisition(state: BoState, domain: DomainSpec) -> np.ndarray:
     if domain.grid is not None:
         if domain.grid.shape[0] == 0:
             raise ValueError("empty acquisition domain")
-        vals = _acquisition_batch(state, domain.grid)
+        vals = _acquisition_batch(state, domain.grid)  # the model's kept predictions on the state's grid
         return domain.grid[int(np.argmax(vals))].copy()
 
     d, n, k = domain.dim, domain.n_starts, domain.coord_grid
-    starts = qmc.Sobol(d, scramble=False).random(n)
-    x = qmc.scale(starts, domain.bounds[:, 0], domain.bounds[:, 1])  # (n, d): every start at once
+    x = domain.starts  # (n, d): every start at once
     for _ in range(2):  # coordinate sweeps
         for j in range(d):
             cand = np.repeat(x, k, axis=0)  # start i's line is rows i*k .. i*k + k-1

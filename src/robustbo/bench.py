@@ -337,12 +337,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     for seed in cfg.seeds:
         X0 = _initial_design(objective, cfg.n_initial, seed)
         for algorithm in cfg.algorithms:
-            state = states[(algorithm, seed)]
+            state = states.pop((algorithm, seed))  # a finished cell's models and caches go with it
             state.add_initial(X0)
             try:
                 run_loop(state, cfg.n_iterations)
-            except (FactorizationError, ValueError) as exc:
-                # A failed Cholesky or a non-finite value in a solve; a TypeError stays loud.
+            except (FactorizationError, ValueError, ArithmeticError) as exc:
+                # A failed Cholesky, a non-finite target or a float overflow; a TypeError stays loud.
                 failures[f"{algorithm}/seed{seed}"] = str(exc)
                 continue
             rows = _trace_rows(state, f_star)

@@ -104,7 +104,7 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
 
 
 def jittered_cho_factor(A: np.ndarray, outputscale: float):
-    """Cholesky with escalating diagonal jitter.
+    """Cholesky with escalating diagonal jitter: ((c, lower), jitter added).
 
     Starts at zero jitter, then 1e-10 escalating x10 up to 1e-6 * outputscale.
     Raises FactorizationError once the cap is exceeded.
@@ -115,7 +115,7 @@ def jittered_cho_factor(A: np.ndarray, outputscale: float):
     while True:
         try:
             M = A if jitter == 0.0 else A + jitter * np.eye(n)
-            return cho_factor(M, lower=True)
+            return cho_factor(M, lower=True), jitter
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
             if jitter > cap:
@@ -137,7 +137,7 @@ def info_gain(spec: KernelSpec, X, noise_var: float) -> float:
         return 0.0
     K = gram_matrix(spec, X)
     M = np.eye(K.shape[0]) + K / noise_var
-    chol, _ = jittered_cho_factor(M, 1.0 + spec.outputscale / noise_var)
+    (chol, _), _ = jittered_cho_factor(M, 1.0 + spec.outputscale / noise_var)
     return float(np.sum(np.log(np.diag(chol))))
 
 

@@ -15,7 +15,7 @@ from .gp import GpPosterior, gp_fit
 from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho  # noqa: F401
 from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, WeightCorrections, build_corrections
 
-__all__ = ["RcgpPosterior", "rcgp_fit", "deviation_schur"]
+__all__ = ["RcgpPosterior", "rcgp_fit", "rcgp_data", "deviation_schur"]
 
 # The robust posterior is the GP posterior with corrections; the name stays for callers.
 RcgpPosterior = GpPosterior
@@ -26,18 +26,24 @@ def _drop_negligible(params: PimqParams, X, y, corr: WeightCorrections):
     keep = corr.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max
     if np.all(keep):
         return X, y, corr
-    return X[keep], y[keep], WeightCorrections(corr.weights[keep], corr.jw[keep], corr.mw[keep])
+    return X[keep], y[keep], corr[keep]
 
 
-def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams) -> GpPosterior:
-    """Fit the robust posterior: P-IMQ corrections, drop the rejected points, then gp_fit.
-
-    The result always carries a WeightCorrections, empty when no point is kept.
-    """
+def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: PimqParams):
+    """The data rcgp_fit factors: the kept points, their targets and their corrections."""
     y = np.asarray(y, dtype=float).reshape(-1)
     X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
-    X, y, corr = _drop_negligible(params, X, y, build_corrections(params, noise_var, X, y))
-    return gp_fit(X, y, spec, noise_var, corr)
+    return _drop_negligible(params, X, y, build_corrections(params, noise_var, X, y))
+
+
+def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams, grid=None) -> GpPosterior:
+    """Fit the robust posterior: P-IMQ corrections, drop the rejected points, then gp_fit.
+
+    The result always carries a WeightCorrections, empty when no point is
+    kept.  grid is passed on to gp_fit.
+    """
+    X, y, corr = rcgp_data(X, y, spec, noise_var, params)
+    return gp_fit(X, y, spec, noise_var, corr, grid)
 
 
 def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: PimqParams, x):
@@ -74,7 +80,7 @@ def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: 
         return dev if Xq.shape[0] > 1 else float(dev[0])
     S = cov_uc(Xc, Xc) + noise_var * np.diag(corr_c.jw)
     S = 0.5 * (S + S.T)
-    chol_s = jittered_cho_factor(S, spec.outputscale + noise_var * float(np.max(corr_c.jw)))
+    chol_s, _ = jittered_cho_factor(S, spec.outputscale + noise_var * float(np.max(corr_c.jw)))
     mu_uc_c, _ = uc.predict(Xc)
     rhs = solve_cho(chol_s, yc - corr_c.mw - mu_uc_c)
     dev = cov_uc(Xc, Xq).T @ rhs

@@ -76,6 +76,10 @@ class WeightCorrections:
     jw: np.ndarray  # diagonal of J_w; entry 1 iff the point is in-plateau
     mw: np.ndarray  # mean correction; entry 0 iff the point is in-plateau
 
+    def __getitem__(self, index) -> "WeightCorrections":
+        """The corrections of the indexed points (a slice or a mask)."""
+        return WeightCorrections(self.weights[index], self.jw[index], self.mw[index])
+
 
 def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorrections:
     """Weights, J_w diagonal noise_var/(2 w^2), and m_w vector for a dataset.

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from robustbo import gp
+from robustbo import algorithms, bench, gp
 from robustbo.adversary import CorruptionBudget, EagerBudget, NoCorruption
 from robustbo.algorithms import (
     BoState,
@@ -88,6 +90,35 @@ def test_standardize_stays_finite(y, mode):
     loc, scale = standardize_targets(y, mode)
     assert math.isfinite(loc) and math.isfinite(scale) and scale > 0
     assert (loc, scale) == standardize_targets([v for v in y if math.isfinite(v)], mode)
+
+
+@pytest.mark.parametrize("mode", ["zscore", "robust"])
+def test_standardize_does_not_overflow_near_the_float_limit(mode):
+    # squares of finite values near the float limit must not overflow, or the
+    # scale falls back to 1 while loc stays near the outlier
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loc, scale = standardize_targets([1.0, 2.0, 3.0, 1e300], mode)
+        big = standardize_targets([1.0, 1.0, 1.0, 1.7e308, -1.7e308, -1.7e308], mode)
+    if mode == "zscore":
+        assert loc == 0.25 * 1e300 and scale == pytest.approx(np.std([0.0, 0.0, 0.0, 1.0]) * 1e300, rel=1e-15)
+    else:
+        assert loc == 2.5 and scale == pytest.approx(1.4826)
+    assert all(math.isfinite(v) for v in big) and big[1] > 0
+
+
+@given(
+    y=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+    mode=st.sampled_from(["robust", "zscore"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_standardize_is_finite_over_the_whole_float_range(y, mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loc, scale = standardize_targets(y, mode)
+    assert math.isfinite(loc) and math.isfinite(scale) and scale > 0
+    if mode == "zscore" and max(map(abs, y)) < 2.0**500:  # no rescaling: numpy's own bits
+        assert (loc, scale) == (float(np.mean(y)), float(np.std(y)) or 1.0)
 
 
 # -- acquisition ------------------------------------------------------------
@@ -224,12 +255,15 @@ def test_a2_plan_predicts_with_its_anchor_once(width_mode, monkeypatch):
 
 def test_a2_anchor_is_the_fc_model():
     state = corrupted_a2_state()
-    anchor = state.plan().anchor
+    anchor = state.plan().anchor  # extended step by step since the first plan
     assert np.count_nonzero(anchor.corrections.jw != 1.0) >= 2
-    fc = dataclasses.replace(state, algorithm="fc", _plan=None)
+    # copies start without a previous model, so both refit on the same data: bit for bit
+    refit = {alg: dataclasses.replace(state, algorithm=alg, _plan=None).plan() for alg in ("a2", "fc")}
     grid = state.domain.grid
-    for got, want in zip(anchor.predict(grid), fc.plan().model.predict(grid)):
+    for got, want in zip(refit["a2"].anchor.predict(grid), refit["fc"].model.predict(grid)):
         np.testing.assert_array_equal(got, want)
+    for got, want in zip(anchor.predict(grid), refit["fc"].model.predict(grid)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_step_number_prefixes_a_factorization_failure(monkeypatch):
@@ -400,6 +434,176 @@ def test_batched_search_keeps_the_first_of_tied_starts():
     x = maximize_acquisition(state, state.domain)
     assert np.array_equal(x, _reference_search(state, state.domain))
     assert not np.array_equal(x, x[::-1]) and acquisition_value(state, x) == acquisition_value(state, x[::-1])
+
+
+def test_search_starts_are_drawn_once_per_domain_without_a_warning():
+    state = make_search_state("branin2d", "gp_ucb", n_starts=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no balance warning for 10 starts, a non-power of two
+        step(state)
+        maximize_acquisition(state, state.domain)
+    starts = state.domain.starts
+    assert starts is state.domain.starts and not starts.flags.writeable
+    with pytest.warns(UserWarning, match="balance properties"):
+        prefix = qmc.Sobol(2, scramble=False).random(10)
+    assert np.array_equal(starts, qmc.scale(prefix, state.domain.bounds[:, 0], state.domain.bounds[:, 1]))
+
+
+# -- extending the previous model -------------------------------------------
+
+
+def spy_fits(monkeypatch):
+    """Record every refit and extension a plan makes, in order."""
+    events = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("gp_fit", "rcgp_fit"):
+        monkeypatch.setattr(algorithms, name, spy(name, getattr(algorithms, name)))
+    monkeypatch.setattr(gp.GpPosterior, "extend", spy("extend", gp.GpPosterior.extend))
+    return events
+
+
+def plan_events(state, steps, monkeypatch, plans=None):
+    """Run steps BO steps; for each plan, the fits and extensions it made.
+    Each plan is also appended to plans when that list is given."""
+    events = spy_fits(monkeypatch)
+    per_plan = []
+    for _ in range(steps):
+        events.clear()
+        plan = state.plan()
+        per_plan.append(list(events))
+        if plans is not None:
+            plans.append(plan)
+        step(state)
+    return per_plan
+
+
+@pytest.mark.parametrize("algorithm", ["gp_ucb", "fc", "a2"])
+def test_clean_plans_extend_on_every_step(algorithm, monkeypatch):
+    # a2's wrench too: its center moves, but every clean point stays in its plateau
+    state = make_state(algorithm, pimq_policy="manual")
+    state.add_initial(seed_points())
+    per_plan = plan_events(state, 8, monkeypatch)
+    fits = {"gp_ucb": ["gp_fit"], "fc": ["rcgp_fit"], "a2": ["rcgp_fit"] * 2}[algorithm]
+    assert per_plan == [fits] + [["extend"] * len(fits)] * 7
+
+
+def test_fc_matches_baseline_on_clean_data_under_a_moving_heuristic_width(monkeypatch):
+    # the heuristic width moves every step, but with the whole range as the
+    # quantile no clean point leaves the plateau: fc extends like gp_ucb and
+    # stays equal to it query for query
+    queries, widths = {}, []
+    width = BoState._plateau_width
+    monkeypatch.setattr(BoState, "_plateau_width", lambda self, ys, n_t: widths.append(width(self, ys, n_t)) or widths[-1])
+    for algorithm in ("gp_ucb", "fc"):
+        state = make_state(algorithm, seed=3, pimq_policy="heuristic", heuristic_quantile=1.0)
+        state.add_initial(seed_points())
+        plans = []
+        per_plan = plan_events(state, 10, monkeypatch, plans)
+        queries[algorithm] = [r.x[0] for r in state.records]
+    assert len(set(widths)) > 1
+    assert all(np.all(plan.model.corrections.jw == 1.0) for plan in plans)
+    assert per_plan == [["rcgp_fit"]] + [["extend"]] * 9
+    assert queries["gp_ucb"] == queries["fc"]
+
+
+def test_a2_refits_its_wrench_while_its_center_moves_a_correction(monkeypatch):
+    # the wrench's plateau center is the anchor's mean at the data, which moves
+    # every step, and so do the corrections of the points the wrench downweights
+    state = make_state("a2", seed=1, policy=EagerBudget(40.0), budget_count=3, pimq_policy="manual")
+    state.add_initial(seed_points(6))
+    plans = []
+    per_plan = plan_events(state, 8, monkeypatch, plans)
+    assert per_plan[0] == ["rcgp_fit", "rcgp_fit"]
+    refits = 0
+    for events, before in zip(per_plan[1:], plans):
+        assert events[0] == "extend"  # the anchor, whose zero-centered plateau does not move
+        if np.any(before.model.corrections.jw != 1.0):
+            assert events == ["extend", "rcgp_fit"]
+            refits += 1
+    assert refits >= 5
+
+
+def test_a_moving_heuristic_width_refits_a_downweighted_fit(monkeypatch):
+    state = make_state("fc", seed=1, policy=EagerBudget(40.0), budget_count=3, pimq_policy="heuristic")
+    state.add_initial(seed_points(6))
+    widths, plans = [], []
+    width = BoState._plateau_width
+    monkeypatch.setattr(BoState, "_plateau_width", lambda self, ys, n_t: widths.append(width(self, ys, n_t)) or widths[-1])
+    per_plan = plan_events(state, 10, monkeypatch, plans)
+    moved = 0
+    for t in range(1, 10):
+        if widths[t] != widths[t - 1] and np.any(plans[t - 1].model.corrections.jw != 1.0):
+            assert per_plan[t] == ["rcgp_fit"]
+            moved += 1
+    assert moved >= 3
+
+
+def test_a_dropped_observation_keeps_the_model():
+    # an outlier far beyond the plateau gets a negligible weight and is not
+    # part of the fit, so the plan's model is the previous plan's model
+    state = make_state("fc", seed=1, policy=EagerBudget(1e9), budget_count=2, pimq_policy="manual")
+    state.add_initial(seed_points())
+    before = state.plan().model
+    step(state)
+    assert state.corrupted[-1] and state.plan().model is before
+
+
+def test_a_running_standardization_refits(monkeypatch):
+    state = make_state("gp_ucb", standardize="zscore")
+    state.add_initial(seed_points())
+    assert plan_events(state, 5, monkeypatch) == [["gp_fit"]] * 5
+
+
+def test_a_hyperparameter_refit_refits(monkeypatch):
+    space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
+    state = make_state("fc", seed=4, pimq_policy="manual", hyperfit=True, hyperfit_every=3, hyperfit_space=space)
+    state.add_initial(seed_points())
+    per_plan = plan_events(state, 8, monkeypatch)  # the LOO search's own gp_fit calls are recorded too
+    assert ["rcgp_fit" in events for events in per_plan] == [(t - 1) % 3 == 0 for t in range(1, 9)]
+    assert ["extend" in events for events in per_plan] == [(t - 1) % 3 != 0 for t in range(1, 9)]
+
+
+def test_a_jittered_factor_refits(monkeypatch):
+    factor = gp.jittered_cho_factor
+    monkeypatch.setattr(gp, "jittered_cho_factor", lambda A, outputscale: (factor(A, outputscale)[0], 1e-10))
+    state = make_state("gp_ucb")
+    state.add_initial(seed_points())
+    assert plan_events(state, 4, monkeypatch) == [["gp_fit"]] + [["extend", "gp_fit"]] * 3
+
+
+def test_a_pivot_below_the_threshold_refits(monkeypatch):
+    monkeypatch.setattr(gp, "MIN_PIVOT_RATIO", 1.0)  # no pivot d^2 exceeds the whole diagonal entry
+    state = make_state("fc", pimq_policy="manual")
+    state.add_initial(seed_points())
+    assert plan_events(state, 4, monkeypatch) == [["rcgp_fit"]] + [["extend", "rcgp_fit"]] * 3
+
+
+@pytest.mark.parametrize("algorithm", ["gp_ucb", "fc", "a2"])
+def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkeypatch):
+    # gp_ucb, fc and a2's anchor fit once per run and extend on every later step
+    cfg = bench.load_config(Path(__file__).resolve().parents[1] / "configs" / "forrester_corrupted.json")
+    cfg = dataclasses.replace(cfg, algorithms=(algorithm,), seeds=(0, 1))
+    events = spy_fits(monkeypatch)
+    centers = []
+    fit = algorithms.rcgp_fit
+    monkeypatch.setattr(algorithms, "rcgp_fit", lambda X, y, spec, nv, params, *rest: (
+        centers.append(np.ndim(params.center)) or fit(X, y, spec, nv, params, *rest)))
+    results = bench.run_experiment(cfg)
+    steps = cfg.n_iterations * len(cfg.seeds)
+    assert sum(any(r["corrupted"] for r in rows) for rows in results.values()) == len(cfg.seeds)
+    assert events.count("gp_fit") == (len(cfg.seeds) if algorithm == "gp_ucb" else 0)
+    assert centers.count(0) == (0 if algorithm == "gp_ucb" else len(cfg.seeds))  # the zero-centered fits
+    wrench_fits = centers.count(1)  # a2's wrench refits only on the steps that moved one of its corrections
+    assert (len(cfg.seeds) <= wrench_fits < steps) if algorithm == "a2" else wrench_fits == 0
+    # no observation here is dropped: each plan that does not refit a model extends it
+    assert events.count("extend") == steps - len(cfg.seeds) + (steps - wrench_fits if algorithm == "a2" else 0)
 
 
 # -- hyperparameter fitting -------------------------------------------------

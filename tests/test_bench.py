@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from robustbo.bench import (
@@ -229,6 +229,38 @@ def test_non_finite_outliers_are_one_limit_under_running_standardization(value, 
     reference = nan_reference_queries[mode]
     assert all(len(set(queries)) > 1 for queries in reference.values())
     assert _eager_queries(value, standardize=mode) == reference
+
+
+@pytest.fixture(scope="module")
+def robust_reference_queries():
+    return _eager_queries(1e6, standardize="robust")
+
+
+@given(value=st.floats(1e6, 1e308))
+@example(value=1e308)
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_finite_outlier_magnitude_is_invisible_under_robust_standardization(value, robust_reference_queries):
+    # median and MAD are rank statistics, so a running robust standardization
+    # does not see how large the outliers are, and the fits drop all of them
+    assert all(len(set(queries)) > 1 for queries in robust_reference_queries.values())
+    assert _eager_queries(value, standardize="robust") == robust_reference_queries
+
+
+def test_zscore_robust_loops_run_with_outliers_at_the_float_limit():
+    # zscore's statistics of ±1.7e308 outliers do not overflow; the noise
+    # vanishes against their scale, and a standardized gap beyond the float
+    # range is ±inf, which the robust fits drop like any infinite outlier
+    cfg = load_config(CONFIG_DIR / "forrester_corrupted_small.json")
+    adv = dict(cfg.adversary, low_value=-1.7e308, high_value=1.7e308)
+    variant = dataclasses.replace(cfg, adversary=adv, standardize="zscore", seeds=(0, 3), algorithms=("fc", "a2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_experiment(variant)
+    assert sorted(results) == [("a2", 0), ("a2", 3), ("fc", 0), ("fc", 3)]
+    # seed 0 sees +1.7e308 only (a scale whose square overflows), seed 3 both signs (gaps beyond the range)
+    for (_, seed), rows in results.items():
+        huge = {r["y_observed"] for r in rows if abs(r["y_observed"]) > 1e300}
+        assert huge == ({1.7e308} if seed == 0 else {-1.7e308, 1.7e308})
 
 
 def _reject_constant(token):

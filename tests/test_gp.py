@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import assert_same_posterior
 from robustbo.gp import gp_fit
 from robustbo.kernels import KernelSpec
 from robustbo.weights import WeightCorrections
@@ -104,3 +107,97 @@ def test_predict_mean_is_predicts_mean(rng, rbf):
     for post in (gp_fit([], [], rbf, 0.3), gp_fit(X, y, rbf, 0.3),
                  gp_fit(X, y, rbf, 0.3, WeightCorrections(np.ones(12), jw, -0.1 * (jw - 1.0)))):
         assert np.array_equal(post.predict_mean(grid), post.predict(grid)[0])
+
+
+# -- extending by one point ---------------------------------------------------
+
+GRID = np.linspace(0.0, 1.0, 201).reshape(-1, 1)
+
+
+def _extended(X, y, spec, noise_var, n0, grid=None):
+    """gp_fit on the first n0 points, then one extend per further point."""
+    post = gp_fit(X[:n0], y[:n0], spec, noise_var, grid=grid)
+    for x, v in zip(X[n0:], y[n0:]):
+        post = post.extend(x, v)
+    return post
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n0=st.integers(0, 6),
+    k=st.integers(1, 10),
+    lengthscale=st.floats(0.05, 0.5),
+    noise_var=st.floats(0.01, 1.0),
+    on_grid=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_extend_matches_the_refit(seed, n0, k, lengthscale, noise_var, on_grid):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec("rbf", lengthscale, 1.0)
+    X = rng.uniform(0, 1, size=(n0 + k, 1))
+    y = rng.normal(0, 1.0, size=n0 + k)
+    grid = GRID if on_grid else None
+    got = _extended(X, y, spec, noise_var, n0, grid)
+    want = gp_fit(X, y, spec, noise_var, grid=grid)
+    assert_same_posterior(got, want, rng.uniform(0, 1, size=17))
+
+
+def test_grid_predictions_are_predict_on_the_grid(rng, rbf):
+    X = rng.uniform(0, 1, size=9)
+    y = rng.normal(size=9)
+    points = GRID.copy()  # equal values, another array: predict computes them
+    for post in (gp_fit(X, y, rbf, 0.3, grid=GRID), gp_fit([], [], rbf, 0.3, grid=GRID)):
+        mean, var = post.predict(points)
+        assert np.array_equal(post.grid.mean, mean) and np.array_equal(post.grid.var, var)
+    post = _extended(X, y, rbf, 0.3, 0, GRID)  # from the prior, one point at a time
+    for a, b in zip((post.grid.mean, post.grid.var), post.predict(points)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_predict_on_the_fit_grid_returns_the_kept_predictions(rng, rbf):
+    post = gp_fit(rng.uniform(0, 1, size=5), rng.normal(size=5), rbf, 0.3, grid=GRID)
+    mean, var = post.predict(GRID)
+    assert mean is post.grid.mean and var is post.grid.var
+    with pytest.raises(ValueError, match="read-only"):
+        mean[0] = 0.0
+
+
+def test_extend_refuses_a_jittered_factor():
+    # three copies of one point with almost no noise: K + noise is singular to
+    # working precision, so the factorization needs jitter and is not extended
+    spec = KernelSpec("rbf", 0.3, 1.0)
+    post = gp_fit([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], spec, 1e-20)
+    assert post.jitter > 0
+    assert post.extend(0.2, 0.0) is None
+    assert gp_fit([0.5], [1.0], spec, 0.1).jitter == 0.0
+
+
+def test_extend_refuses_a_vanishing_pivot():
+    # a repeated point with almost no noise leaves a pivot of about the noise,
+    # far below MIN_PIVOT_RATIO of the diagonal
+    spec = KernelSpec("rbf", 0.3, 1.0)
+    post = gp_fit([0.2, 0.7], [1.0, -1.0], spec, 1e-14)
+    assert post.jitter == 0.0
+    assert post.extend(0.7, -1.0) is None
+    assert post.extend(0.45, 0.0) is not None
+
+
+def test_extend_rejects_non_finite_targets_like_the_fit(rbf):
+    post = gp_fit([0.2, 0.7], [1.0, -1.0], rbf, 0.1)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            post.extend(0.4, bad)
+        with pytest.raises(ValueError, match="finite"):
+            gp_fit([0.2, 0.7, 0.4], [1.0, -1.0, bad], rbf, 0.1)
+
+
+def test_extend_keeps_the_plain_or_robust_kind(rbf):
+    plain = gp_fit([0.2], [1.0], rbf, 0.1)
+    robust = gp_fit([0.2], [1.0], rbf, 0.1, WeightCorrections(np.ones(1), np.ones(1), np.zeros(1)))
+    one = WeightCorrections(np.ones(1), np.ones(1), np.zeros(1))
+    with pytest.raises(ValueError):
+        plain.extend(0.5, 0.0, one)
+    with pytest.raises(ValueError):
+        robust.extend(0.5, 0.0)
+    assert plain.extend(0.5, 0.0).corrections is None
+    assert robust.extend(0.5, 0.0, one).corrections.jw.shape == (2,)

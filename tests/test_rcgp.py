@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_inplateau_dataset
+from conftest import assert_same_posterior, make_inplateau_dataset
 from robustbo.gp import gp_fit
-from robustbo.rcgp import RcgpPosterior, deviation_schur, rcgp_fit
+from robustbo.rcgp import RcgpPosterior, deviation_schur, rcgp_data, rcgp_fit
 from robustbo.weights import ZERO_CENTER, build_corrections, pimq_params_for_noise
 
 GRID = np.linspace(0.0, 1.0, 101)
@@ -116,3 +118,43 @@ def test_deviation_requires_corrupt_points(rng, rbf):
     clean, _, params = _random_split_instance(rng, rbf)
     with pytest.raises(ValueError):
         deviation_schur(clean, (np.empty(0), np.empty(0)), rbf, 0.25, params, 0.5)
+
+
+# -- extending by one point ---------------------------------------------------
+
+_OUTLIER = {"clean": 0.0, "downweighted": 6.0, "dropped": 1e9, "nan": np.nan}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(sorted(_OUTLIER)), min_size=1, max_size=14),
+    n0=st.integers(0, 5),
+    on_grid=st.booleans(),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_extending_by_the_kept_points_matches_the_refit(seed, kinds, n0, on_grid, rbf):
+    # identity corrections, downweighted and dropped points, on and off a grid:
+    # rcgp_fit on a prefix, then one extend per later kept point with its corrections
+    rng = np.random.default_rng(seed)
+    n0 = min(n0, len(kinds) - 1)
+    X = rng.uniform(0, 1, size=(len(kinds), 1))
+    y = rng.normal(0, 0.4, size=len(kinds)) + np.array([_OUTLIER[k] for k in kinds]) * rng.choice([-1, 1], len(kinds))
+    params = pimq_params_for_noise(ZERO_CENTER, 1.5, 1.0, 0.25)
+    grid = GRID.reshape(-1, 1) if on_grid else None
+    post = rcgp_fit(X[:n0], y[:n0], rbf, 0.25, params, grid)
+    Xk, yk, corr = rcgp_data(X, y, rbf, 0.25, params)
+    for i in range(post.y.shape[0], yk.shape[0]):  # rcgp_data keeps the order, so the prefix's kept points come first
+        post = post.extend(Xk[i], yk[i], corr[i:i + 1])
+    want = rcgp_fit(X, y, rbf, 0.25, params, grid)
+    assert_same_posterior(post, want, rng.uniform(0, 1, size=13))
+    for name in ("weights", "jw", "mw"):
+        assert np.array_equal(getattr(post.corrections, name), getattr(want.corrections, name))
+
+
+def test_rcgp_data_is_what_rcgp_fit_factors(rbf):
+    params = pimq_params_for_noise(ZERO_CENTER, 1.5, 1.0, 0.25)
+    X, y = np.array([0.1, 0.5, 0.9, 0.3]), np.array([0.2, 1e9, -0.1, 6.0])
+    Xk, yk, corr = rcgp_data(X, y, rbf, 0.25, params)
+    post = rcgp_fit(X, y, rbf, 0.25, params)
+    assert np.array_equal(Xk, post.X) and np.array_equal(yk, [0.2, -0.1, 6.0])
+    assert np.array_equal(corr.jw, post.corrections.jw) and corr.jw[-1] > 1.0  # 6.0 is downweighted, kept
