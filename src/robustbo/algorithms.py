@@ -54,11 +54,17 @@ ALGORITHMS = ("gp_ucb", "fc", "a2")
 TC_MODES = ("estimate", "force_zero")
 A2_WIDTH_MODES = ("fixed", "adaptive")
 PIMQ_POLICIES = ("schedule", "heuristic", "manual")
+STANDARDIZE_MODES = ("robust", "zscore", "none", "initial")
 
 # Consistency factor making the median absolute deviation estimate the
 # standard deviation under Gaussian data.
 _MAD_SCALE = 1.4826
 _FLOAT_MAX = float(np.finfo(float).max)
+
+
+def sobol_prefix(sampler: qmc.Sobol, n: int) -> np.ndarray:
+    """A fresh sampler's random(n), drawn as the next power of two and cut, so scipy does not warn."""
+    return sampler.random_base2(max(0, (n - 1).bit_length()))[:n]
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,9 @@ class DomainSpec:
     def starts(self) -> np.ndarray:
         """The d > 1 search's starts: the first n_starts unscrambled Sobol
         points, scaled to the bounds and drawn once, since every step uses the
-        same ones.  The next power of two is drawn and cut, which gives the
-        points random(n_starts) gives without scipy's balance warning."""
-        points = qmc.Sobol(self.dim, scramble=False).random_base2(max(0, (self.n_starts - 1).bit_length()))
-        starts = qmc.scale(points[: self.n_starts], self.bounds[:, 0], self.bounds[:, 1])
+        same ones."""
+        points = sobol_prefix(qmc.Sobol(self.dim, scramble=False), self.n_starts)
+        starts = qmc.scale(points, self.bounds[:, 0], self.bounds[:, 1])
         starts.flags.writeable = False
         return starts
 
@@ -210,6 +215,7 @@ class BoState:
             ("tc_mode", TC_MODES),
             ("a2_width_mode", A2_WIDTH_MODES),
             ("pimq_policy", PIMQ_POLICIES),
+            ("standardize", STANDARDIZE_MODES),
         ):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
@@ -279,7 +285,7 @@ class BoState:
             if self.algorithm != "gp_ucb":
                 n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
                 wp = pimq_params_for_noise(ZERO_CENTER, self._plateau_width(ys, n_t), self.pimq_c, nv)
-            self.spec, nv = fit_hyperparameters_loo(self.algorithm, (X, ys), wp, self.hyperfit_space)
+            self.spec, nv = fit_hyperparameters_loo((X, ys), wp, self.hyperfit_space)
             self.noise_var_raw = nv * scale**2  # kept, like the kernel, until the next refit
             sigma = math.sqrt(nv)
 
@@ -462,8 +468,11 @@ def step(state: BoState) -> tuple[np.ndarray, float]:
     """One BO step: maximize the acquisition, observe, let the adversary
     corrupt, record.  Returns the query and the (possibly corrupted) value."""
     try:
-        plan = state.plan()  # the fits, and so the Cholesky factorizations, run here
-        x = maximize_acquisition(state, state.domain)
+        # An overflow or invalid value raises FloatingPointError, a cell failure, instead
+        # of leaving a NaN acquisition; the deliberate errstate(ignore) blocks nest inside.
+        with np.errstate(over="raise", invalid="raise"):
+            plan = state.plan()  # the fits, and so the Cholesky factorizations, run here
+            x = maximize_acquisition(state, state.domain)
     except FactorizationError as exc:
         raise FactorizationError(f"step {state.t + 1}: {exc}") from exc
     y_clean = observe(state.objective, x, state.noise_rng)
@@ -480,16 +489,16 @@ def run_loop(state: BoState, n_iterations: int) -> list[StepRecord]:
     return state.records
 
 
-def fit_hyperparameters_loo(model_kind: str, data, weight_params, search_space: dict):
+def fit_hyperparameters_loo(data, weight_params, search_space: dict):
     """Pick kernel hyperparameters and noise by weighted leave-one-out error.
 
     Minimizes sum_i wbar_i * (y_i - mu_{-i}(x_i))^2 over the Cartesian grid
     in search_space, with leave-one-out means from the rank-one identity on
-    the regularized Gram matrix.  Weights come from the supplied weight
-    function (uniform when None or for the plain-GP model kind), and for the
-    robust model kinds the leave-one-out fit itself uses the downweighted
-    system, so an extreme point neither counts in the score nor contaminates
-    its neighbors' held-out predictions.
+    the regularized Gram matrix.  With weight_params None (the plain GP) the
+    weights are uniform; otherwise they come from those P-IMQ parameters and
+    the leave-one-out fit itself uses the downweighted system, so an extreme
+    point neither counts in the score nor contaminates its neighbors'
+    held-out predictions.
     """
     X, y = data
     X = np.asarray(X, dtype=float)
@@ -509,11 +518,8 @@ def fit_hyperparameters_loo(model_kind: str, data, weight_params, search_space: 
     if not ls_grid or not nv_grid:
         raise ValueError("search_space must provide lengthscale and noise_var grids")
 
-    robust = model_kind != "gp_ucb" and weight_params is not None
-    if robust:
-        wbar = pimq_weights(weight_params, X, y) / weight_params.w_max
-    else:
-        wbar = np.ones(n)
+    robust = weight_params is not None
+    wbar = pimq_weights(weight_params, X, y) / weight_params.w_max if robust else np.ones(n)
 
     best = None
     for ls, os_, nv in product(ls_grid, os_grid, nv_grid):

@@ -11,10 +11,10 @@ the identical noise sequence.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .adversary import CorruptionBudget, EagerBudget, GreedyClairvoyant, NoCorruption
-from .algorithms import A2_WIDTH_MODES, ALGORITHMS, PIMQ_POLICIES, TC_MODES, BoState, DomainSpec, run_loop
+from .algorithms import BoState, DomainSpec, run_loop, sobol_prefix
 from .kernels import FactorizationError, KernelSpec
 from .objectives import Objective, make_objective
 from .schedules import CompactConvex, FiniteDomain, Rkhs
@@ -52,6 +52,18 @@ _POLICY_KEYS = {
 }
 _BUDGET_KEYS = {"fixed_count": {"count"}, "time_budget": {"alpha"}}
 
+# {config section: {key: (BoState field, conversion)}} of the BoState options a
+# config may set; "" is the top level.  An option the config leaves out keeps
+# BoState's default, and BoState checks the values.
+_STATE_OPTIONS = {
+    "": {"standardize": ("standardize", None)},
+    "schedule": {"tc_mode": ("tc_mode", None), "a2_width_mode": ("a2_width_mode", None)},
+    "pimq": {"policy": ("pimq_policy", None), "shape_c": ("pimq_c", float),
+             "half_width": ("pimq_half_width", float), "heuristic_quantile": ("heuristic_quantile", float)},
+    "hyperfit": {"enabled": ("hyperfit", bool), "every": ("hyperfit_every", int),
+                 "search_space": ("hyperfit_space", None)},
+}
+
 # metadata.json is strict JSON: a non-finite config float is echoed as a string float() reads back.
 _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
@@ -74,7 +86,8 @@ def _section(raw: dict, name: str, allowed: set, required: set = frozenset()) ->
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (see README for the JSON schema)."""
+    """An experiment description of checked JSON shape (see README for the schema).
+    BoState checks the option values; standardize is None when left out."""
 
     name: str
     objective: str
@@ -84,7 +97,7 @@ class ExperimentConfig:
     schedule: dict
     pimq: dict
     adversary: dict
-    standardize: str
+    standardize: Optional[str]
     n_initial: int
     n_iterations: int
     seeds: tuple
@@ -94,35 +107,21 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         top = _section(
-            raw,
-            "config",
-            {
-                "name", "objective", "algorithms", "kernel", "schedule", "pimq",
-                "adversary", "standardize", "n_initial", "n_iterations", "seeds",
-                "grid_size", "hyperfit",
-            },
-            {"objective", "algorithms", "kernel", "schedule", "adversary",
-             "n_initial", "n_iterations", "seeds"},
+            raw, "config", {f.name for f in dataclasses.fields(ExperimentConfig)} - {"noise_var"},  # under objective
+            {"objective", "algorithms", "kernel", "schedule", "adversary", "n_initial", "n_iterations", "seeds"},
         )
         obj = _section(top["objective"], "objective", {"name", "noise_var"}, {"name", "noise_var"})
         kern = _section(top["kernel"], "kernel", {"family", "lengthscale", "outputscale"}, {"lengthscale"})
         sched = _section(
             top["schedule"], "schedule",
-            {"case", "delta", "b_f", "tc_mode", "a2_width_mode", "compact_convex"},
+            {"case", "delta", "b_f", "compact_convex"} | _STATE_OPTIONS["schedule"].keys(),
             {"case", "delta", "b_f"},
         )
         if sched["case"] not in ("finite_domain", "compact_convex", "rkhs"):
             raise ConfigError(f"unknown schedule case {sched['case']!r}")
-        for key, allowed in (("tc_mode", TC_MODES), ("a2_width_mode", A2_WIDTH_MODES)):
-            if key in sched and sched[key] not in allowed:
-                raise ConfigError(f"unknown schedule {key} {sched[key]!r}; expected one of {allowed}")
         if sched["case"] == "compact_convex":
             _section(sched.get("compact_convex", {}), "schedule.compact_convex", {"a", "b", "r"}, {"a", "b", "r"})
-        pimq = _section(
-            top.get("pimq", {}), "pimq", {"policy", "shape_c", "heuristic_quantile", "half_width"},
-        )
-        if pimq.get("policy", "schedule") not in PIMQ_POLICIES:
-            raise ConfigError(f"unknown pimq policy {pimq['policy']!r}")
+        pimq = _section(top.get("pimq", {}), "pimq", set(_STATE_OPTIONS["pimq"]))
         adv_keys = {"policy"}.union(*_POLICY_KEYS.values())
         adv = _section(top["adversary"], "adversary", adv_keys, {"policy"})
         if adv["policy"] not in _POLICY_KEYS:
@@ -134,21 +133,13 @@ class ExperimentConfig:
             if budget["mode"] not in _BUDGET_KEYS:
                 raise ConfigError(f"unknown budget mode {budget['mode']!r}")
             _section(budget, "adversary.budget", budget_keys, {"mode"} | _BUDGET_KEYS[budget["mode"]])
-        hyper = _section(
-            top.get("hyperfit", {}), "hyperfit", {"enabled", "every", "search_space"},
-        )
+        hyper = _section(top.get("hyperfit", {}), "hyperfit", set(_STATE_OPTIONS["hyperfit"]))
         algorithms = tuple(top["algorithms"])
-        for a in algorithms:
-            if a not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {a!r}; expected subset of {ALGORITHMS}")
         if not algorithms:
             raise ConfigError("algorithms must be nonempty")
         seeds = tuple(int(s) for s in top["seeds"])
         if not seeds:
             raise ConfigError("seeds must be nonempty")
-        standardize = top.get("standardize", "robust")
-        if standardize not in ("robust", "zscore", "none", "initial"):
-            raise ConfigError(f"unknown standardize mode {standardize!r}")
         n_initial = int(top["n_initial"])
         n_iterations = int(top["n_iterations"])
         if n_initial < 0 or n_iterations < 1:
@@ -162,7 +153,7 @@ class ExperimentConfig:
             schedule=dict(sched),
             pimq=dict(pimq),
             adversary=dict(adv),
-            standardize=standardize,
+            standardize=top.get("standardize"),
             n_initial=n_initial,
             n_iterations=n_iterations,
             seeds=seeds,
@@ -246,7 +237,6 @@ def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
     if spec.dim != objective.dim:
         raise ConfigError("kernel lengthscale dimension does not match the objective")
     policy, budget = _build_adversary(cfg, x_star)
-    hyper = cfg.hyperfit
     return BoState(
         algorithm=algorithm,
         objective=objective,
@@ -259,26 +249,25 @@ def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
         b_f=float(cfg.schedule["b_f"]),
         horizon=cfg.n_iterations,
         noise_rng=_rng(seed, STREAM_NOISE),
-        tc_mode=cfg.schedule.get("tc_mode", "estimate"),
-        a2_width_mode=cfg.schedule.get("a2_width_mode", "fixed"),
-        standardize=cfg.standardize,
-        pimq_policy=cfg.pimq.get("policy", "schedule"),
-        pimq_c=float(cfg.pimq.get("shape_c", 1.0)),
-        pimq_half_width=float(cfg.pimq.get("half_width", 1.96)),
-        heuristic_quantile=float(cfg.pimq.get("heuristic_quantile", 0.95)),
-        hyperfit=bool(hyper.get("enabled", False)),
-        hyperfit_every=int(hyper.get("every", 5)),
-        hyperfit_space=hyper.get("search_space"),
+        **_state_options(cfg),
     )
+
+
+def _state_options(cfg: ExperimentConfig) -> dict:
+    top = {} if cfg.standardize is None else {"standardize": cfg.standardize}
+    options = {}
+    for section, keys in _STATE_OPTIONS.items():
+        given = getattr(cfg, section) if section else top
+        for key, (name, convert) in keys.items():
+            if key in given:
+                options[name] = given[key] if convert is None else convert(given[key])
+    return options
 
 
 def _initial_design(objective: Objective, n: int, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty((0, objective.dim))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # Sobol non-power-of-two draw
-        sampler = qmc.Sobol(objective.dim, scramble=True, seed=_rng(seed, STREAM_INITIAL))
-        unit = sampler.random(n)
+    unit = sobol_prefix(qmc.Sobol(objective.dim, scramble=True, seed=_rng(seed, STREAM_INITIAL)), n)
     return qmc.scale(unit, objective.bounds[:, 0], objective.bounds[:, 1])
 
 
@@ -305,6 +294,14 @@ def _trace_rows(state: BoState, f_star: float) -> list[dict]:
 
 def _format(v):
     return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _parse(cell: str):
+    """_format's inverse: an int is written as its digits, a float's repr never is."""
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
 
 
 def write_trace(path: Path, rows: list[dict]) -> None:
@@ -371,21 +368,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "objective": {"name": cfg.objective, "noise_var": cfg.noise_var},
-        "algorithms": list(cfg.algorithms),
-        "kernel": cfg.kernel,
-        "schedule": cfg.schedule,
-        "pimq": cfg.pimq,
-        "adversary": cfg.adversary,
-        "standardize": cfg.standardize,
-        "n_initial": cfg.n_initial,
-        "n_iterations": cfg.n_iterations,
-        "seeds": list(cfg.seeds),
-        "grid_size": cfg.grid_size,
-        "hyperfit": cfg.hyperfit,
-    }
+    """The config in from_dict's input shape."""
+    echo = dataclasses.asdict(cfg)
+    echo["objective"] = {"name": cfg.objective, "noise_var": echo.pop("noise_var")}
+    return echo
 
 
 def aggregate(results: dict) -> list[dict]:
@@ -424,13 +410,9 @@ def read_traces(directory) -> dict:
     """Load previously written traces back into the aggregate() input shape."""
     results = {}
     for path in sorted(Path(directory).glob("*_seed*.csv")):
-        stem = path.stem
-        algorithm, _, seed_part = stem.rpartition("_seed")
+        algorithm, _, seed_part = path.stem.rpartition("_seed")
         with open(path, newline="") as fh:
-            rows = []
-            for row in csv.DictReader(fh):
-                rows.append({k: (v if k in ("t", "corrupted", "tc_estimate", "n_seeds") else float(v))
-                             for k, v in row.items()})
+            rows = [{k: _parse(v) for k, v in row.items()} for row in csv.DictReader(fh)]
         results[(algorithm, int(seed_part))] = rows
     if not results:
         raise ConfigError(f"no trace files found in {directory}")

@@ -142,5 +142,7 @@ def info_gain(spec: KernelSpec, X, noise_var: float) -> float:
 
 
 def solve_cho(chol, b: np.ndarray) -> np.ndarray:
-    """cho_solve wrapper shared by every posterior solve."""
+    """cho_solve wrapper for the full solves: a posterior's alpha, the
+    leave-one-out inverse diagonal and the deviation Schur complement.  Fits,
+    extensions and variances use one triangular solve with the lower factor."""
     return cho_solve(chol, b)

@@ -21,7 +21,6 @@ class Objective:
     bounds: np.ndarray  # (d, 2)
     evaluate: Callable[[np.ndarray], float]  # noiseless
     noise_var: float
-    maximize: bool = True
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.bounds, dtype=float))

@@ -74,6 +74,12 @@ def test_standardize_degenerate_falls_back():
         standardize_targets([1.0], "sometimes")
 
 
+def test_unknown_standardize_mode_rejected_at_construction():
+    # not at step 2, the first step with observations to standardize
+    with pytest.raises(ValueError, match="standardize"):
+        make_state("fc", standardize="mad")
+
+
 @pytest.mark.parametrize("mode", ["robust", "zscore"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_standardize_reads_only_finite_values(mode, bad):
@@ -364,6 +370,20 @@ def _reference_search(state, domain):
     return best_x
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_sobol_prefix_is_the_plain_draw_without_the_warning(d):
+    # the scrambled initial design and the unscrambled search starts both draw through it
+    for n in (1, 3, 5, 7, 8):
+        for scramble in (True, False):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # random(n) warns unless n is a power of two
+                want = qmc.Sobol(d, scramble=scramble, seed=n).random(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = algorithms.sobol_prefix(qmc.Sobol(d, scramble=scramble, seed=n), n)
+            assert np.array_equal(got, want)
+
+
 _BRANIN = make_objective("branin", 1.0)
 _SPHERE3 = Objective("sphere3", np.array([[-1.0, 1.0], [0.0, 2.0], [-2.0, 0.5]]),
                      lambda x: -float(np.sum((x - 0.3) ** 2)), 0.01)
@@ -626,7 +646,7 @@ def test_loo_recovers_generating_lengthscale():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         X, y = _gp_sample(rng, 0.2)
-        spec, _ = fit_hyperparameters_loo("gp_ucb", (X, y), None, SPACE)
+        spec, _ = fit_hyperparameters_loo((X, y), None, SPACE)
         hits += spec.lengthscale[0] == 0.2
     assert hits >= 11
 
@@ -641,7 +661,7 @@ def test_loo_weighted_ignores_extreme_outlier():
         y = y.copy()
         y[0] += 1e3
         params = pimq_params_for_noise(ZERO_CENTER, 3.0, 1.0, 0.01)
-        spec, _ = fit_hyperparameters_loo("fc", (X, y), params, SPACE)
+        spec, _ = fit_hyperparameters_loo((X, y), params, SPACE)
         hits += spec.lengthscale[0] == 0.2
     assert hits >= 11
 
@@ -684,9 +704,9 @@ def test_hyperfit_weights_use_the_fc_plateau_width(policy, monkeypatch):
     widths = []
     loo = algorithms.fit_hyperparameters_loo
 
-    def spy(kind, data, wp, space):
+    def spy(data, wp, space):
         widths.append(wp.half_width)
-        return loo(kind, data, wp, space)
+        return loo(data, wp, space)
 
     monkeypatch.setattr(algorithms, "fit_hyperparameters_loo", spy)
     state = make_state("fc", hyperfit=True, hyperfit_every=1, hyperfit_space=SPACE,
@@ -701,6 +721,6 @@ def test_hyperfit_weights_use_the_fc_plateau_width(policy, monkeypatch):
 
 def test_loo_validation():
     with pytest.raises(ValueError):
-        fit_hyperparameters_loo("gp_ucb", ([0.1, 0.2], [1.0, 2.0]), None, SPACE)
+        fit_hyperparameters_loo(([0.1, 0.2], [1.0, 2.0]), None, SPACE)
     with pytest.raises(ValueError):
-        fit_hyperparameters_loo("gp_ucb", ([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), None, {"lengthscale": []})
+        fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), None, {"lengthscale": []})

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from robustbo import bench
+from robustbo.algorithms import run_loop
 from robustbo.bench import (
     ConfigError,
     ExperimentConfig,
@@ -57,30 +59,14 @@ def test_unknown_keys_rejected():
 
 def test_invalid_values_rejected():
     for bad in (
-        small_config(algorithms=["simulated_annealing"]),
         small_config(algorithms=[]),
         small_config(seeds=[]),
-        small_config(standardize="mad"),
         small_config(schedule={"case": "infinite"}),
         small_config(adversary={"policy": "chaotic"}),
         small_config(n_iterations=0),
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
-
-
-@pytest.mark.parametrize(
-    "section, key, value",
-    [
-        ("schedule", "tc_mode", "forcezero"),
-        ("schedule", "tc_mode", "sometimes"),
-        ("schedule", "a2_width_mode", "adaptve"),
-        ("pimq", "policy", "manul"),
-    ],
-)
-def test_unknown_mode_rejected(section, key, value):
-    with pytest.raises(ConfigError, match=key):
-        ExperimentConfig.from_dict(small_config(**{section: {key: value}}))
 
 
 def test_missing_required_key_rejected():
@@ -139,6 +125,27 @@ def test_initial_design_and_noise_shared_across_algorithms():
         for ra, rb in zip(rows[a], rows[b]):
             if ra["x0"] == rb["x0"]:
                 assert ra["y_clean"] == rb["y_clean"]
+
+
+def test_read_traces_returns_what_run_experiment_returned(tmp_path):
+    cfg = ExperimentConfig.from_dict(small_config(
+        algorithms=["gp_ucb", "fc"], seeds=[0, 1],
+        adversary={"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count", "count": 2}},
+    ))
+    results = run_experiment(cfg, tmp_path)
+    reloaded = read_traces(tmp_path)
+    assert reloaded == results
+    assert all(type(v) is type(results[key][0][k]) for key, rows in reloaded.items() for k, v in rows[0].items())
+
+
+@pytest.mark.parametrize("name", ["forrester_corrupted", "forrester_clean", "forrester_corrupted_small"])
+def test_metadata_echo_reads_back_as_the_config(name, tmp_path, monkeypatch):
+    # one step per cell is enough to write metadata.json; the echo is of the whole config
+    monkeypatch.setattr(bench, "run_loop", lambda state, n: run_loop(state, 1))
+    path = CONFIG_DIR / f"{name}.json"
+    run_experiment(load_config(path), tmp_path)
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert ExperimentConfig.from_dict(meta["config"]) == load_config(path)
 
 
 def test_trace_round_trip(tmp_path):
@@ -263,6 +270,20 @@ def test_zscore_robust_loops_run_with_outliers_at_the_float_limit():
         assert huge == ({1.7e308} if seed == 0 else {-1.7e308, 1.7e308})
 
 
+def test_overflow_in_a_step_is_a_cell_failure(tmp_path):
+    # the plain GP's mean overflows on finite outliers near the float limit; the
+    # robust fits drop them, so only the gp_ucb cell fails, and no warning escapes
+    cfg = load_config(CONFIG_DIR / "forrester_corrupted_small.json")
+    adv = dict(cfg.adversary, low_value=-1.7e308, high_value=1.7e308)
+    variant = dataclasses.replace(cfg, adversary=adv, standardize="robust", seeds=(0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_experiment(variant, tmp_path)
+    assert sorted(results) == [("a2", 0), ("fc", 0)]
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["failures"] == {"gp_ucb/seed0": "invalid value encountered in matmul"}
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -299,13 +320,21 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count"}}},
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "time_budget"}}},
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "forever"}}},
+        # values BoState checks when the run is built
+        {"algorithms": ["simulated_annealing"]},
+        {"standardize": "mad"},
+        {"schedule": {"tc_mode": "forcezero"}},
+        {"schedule": {"tc_mode": "sometimes"}},
+        {"schedule": {"a2_width_mode": "adaptve"}},
+        {"pimq": {"policy": "manul"}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
-         "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode"],
+         "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
+         "algorithm", "standardize", "tc-mode-forcezero", "tc-mode-sometimes", "a2-width-mode", "pimq-policy"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(small_config(algorithms=["gp_ucb", "fc", "a2"], **over)))
+    path.write_text(json.dumps(small_config(**{"algorithms": ["gp_ucb", "fc", "a2"], **over})))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()  # raised before any cell ran: no trace, no metadata

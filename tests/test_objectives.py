@@ -21,7 +21,7 @@ def test_forrester_grid_optimum():
 
 def test_registry_and_validation():
     obj = make_objective("forrester", 1.0)
-    assert obj.dim == 1 and obj.maximize
+    assert obj.dim == 1
     assert make_objective("branin", 0.5).dim == 2
     with pytest.raises(ValueError):
         make_objective("rosenbrock", 1.0)
