@@ -206,7 +206,7 @@ class BoState:
     n_seed_obs: int = 0
     _plan: Optional[Plan] = field(default=None, repr=False)
     _frozen_std: Optional[tuple] = field(default=None, repr=False)
-    # The last model of each plan role, for the next plan to extend; see _fit.
+    # The last model of each plan role and the data indices of its rows, for the next plan; see _fit.
     _fits: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -332,47 +332,76 @@ class _StepInputs:
     n_t: float  # noise bound over the horizon
 
 
-def _is_fit_of(post: GpPosterior, state: BoState, nv: float, X, y, corr) -> bool:
-    """Whether post is gp_fit(X, y, state.spec, nv, corr, state.domain.grid):
-    the same kernel object, noise and grid, and the same points, targets and
-    corrections, bit for bit."""
-    if (post.spec is not state.spec or post.noise_var != nv or (post.corrections is None) != (corr is None)
-            or (None if post.grid is None else post.grid.points) is not state.domain.grid):
-        return False
-    pairs = [(post.X, X), (post.y, y)]
-    if corr is not None:
-        pairs += [(getattr(post.corrections, f), getattr(corr, f)) for f in ("weights", "jw", "mw")]
-    return all(np.array_equal(a, b) for a, b in pairs)
-
-
 def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
     """The plain (params None) or robust posterior on the step's data and grid.
 
-    The rule reads the data: when the previous plan's model for the same
-    role is exactly the fit of the kept data without the newest point, that
-    model is the answer if the newest point is dropped, and is extended by
-    it otherwise; the extension equals a refit up to round-off.  A moved
-    standardization changes every old target, a moved plateau the
-    corrections of the old points outside it, a hyperparameter refit the
-    kernel object; those steps refit with gp_fit/rcgp_fit, as does an
-    extension the factor cannot take.
+    The rule reads the data.  A row of the previous plan's model for the
+    same role is unchanged when its point is still kept with the same
+    target and corrections, bit for bit.  The model keeps its rows up to the
+    first changed one and borders after them the unchanged later rows, in
+    their previous order, then the changed and new kept points, in insertion
+    order; so the points whose corrections keep moving (the ones a2's
+    wrench downweights) sink to the end, and the next step re-borders only
+    them.  The usual step, one new point after an unchanged model, is
+    checked first and is one extend.  A moved standardization changes every
+    old target, a hyperparameter refit the kernel object; those steps, a
+    changed first row and a border the factor cannot take refit with
+    gp_fit/rcgp_fit.
     """
     if params is None:
-        X, y, corr = s.X, s.ys, None
+        X, y, corr, kept = s.X, s.ys, None, np.arange(s.ys.shape[0])
     else:
-        X, y, corr = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
-    prev, model = state._fits.get(role), None
-    m = None if prev is None else prev.y.shape[0]
-    if m is not None and m <= y.shape[0] <= m + 1 and _is_fit_of(
-            prev, state, s.nv, X[:m], y[:m], None if corr is None else corr[:m]):
-        model = prev if y.shape[0] == m else prev.extend(X[m], y[m], None if corr is None else corr[m:])
+        X, y, corr, kept = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
+    prev, rows = state._fits.get(role, (None, None))
+    model = None
+    if (prev is not None and prev.spec is state.spec and prev.noise_var == s.nv
+            and (None if prev.grid is None else prev.grid.points) is state.domain.grid):
+        model, rows = _bordered(prev, rows, X, y, corr, kept, s.ys.shape[0])
     if model is None:
         if params is None:
             model = gp_fit(s.X, s.ys, state.spec, s.nv, None, state.domain.grid)
         else:
             model = rcgp_fit(s.X, s.ys, state.spec, s.nv, params, state.domain.grid)
-    state._fits[role] = model
+        rows = kept
+    state._fits[role] = (model, rows)
     return model
+
+
+def _unchanged(post: GpPosterior, y, corr) -> np.ndarray:
+    """Per row of post: whether y and corr, aligned with its rows, are its target and corrections, bit for bit."""
+    same = post.y == y
+    if corr is not None:
+        for f in ("weights", "jw", "mw"):
+            same &= getattr(post.corrections, f) == getattr(corr, f)
+    return same
+
+
+def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
+    """_fit's rule on prev, whose rows are the data points rows: the new model
+    and the data indices of its rows, or (None, None) when the step must
+    refit.  X, y and corr are the kept data, kept their indices among the n
+    points."""
+    def pick(index):
+        return None if corr is None else corr[index]
+
+    m = rows.shape[0]
+    if kept.shape[0] == m + 1 and (rows == kept[:m]).all() and _unchanged(prev, y[:m], pick(slice(m))).all():
+        return prev.extend(X[m:], y[m:], pick(slice(m, None))), kept
+    at = np.full(n, -1)
+    at[kept] = np.arange(kept.shape[0])
+    at = at[rows]  # each previous row's position in the kept data; -1 once dropped
+    if m == 0 or at[0] < 0:
+        return None, None
+    same = (at >= 0) & _unchanged(prev, y[np.maximum(at, 0)], pick(np.maximum(at, 0)))
+    k = m if same.all() else int(np.argmin(same))
+    head = prev.head(k) if k else None
+    if head is None:
+        return None, None
+    fresh = np.ones(kept.shape[0], dtype=bool)
+    fresh[at[same]] = False
+    order = np.concatenate([at[k:][same[k:]], np.flatnonzero(fresh)])  # the kept data's rows to border
+    model = head.extend(X[order], y[order], pick(order)) if order.shape[0] else head
+    return model, np.concatenate([rows[:k], kept[order]])
 
 
 def _plan_gp_ucb(state: BoState, s: _StepInputs) -> Plan:

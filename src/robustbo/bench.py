@@ -72,6 +72,15 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
+def _convert(convert, value, name: str):
+    """convert(value) for the config key name; a value it cannot take (null, a
+    list, a word) is a ConfigError, not a TypeError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def _section(raw: dict, name: str, allowed: set, required: set = frozenset()) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be an object")
@@ -137,17 +146,17 @@ class ExperimentConfig:
         algorithms = tuple(top["algorithms"])
         if not algorithms:
             raise ConfigError("algorithms must be nonempty")
-        seeds = tuple(int(s) for s in top["seeds"])
+        seeds = tuple(_convert(int, s, "seeds") for s in top["seeds"])
         if not seeds:
             raise ConfigError("seeds must be nonempty")
-        n_initial = int(top["n_initial"])
-        n_iterations = int(top["n_iterations"])
+        n_initial = _convert(int, top["n_initial"], "n_initial")
+        n_iterations = _convert(int, top["n_iterations"], "n_iterations")
         if n_initial < 0 or n_iterations < 1:
             raise ConfigError("n_initial must be >= 0 and n_iterations >= 1")
         return ExperimentConfig(
             name=str(top.get("name", "experiment")),
             objective=str(obj["name"]),
-            noise_var=float(obj["noise_var"]),
+            noise_var=_convert(float, obj["noise_var"], "objective.noise_var"),
             algorithms=algorithms,
             kernel=dict(kern),
             schedule=dict(sched),
@@ -157,7 +166,7 @@ class ExperimentConfig:
             n_initial=n_initial,
             n_iterations=n_iterations,
             seeds=seeds,
-            grid_size=int(top.get("grid_size", 1001)),
+            grid_size=_convert(int, top.get("grid_size", 1001), "grid_size"),
             hyperfit=dict(hyper),
         )
 
@@ -202,8 +211,9 @@ def _build_case(cfg: ExperimentConfig, domain: DomainSpec):
         return FiniteDomain(size)
     if sched["case"] == "compact_convex":
         cc = sched["compact_convex"]
-        return CompactConvex(float(cc["a"]), float(cc["b"]), float(cc["r"]), domain.dim)
-    return Rkhs(float(sched["b_f"]))
+        a, b, r = (_convert(float, cc[k], f"schedule.compact_convex.{k}") for k in ("a", "b", "r"))
+        return CompactConvex(a, b, r, domain.dim)
+    return Rkhs(_convert(float, sched["b_f"], "schedule.b_f"))
 
 
 def _build_adversary(cfg: ExperimentConfig, x_star: np.ndarray):
@@ -214,26 +224,24 @@ def _build_adversary(cfg: ExperimentConfig, x_star: np.ndarray):
         return policy, budget
     b = adv["budget"]
     if b["mode"] == "fixed_count":
-        budget = CorruptionBudget("fixed_count", cfg.n_iterations, count=int(b["count"]))
+        count = _convert(int, b["count"], "adversary.budget.count")
+        budget = CorruptionBudget("fixed_count", cfg.n_iterations, count=count)
     else:
-        budget = CorruptionBudget("time_budget", cfg.n_iterations, alpha=float(b["alpha"]))
+        alpha = _convert(float, b["alpha"], "adversary.budget.alpha")
+        budget = CorruptionBudget("time_budget", cfg.n_iterations, alpha=alpha)
     if adv["policy"] == "greedy_clairvoyant":
-        policy = GreedyClairvoyant(
-            x_star,
-            float(adv["near_thresh"]),
-            float(adv["far_thresh"]),
-            float(adv["low_value"]),
-            float(adv["high_value"]),
-        )
+        keys = ("near_thresh", "far_thresh", "low_value", "high_value")
+        policy = GreedyClairvoyant(x_star, *(_convert(float, adv[k], f"adversary.{k}") for k in keys))
     else:
-        policy = EagerBudget(float(adv["corruption_value"]))
+        policy = EagerBudget(_convert(float, adv["corruption_value"], "adversary.corruption_value"))
     return policy, budget
 
 
 def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
                  objective: Objective, domain: DomainSpec, x_star: np.ndarray) -> BoState:
     kern = cfg.kernel
-    spec = KernelSpec(kern.get("family", "rbf"), kern["lengthscale"], float(kern.get("outputscale", 1.0)))
+    scale = {"outputscale": _convert(float, kern["outputscale"], "kernel.outputscale")} if "outputscale" in kern else {}
+    spec = KernelSpec(kern.get("family", "rbf"), kern["lengthscale"], **scale)  # KernelSpec's outputscale otherwise
     if spec.dim != objective.dim:
         raise ConfigError("kernel lengthscale dimension does not match the objective")
     policy, budget = _build_adversary(cfg, x_star)
@@ -245,8 +253,8 @@ def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
         spec=spec,
         domain=domain,
         case=_build_case(cfg, domain),
-        delta=float(cfg.schedule["delta"]),
-        b_f=float(cfg.schedule["b_f"]),
+        delta=_convert(float, cfg.schedule["delta"], "schedule.delta"),
+        b_f=_convert(float, cfg.schedule["b_f"], "schedule.b_f"),
         horizon=cfg.n_iterations,
         noise_rng=_rng(seed, STREAM_NOISE),
         **_state_options(cfg),
@@ -260,7 +268,7 @@ def _state_options(cfg: ExperimentConfig) -> dict:
         given = getattr(cfg, section) if section else top
         for key, (name, convert) in keys.items():
             if key in given:
-                options[name] = given[key] if convert is None else convert(given[key])
+                options[name] = given[key] if convert is None else _convert(convert, given[key], f"{section}.{key}")
     return options
 
 

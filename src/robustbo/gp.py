@@ -5,10 +5,11 @@ and targets y - m_w; the plain GP is J_w = I, m_w = 0 on the same lines, so an
 all-in-plateau robust fit is bit-identical to the plain fit.
 
 A fit keeps the lower factor L of A = K + noise_var*J_w and w = L^-1 (y - m_w),
-so one more point borders L by one row (:meth:`GpPosterior.extend`) instead
-of refactoring A.  On a fixed point set (the 1-D acquisition grid) it also
-keeps V = L^-1 K(X, points) and the predictions there, which grow by one row
-of V per point as well.
+so t more points border L by t rows (:meth:`GpPosterior.extend`) instead of
+refactoring A, and the posterior of its first k rows is the leading block
+(:meth:`GpPosterior.head`).  On a fixed point set (the 1-D acquisition grid)
+it also keeps V = L^-1 K(X, points) and the predictions there, which grow by
+one row of V per point as well.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class GpPosterior:
     chol is (L, True) with L the lower factor (its upper triangle is unused),
     w = L^-1 (y - m_w) and alpha = A^-1 (y - m_w).  jitter is the diagonal jitter the
     factorization needed; grid holds the predictions on the point set the
-    posterior was fit for, or None.
+    posterior was fit for, or None.  The rows (X, y, corrections, L, w, V)
+    are in the order the points were factored, which for a bordered model
+    may differ from the order they were observed in.
     """
 
     X: np.ndarray
@@ -102,46 +105,97 @@ class GpPosterior:
         var[var < 0.0] = 0.0  # negative only through round-off
         return var
 
-    def extend(self, x, y: float, corrections: Optional[WeightCorrections] = None) -> Optional["GpPosterior"]:
-        """The posterior with one more point (x, y), by bordering the factor.
+    def head(self, k: int) -> Optional["GpPosterior"]:
+        """The posterior of the first k rows: L[:k, :k], w[:k] and, on a grid, V[:k].
 
-        corrections holds the new point's (weight, jw, mw), None for the plain
-        GP.  Costs O(n^2 + n*m) on m grid points against gp_fit's
-        O(n^3 + n^2*m), and agrees with gp_fit on the extended data up to
-        round-off.  Returns None when the bordered factor is not to be
-        trusted: this factor needed jitter, or the new pivot is not finite
-        and clearly positive; the caller refits with gp_fit then.
+        Costs O(k*m) for the grid mean and variance.  Returns None when the
+        factor needed jitter, since its leading block then factors A + jitter*I.
+        """
+        if self.jitter:
+            return None
+        if k == self.y.shape[0]:
+            return self
+        w, grid = self.w[:k], self.grid
+        if grid is not None:
+            V = grid.V[:k]
+            grid = GridPredictions(grid.points, V, w @ V, self._variance(V))
+        corrections = None if self.corrections is None else self.corrections[:k]
+        return GpPosterior(self.X[:k], self.y[:k], self.spec, self.noise_var, corrections,
+                           (self.chol[0][:k, :k], True), w, 0.0, grid)
+
+    def extend(self, X2, y2, corrections: Optional[WeightCorrections] = None) -> Optional["GpPosterior"]:
+        """The posterior with t more points (X2, y2) after its own, by bordering the factor.
+
+        corrections holds the new points' (weight, jw, mw), None for the plain
+        GP.  With B = L^-1 K(X, X2) the new block of the factor is the
+        Cholesky factor L22 of the Schur complement A22 - B'B, and the new
+        rows of w and V are L22^-1 (y2 - m_w2 - B'w) and
+        L22^-1 (K(X2, points) - B'V).  Costs O(t*n^2 + t*n*m) on m grid
+        points against gp_fit's O(n^3 + n^2*m), and agrees with gp_fit on
+        the extended data up to round-off.  The t x t block is factored and
+        solved row by row, dividing by each pivot, so one point (t = 1) is
+        bordered with exactly the arithmetic of a single new row.  Returns
+        None when the bordered factor is not to be trusted: this factor
+        needed jitter, or a new pivot is not finite and clearly positive; the
+        caller refits with gp_fit then.
         """
         if (corrections is None) != (self.corrections is None):
             raise ValueError("extend a plain posterior without corrections, a robust one with them")
         if self.jitter:
             return None
-        x = _as_points(x, self.spec.dim)
-        jw, mw = (1.0, 0.0) if corrections is None else (float(corrections.jw[0]), float(corrections.mw[0]))
-        L, n = self.chol[0], self.X.shape[0]
-        l = solve_triangular(L, cross_matrix(self.spec, self.X, x)[:, 0], lower=True, check_finite=False)
-        diag = self.spec.outputscale + self.noise_var * jw  # gram_matrix's exact diagonal, plus the noise
-        d2 = diag - l @ l
-        if not (math.isfinite(d2) and d2 > MIN_PIVOT_RATIO * diag):
-            return None
-        d = math.sqrt(d2)
-        L1 = np.zeros((n + 1, n + 1))
-        L1[:n, :n] = L
-        L1[n, :n] = l
-        L1[n, n] = d
-        w_new = (float(y) - mw - l @ self.w) / d
-        if not math.isfinite(w_new):
-            raise ValueError("targets must be finite")
+        spec, L, n = self.spec, self.chol[0], self.X.shape[0]
+        X2 = _as_points(X2, spec.dim)
+        y2 = np.asarray(y2, dtype=float).reshape(-1)
+        t = y2.shape[0]
+        B = solve_triangular(L, cross_matrix(spec, self.X, X2), lower=True, check_finite=False)  # (n, t)
+        # The Schur complement A22 - B'B; its diagonal kappa + nv*jw - b'b is
+        # formed as a single new row forms it (gram_matrix's exact diagonal,
+        # plus the noise).  The plain GP's jw = 1 and mw = 0 drop out exactly.
+        if corrections is None:
+            diag, mw = np.full(t, spec.outputscale + self.noise_var), 0.0
+        else:
+            diag, mw = spec.outputscale + self.noise_var * corrections.jw, corrections.mw
+        S = np.diag(diag) - B.T @ B
+        if t > 1:  # the covariances among the new points
+            K22 = cross_matrix(spec, X2, X2)
+            np.fill_diagonal(K22, 0.0)
+            S += K22
         grid = self.grid
+        w2 = y2 - mw - B.T @ self.w  # becomes the new entries of w
         if grid is not None:
-            v = (cross_matrix(self.spec, x, grid.points)[0] - l @ grid.V) / d  # the new row of V
-            var = np.maximum(grid.var - v * v, 0.0)  # negative only through round-off
-            grid = GridPredictions(grid.points, np.vstack([grid.V, v]), grid.mean + v * w_new, var)
+            V2 = cross_matrix(spec, X2, grid.points) - B.T @ grid.V  # becomes the new rows of V
+            mean, var = grid.mean, grid.var
+        L1 = np.zeros((n + t, n + t))
+        L1[:n, :n] = L
+        L1[n:, :n] = B.T
+        L22 = L1[n:, n:]
+        for i in range(t):  # right-looking Cholesky of S; row i of w2 and V2 is solved as row i of L22 completes
+            d2 = S[i, i]
+            if not (math.isfinite(d2) and d2 > MIN_PIVOT_RATIO * diag[i]):
+                return None
+            L22[i, i] = d = math.sqrt(d2)
+            if i:  # forward substitution: take off the rows above
+                l = L22[i, :i]
+                w2[i] -= l @ w2[:i]
+                if grid is not None:
+                    V2[i] -= l @ V2[:i]
+            w2[i] /= d
+            if not math.isfinite(w2[i]):
+                raise ValueError("targets must be finite")
+            if grid is not None:
+                v = V2[i]
+                v /= d
+                mean, var = mean + v * w2[i], var - v * v
+            if i + 1 < t:  # the Schur complement of row i in the rows below
+                c = L22[i + 1:, i] = S[i + 1:, i] / d
+                S[i + 1:, i + 1:] -= np.outer(c, c)
+        if grid is not None:  # a variance is negative only through round-off
+            grid = GridPredictions(grid.points, np.concatenate((grid.V, V2)), mean, np.maximum(var, 0.0))
         if corrections is not None:
-            corrections = WeightCorrections(*(np.append(getattr(self.corrections, f), getattr(corrections, f))
+            corrections = WeightCorrections(*(np.concatenate((getattr(self.corrections, f), getattr(corrections, f)))
                                               for f in ("weights", "jw", "mw")))
-        return GpPosterior(np.vstack([self.X, x]), np.append(self.y, y), self.spec, self.noise_var,
-                           corrections, (L1, True), np.append(self.w, w_new), 0.0, grid)
+        return GpPosterior(np.concatenate((self.X, X2)), np.concatenate((self.y, y2)), spec, self.noise_var,
+                           corrections, (L1, True), np.concatenate((self.w, w2)), 0.0, grid)
 
 
 def gp_fit(X, y, spec: KernelSpec, noise_var: float,

@@ -22,15 +22,17 @@ RcgpPosterior = GpPosterior
 
 
 def _drop_negligible(params: PimqParams, X, y, corr: WeightCorrections):
-    """Remove the points whose weight is below NEGLIGIBLE_WEIGHT_RATIO of the cap."""
-    keep = corr.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max
-    if np.all(keep):
-        return X, y, corr
-    return X[keep], y[keep], corr[keep]
+    """Remove the points whose weight is below NEGLIGIBLE_WEIGHT_RATIO of the cap;
+    also returns the indices of the points kept."""
+    kept = np.flatnonzero(corr.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max)
+    if kept.shape[0] == y.shape[0]:
+        return X, y, corr, kept
+    return X[kept], y[kept], corr[kept], kept
 
 
 def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: PimqParams):
-    """The data rcgp_fit factors: the kept points, their targets and their corrections."""
+    """The data rcgp_fit factors: the kept points, their targets and their
+    corrections, and the indices of the kept points in X."""
     y = np.asarray(y, dtype=float).reshape(-1)
     X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
     return _drop_negligible(params, X, y, build_corrections(params, noise_var, X, y))
@@ -42,7 +44,7 @@ def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams, grid=
     The result always carries a WeightCorrections, empty when no point is
     kept.  grid is passed on to gp_fit.
     """
-    X, y, corr = rcgp_data(X, y, spec, noise_var, params)
+    X, y, corr, _ = rcgp_data(X, y, spec, noise_var, params)
     return gp_fit(X, y, spec, noise_var, corr, grid)
 
 
@@ -74,7 +76,7 @@ def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: 
         Kb = cross_matrix(spec, uc.X, B)
         return Kab - Ka.T @ solve_cho(uc.chol, Kb)
 
-    Xc, yc, corr_c = _drop_negligible(params, Xc, yc, build_corrections(params, noise_var, Xc, yc))
+    Xc, yc, corr_c, _ = _drop_negligible(params, Xc, yc, build_corrections(params, noise_var, Xc, yc))
     if yc.shape[0] == 0:
         dev = np.zeros(Xq.shape[0])
         return dev if Xq.shape[0] > 1 else float(dev[0])

@@ -26,7 +26,7 @@ from robustbo.kernels import FactorizationError, KernelSpec
 from robustbo.objectives import Objective, make_objective
 from robustbo.rcgp import rcgp_fit
 from robustbo.schedules import FiniteDomain, beta_prime
-from robustbo.weights import pimq_params_for_noise
+from robustbo.weights import ZERO_CENTER, pimq_params_for_noise
 
 
 def make_state(algorithm, seed=0, horizon=20, policy=None, budget_count=0, grid=201, **kw):
@@ -233,14 +233,20 @@ def standardized_data(state, plan):
 
 def test_a2_wrench_center_is_anchor_mean():
     state = corrupted_a2_state()
-    plan = state.plan()
-    X, ys, nv = standardized_data(state, plan)
-    center = plan.anchor.predict(X)[0]
-    params = pimq_params_for_noise(center, state.pimq_half_width, state.pimq_c, nv)
-    expected = rcgp_fit(X, ys, state.spec, nv, params)
+    plan = state.plan()  # its wrench bordered since the first plan
+    assert np.any(plan.model.corrections.jw != 1.0)
+    # a copy starts without a previous model, so its wrench is a refit: bit for bit
+    refit = dataclasses.replace(state, _plan=None).plan()
     grid = state.domain.grid
-    for got, want in zip(plan.model.predict(grid), expected.predict(grid)):
-        np.testing.assert_array_equal(got, want)
+    for live, p in ((False, refit), (True, plan)):
+        X, ys, nv = standardized_data(state, p)
+        params = pimq_params_for_noise(p.anchor.predict(X)[0], state.pimq_half_width, state.pimq_c, nv)
+        expected = rcgp_fit(X, ys, state.spec, nv, params)
+        for got, want in zip(p.model.predict(grid), expected.predict(grid)):
+            if live:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            else:
+                np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("width_mode", ["fixed", "adaptive"])
@@ -472,8 +478,10 @@ def test_search_starts_are_drawn_once_per_domain_without_a_warning():
 # -- extending the previous model -------------------------------------------
 
 
-def spy_fits(monkeypatch):
-    """Record every refit and extension a plan makes, in order."""
+def spy_fits(monkeypatch, borders=None):
+    """Record every refit and border a plan makes, in order.  Each border
+    also appends (rows bordered, downweighted rows of the result) to borders
+    when that list is given."""
     events = []
 
     def spy(name, fn):
@@ -485,14 +493,23 @@ def spy_fits(monkeypatch):
 
     for name in ("gp_fit", "rcgp_fit"):
         monkeypatch.setattr(algorithms, name, spy(name, getattr(algorithms, name)))
-    monkeypatch.setattr(gp.GpPosterior, "extend", spy("extend", gp.GpPosterior.extend))
+    extend = spy("extend", gp.GpPosterior.extend)
+
+    def border(self, X2, y2, corrections=None):
+        out = extend(self, X2, y2, corrections)
+        if borders is not None:
+            borders.append((np.size(y2), None if corrections is None else int(np.sum(out.corrections.jw != 1.0))))
+        return out
+
+    monkeypatch.setattr(gp.GpPosterior, "extend", border)
     return events
 
 
-def plan_events(state, steps, monkeypatch, plans=None):
+def plan_events(state, steps, monkeypatch, plans=None, borders=None):
     """Run steps BO steps; for each plan, the fits and extensions it made.
-    Each plan is also appended to plans when that list is given."""
-    events = spy_fits(monkeypatch)
+    Each plan is also appended to plans when that list is given, and each
+    border to borders (see spy_fits)."""
+    events = spy_fits(monkeypatch, borders)
     per_plan = []
     for _ in range(steps):
         events.clear()
@@ -533,24 +550,31 @@ def test_fc_matches_baseline_on_clean_data_under_a_moving_heuristic_width(monkey
     assert queries["gp_ucb"] == queries["fc"]
 
 
-def test_a2_refits_its_wrench_while_its_center_moves_a_correction(monkeypatch):
+def test_a2_reborders_only_the_wrench_rows_its_center_moves(monkeypatch):
     # the wrench's plateau center is the anchor's mean at the data, which moves
-    # every step, and so do the corrections of the points the wrench downweights
+    # every step, and so do the corrections of the points the wrench
+    # downweights: those rows sink to the end of its factor, and each later
+    # plan borders them again, with the newest point and at most one other
     state = make_state("a2", seed=1, policy=EagerBudget(40.0), budget_count=3, pimq_policy="manual")
     state.add_initial(seed_points(6))
-    plans = []
-    per_plan = plan_events(state, 8, monkeypatch, plans)
-    assert per_plan[0] == ["rcgp_fit", "rcgp_fit"]
-    refits = 0
-    for events, before in zip(per_plan[1:], plans):
-        assert events[0] == "extend"  # the anchor, whose zero-centered plateau does not move
-        if np.any(before.model.corrections.jw != 1.0):
-            assert events == ["extend", "rcgp_fit"]
-            refits += 1
-    assert refits >= 5
+    plans, borders = [], []
+    per_plan = plan_events(state, 8, monkeypatch, plans, borders)
+    assert per_plan == [["rcgp_fit", "rcgp_fit"]] + [["extend", "extend"]] * 7  # one refit, on the first plan
+    assert all(t == 1 for t, _ in borders[::2])  # the anchor, whose zero-centered plateau does not move
+    wrench = borders[1::2]
+    assert all(t <= r + 2 for t, r in wrench)
+    assert sum(r > 0 and t > 1 for t, r in wrench) >= 5  # the plans that moved a correction
+    X, ys, nv = standardized_data(state, plans[-1])
+    X, ys = X[:-1], ys[:-1]  # the data of the last plan, before its step
+    params = pimq_params_for_noise(plans[-1].anchor.predict(X)[0], state.pimq_half_width, state.pimq_c, nv)
+    want = rcgp_fit(X, ys, state.spec, nv, params, state.domain.grid)
+    for a, b in zip(plans[-1].model.predict(state.domain.grid), (want.grid.mean, want.grid.var)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
 
-def test_a_moving_heuristic_width_refits_a_downweighted_fit(monkeypatch):
+def test_a_moving_heuristic_width_reborders_a_downweighted_fit(monkeypatch):
+    # a moved width moves the corrections of the downweighted points: the
+    # model keeps its rows before the first of them and borders the rest
     state = make_state("fc", seed=1, policy=EagerBudget(40.0), budget_count=3, pimq_policy="heuristic")
     state.add_initial(seed_points(6))
     widths, plans = [], []
@@ -560,8 +584,13 @@ def test_a_moving_heuristic_width_refits_a_downweighted_fit(monkeypatch):
     moved = 0
     for t in range(1, 10):
         if widths[t] != widths[t - 1] and np.any(plans[t - 1].model.corrections.jw != 1.0):
-            assert per_plan[t] == ["rcgp_fit"]
+            assert per_plan[t] == ["extend"]
             moved += 1
+        X, ys, nv = standardized_data(state, plans[t])
+        params = pimq_params_for_noise(ZERO_CENTER, widths[t], state.pimq_c, nv)
+        want = rcgp_fit(X[:6 + t], ys[:6 + t], state.spec, nv, params, state.domain.grid)  # plan t's data
+        for a, b in zip(plans[t].model.predict(state.domain.grid), (want.grid.mean, want.grid.var)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
     assert moved >= 3
 
 
@@ -607,10 +636,13 @@ def test_a_pivot_below_the_threshold_refits(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["gp_ucb", "fc", "a2"])
 def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkeypatch):
-    # gp_ucb, fc and a2's anchor fit once per run and extend on every later step
+    # every model fits once per run and borders on every later step: gp_ucb,
+    # fc and a2's anchor one new point, a2's wrench also the rows whose
+    # corrections its moving center moved
     cfg = bench.load_config(Path(__file__).resolve().parents[1] / "configs" / "forrester_corrupted.json")
     cfg = dataclasses.replace(cfg, algorithms=(algorithm,), seeds=(0, 1))
-    events = spy_fits(monkeypatch)
+    borders = []
+    events = spy_fits(monkeypatch, borders)
     centers = []
     fit = algorithms.rcgp_fit
     monkeypatch.setattr(algorithms, "rcgp_fit", lambda X, y, spec, nv, params, *rest: (
@@ -620,10 +652,16 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
     assert sum(any(r["corrupted"] for r in rows) for rows in results.values()) == len(cfg.seeds)
     assert events.count("gp_fit") == (len(cfg.seeds) if algorithm == "gp_ucb" else 0)
     assert centers.count(0) == (0 if algorithm == "gp_ucb" else len(cfg.seeds))  # the zero-centered fits
-    wrench_fits = centers.count(1)  # a2's wrench refits only on the steps that moved one of its corrections
-    assert (len(cfg.seeds) <= wrench_fits < steps) if algorithm == "a2" else wrench_fits == 0
-    # no observation here is dropped: each plan that does not refit a model extends it
-    assert events.count("extend") == steps - len(cfg.seeds) + (steps - wrench_fits if algorithm == "a2" else 0)
+    assert centers.count(1) == (len(cfg.seeds) if algorithm == "a2" else 0)  # a2's wrench
+    models = 2 if algorithm == "a2" else 1
+    assert events.count("extend") == models * (steps - len(cfg.seeds))
+    if algorithm == "a2":  # each plan borders the anchor, then the wrench
+        assert all(t == 1 for t, _ in borders[::2])
+        wrench = borders[1::2]
+        assert sum(t <= r + 2 for t, r in wrench) >= 0.9 * len(wrench)
+        assert sum(t > 1 for t, _ in wrench) >= 0.5 * len(wrench)  # most corrupted steps move a correction
+    else:
+        assert all(t == 1 for t, _ in borders)
 
 
 # -- hyperparameter fitting -------------------------------------------------

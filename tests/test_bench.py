@@ -327,10 +327,21 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"schedule": {"tc_mode": "sometimes"}},
         {"schedule": {"a2_width_mode": "adaptve"}},
         {"pimq": {"policy": "manul"}},
+        # a number that is not one: a ConfigError, not a TypeError
+        {"pimq": {"shape_c": None}},
+        {"n_initial": None},
+        {"kernel": {"outputscale": None}},
+        {"hyperfit": {"every": None}},
+        {"schedule": {"delta": None}},
+        {"seeds": [None]},
+        {"adversary": {"policy": "eager_budget", "corruption_value": None, "budget": {"mode": "fixed_count", "count": 2}}},
+        {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count", "count": [2]}}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
-         "algorithm", "standardize", "tc-mode-forcezero", "tc-mode-sometimes", "a2-width-mode", "pimq-policy"],
+         "algorithm", "standardize", "tc-mode-forcezero", "tc-mode-sometimes", "a2-width-mode", "pimq-policy",
+         "null-shape-c", "null-n-initial", "null-outputscale", "null-hyperfit-every", "null-delta", "null-seed",
+         "null-corruption-value", "list-count"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from conftest import assert_same_posterior
 from robustbo.gp import gp_fit
-from robustbo.kernels import KernelSpec
+from robustbo.kernels import KernelSpec, cross_matrix
 from robustbo.weights import WeightCorrections
 
 
@@ -164,11 +167,13 @@ def test_predict_on_the_fit_grid_returns_the_kept_predictions(rng, rbf):
 
 def test_extend_refuses_a_jittered_factor():
     # three copies of one point with almost no noise: K + noise is singular to
-    # working precision, so the factorization needs jitter and is not extended
+    # working precision, so the factorization needs jitter and is neither
+    # extended nor cut to a head (its leading block factors A + jitter*I)
     spec = KernelSpec("rbf", 0.3, 1.0)
     post = gp_fit([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], spec, 1e-20)
     assert post.jitter > 0
     assert post.extend(0.2, 0.0) is None
+    assert post.head(2) is None and post.head(3) is None
     assert gp_fit([0.5], [1.0], spec, 0.1).jitter == 0.0
 
 
@@ -201,3 +206,58 @@ def test_extend_keeps_the_plain_or_robust_kind(rbf):
         robust.extend(0.5, 0.0)
     assert plain.extend(0.5, 0.0).corrections is None
     assert robust.extend(0.5, 0.0, one).corrections.jw.shape == (2,)
+
+
+# -- bordering several rows after a head --------------------------------------
+
+
+def _one_row_border(post, x, y, jw=1.0, mw=0.0):
+    """A single new row bordered onto post: l = L^-1 k(X, x), d = sqrt(kappa + nv*jw - l.l),
+    the new entry of w and row of V divided by d.  Returns (L, w, V, grid mean, grid variance)."""
+    L, n, spec = post.chol[0], post.X.shape[0], post.spec
+    l = solve_triangular(L, cross_matrix(spec, post.X, x)[:, 0], lower=True, check_finite=False)
+    d = math.sqrt(spec.outputscale + post.noise_var * jw - l @ l)
+    L1 = np.zeros((n + 1, n + 1))
+    L1[:n, :n] = L
+    L1[n, :n] = l
+    L1[n, n] = d
+    w_new = (float(y) - mw - l @ post.w) / d
+    v = (cross_matrix(spec, x, post.grid.points)[0] - l @ post.grid.V) / d
+    return (L1, np.append(post.w, w_new), np.vstack([post.grid.V, v]), post.grid.mean + v * w_new,
+            np.maximum(post.grid.var - v * v, 0.0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 40])
+@pytest.mark.parametrize("robust", [False, True])
+def test_a_one_row_border_is_the_one_row_formula_bit_for_bit(n, robust, rng):
+    for _ in range(10):
+        spec = KernelSpec("rbf", rng.uniform(0.05, 0.5), rng.uniform(0.5, 2.0))
+        X = rng.uniform(0, 1, size=(n + 1, 1))
+        y = rng.normal(size=n + 1)
+        corr = None
+        if robust:
+            jw = np.where(rng.random(n + 1) < 0.4, rng.uniform(1.0, 50.0, n + 1), 1.0)
+            corr = WeightCorrections(np.ones(n + 1), jw, np.where(jw != 1.0, rng.normal(size=n + 1), 0.0))
+        post = gp_fit(X[:n], y[:n], spec, 0.3, None if corr is None else corr[:n], GRID)
+        got = post.extend(X[n:], y[n:], None if corr is None else corr[n:])
+        want = _one_row_border(post, X[n], y[n], *((corr.jw[n], corr.mw[n]) if robust else ()))
+        for a, b in zip((got.chol[0], got.w, got.grid.V, got.grid.mean, got.grid.var), want):
+            assert np.array_equal(a, b)
+
+
+def test_head_of_every_row_is_the_posterior_itself(rng, rbf):
+    X, y = rng.uniform(0, 1, size=9), rng.normal(size=9)
+    for post in (gp_fit(X, y, rbf, 0.3), gp_fit(X, y, rbf, 0.3, grid=GRID), gp_fit([], [], rbf, 0.3, grid=GRID)):
+        assert post.head(post.y.shape[0]) is post
+
+
+@pytest.mark.parametrize("X2", [[0.7, 0.35, 0.9], [0.35, 0.7, 0.9], [0.35, 0.5, 0.2], [0.35, 0.35, 0.9],
+                                [0.35, 0.9, 0.35]],
+                         ids=["old-first", "old-second", "old-last", "new-twice", "new-again-last"])
+def test_a_failed_pivot_anywhere_in_the_block_returns_none(X2):
+    # with almost no noise a repeated point, old or new, leaves a pivot of
+    # about the noise, far below MIN_PIVOT_RATIO of its diagonal entry
+    spec = KernelSpec("rbf", 0.3, 1.0)
+    post = gp_fit([0.2, 0.7], [1.0, -1.0], spec, 1e-14, grid=GRID)
+    assert post.extend(X2, [0.0, 0.5, -0.5]) is None
+    assert post.extend([0.35, 0.5, 0.9], [0.0, 0.5, -0.5]) is not None

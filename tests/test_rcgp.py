@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_posterior, make_inplateau_dataset
@@ -142,7 +142,7 @@ def test_extending_by_the_kept_points_matches_the_refit(seed, kinds, n0, on_grid
     params = pimq_params_for_noise(ZERO_CENTER, 1.5, 1.0, 0.25)
     grid = GRID.reshape(-1, 1) if on_grid else None
     post = rcgp_fit(X[:n0], y[:n0], rbf, 0.25, params, grid)
-    Xk, yk, corr = rcgp_data(X, y, rbf, 0.25, params)
+    Xk, yk, corr, _ = rcgp_data(X, y, rbf, 0.25, params)
     for i in range(post.y.shape[0], yk.shape[0]):  # rcgp_data keeps the order, so the prefix's kept points come first
         post = post.extend(Xk[i], yk[i], corr[i:i + 1])
     want = rcgp_fit(X, y, rbf, 0.25, params, grid)
@@ -151,10 +151,49 @@ def test_extending_by_the_kept_points_matches_the_refit(seed, kinds, n0, on_grid
         assert np.array_equal(getattr(post.corrections, name), getattr(want.corrections, name))
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["clean", "downweighted", "nan"]), min_size=2, max_size=16),
+    k=st.integers(1, 15),
+    t=st.integers(1, 8),
+    plain=st.booleans(),
+    on_grid=st.booleans(),
+)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_head_then_extend_matches_the_refit_on_the_same_rows(seed, kinds, k, t, plain, on_grid, rbf):
+    # a posterior on n rows keeps its first k and borders t rows after them,
+    # some of its own later rows and some new ones, in any order; identity,
+    # downweighted and (through rcgp_data) NaN-dropped points
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, size=(len(kinds), 1))
+    outliers = np.array([_OUTLIER[kind] for kind in kinds]) * rng.choice([-1, 1], len(kinds))
+    y = rng.normal(0, 0.4, size=len(kinds)) + outliers
+    params = pimq_params_for_noise(ZERO_CENTER, 1.5, 1.0, 0.25)
+    Xk, yk, corr, _ = rcgp_data(X, y, rbf, 0.25, params)
+    N = yk.shape[0]
+    assume(N >= 2)
+    t = min(t, N - 1)
+    k = min(k, N - t)
+    n = int(rng.integers(k + 1, N + 1))  # the posterior's rows: the head and n - k more
+    perm = rng.permutation(N)  # rows in any order, not the data's
+    Xk, yk, corr = Xk[perm], yk[perm], None if plain else corr[perm]
+    grid = GRID.reshape(-1, 1) if on_grid else None
+    post = gp_fit(Xk[:n], yk[:n], rbf, 0.25, None if plain else corr[:n], grid)
+    border = k + rng.permutation(N - k)[:t]
+    got = post.head(k).extend(Xk[border], yk[border], None if plain else corr[border])
+    rows = np.concatenate([np.arange(k), border])
+    want = gp_fit(Xk[rows], yk[rows], rbf, 0.25, None if plain else corr[rows], grid)
+    assert_same_posterior(got, want, rng.uniform(0, 1, size=13))
+    if not plain:
+        for name in ("weights", "jw", "mw"):
+            assert np.array_equal(getattr(got.corrections, name), getattr(want.corrections, name))
+
+
 def test_rcgp_data_is_what_rcgp_fit_factors(rbf):
     params = pimq_params_for_noise(ZERO_CENTER, 1.5, 1.0, 0.25)
     X, y = np.array([0.1, 0.5, 0.9, 0.3]), np.array([0.2, 1e9, -0.1, 6.0])
-    Xk, yk, corr = rcgp_data(X, y, rbf, 0.25, params)
+    Xk, yk, corr, kept = rcgp_data(X, y, rbf, 0.25, params)
     post = rcgp_fit(X, y, rbf, 0.25, params)
     assert np.array_equal(Xk, post.X) and np.array_equal(yk, [0.2, -0.1, 6.0])
+    assert np.array_equal(kept, [0, 2, 3])
     assert np.array_equal(corr.jw, post.corrections.jw) and corr.jw[-1] > 1.0  # 6.0 is downweighted, kept
