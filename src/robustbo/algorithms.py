@@ -35,7 +35,7 @@ from .schedules import (
     wrench_width_adaptive,
     wrench_width_fixed,
 )
-from .weights import ZERO_CENTER, build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise, pimq_weights
+from .weights import ZERO_CENTER, PimqParams, build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise
 
 __all__ = [
     "DomainSpec",
@@ -221,6 +221,13 @@ class BoState:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        PimqParams(ZERO_CENTER, self.pimq_half_width, self.pimq_c, 1.0)  # checks shape_c and the manual width
+        if not 0.0 <= self.heuristic_quantile <= 1.0:
+            raise ValueError(f"heuristic_quantile must lie in [0, 1], got {self.heuristic_quantile!r}")
+        if self.hyperfit_every < 1:
+            raise ValueError(f"hyperfit_every must be >= 1, got {self.hyperfit_every!r}")
+        if self.hyperfit or self.hyperfit_space is not None:
+            _search_grids(self.hyperfit_space)
         self.noise_var_raw = self.objective.noise_var
 
     # -- data management -------------------------------------------------
@@ -280,7 +287,7 @@ class BoState:
             nv = 1e-12  # noiseless objectives still need a proper Gram regularizer
         sigma = math.sqrt(nv)
 
-        if self.hyperfit and self.hyperfit_space and len(ys) >= 3 and (t - 1) % self.hyperfit_every == 0:
+        if self.hyperfit and len(ys) >= 3 and (t - 1) % self.hyperfit_every == 0:
             wp = None
             if self.algorithm != "gp_ucb":
                 n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
@@ -289,7 +296,7 @@ class BoState:
             self.noise_var_raw = nv * scale**2  # kept, like the kernel, until the next refit
             sigma = math.sqrt(nv)
 
-        gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) and len(ys) else 0.0
+        gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) else 0.0
         return _StepInputs(
             t=t,
             loc=loc,
@@ -345,8 +352,8 @@ def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
     them.  The usual step, one new point after an unchanged model, is
     checked first and is one extend.  A moved standardization changes every
     old target, a hyperparameter refit the kernel object; those steps, a
-    changed first row and a border the factor cannot take refit with
-    gp_fit/rcgp_fit.
+    changed first row, no kept point and a border the factor cannot take
+    refit with gp_fit/rcgp_fit.
     """
     if params is None:
         X, y, corr, kept = s.X, s.ys, None, np.arange(s.ys.shape[0])
@@ -354,7 +361,7 @@ def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
         X, y, corr, kept = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
     prev, rows = state._fits.get(role, (None, None))
     model = None
-    if (prev is not None and prev.spec is state.spec and prev.noise_var == s.nv
+    if (prev is not None and y.shape[0] and prev.spec is state.spec and prev.noise_var == s.nv
             and (None if prev.grid is None else prev.grid.points) is state.domain.grid):
         model, rows = _bordered(prev, rows, X, y, corr, kept, s.ys.shape[0])
     if model is None:
@@ -390,8 +397,6 @@ def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
     at = np.full(n, -1)
     at[kept] = np.arange(kept.shape[0])
     at = at[rows]  # each previous row's position in the kept data; -1 once dropped
-    if m == 0 or at[0] < 0:
-        return None, None
     same = (at >= 0) & _unchanged(prev, y[np.maximum(at, 0)], pick(np.maximum(at, 0)))
     k = m if same.all() else int(np.argmin(same))
     head = prev.head(k) if k else None
@@ -469,13 +474,15 @@ def _acquisition_batch(state: BoState, Xq: np.ndarray) -> np.ndarray:
     return _ucb(mean, var, plan.beta)
 
 
-def maximize_acquisition(state: BoState, domain: DomainSpec) -> np.ndarray:
-    """Argmax of the acquisition: grid scan in 1-D, multi-start coordinate
-    refinement otherwise.  Ties break toward the lowest grid index.
+def maximize_acquisition(state: BoState) -> np.ndarray:
+    """Argmax of the acquisition over state.domain, the domain the models are
+    fit on: grid scan in 1-D, multi-start coordinate refinement otherwise.
+    Ties break toward the lowest grid index.
 
     Above 1-D every Sobol start moves together: each sweep coordinate is one
     predict over all starts' candidate lines, 2*d + 1 predicts per search.
     """
+    domain = state.domain
     if domain.grid is not None:
         if domain.grid.shape[0] == 0:
             raise ValueError("empty acquisition domain")
@@ -501,7 +508,7 @@ def step(state: BoState) -> tuple[np.ndarray, float]:
         # of leaving a NaN acquisition; the deliberate errstate(ignore) blocks nest inside.
         with np.errstate(over="raise", invalid="raise"):
             plan = state.plan()  # the fits, and so the Cholesky factorizations, run here
-            x = maximize_acquisition(state, state.domain)
+            x = maximize_acquisition(state)
     except FactorizationError as exc:
         raise FactorizationError(f"step {state.t + 1}: {exc}") from exc
     y_clean = observe(state.objective, x, state.noise_rng)
@@ -540,19 +547,10 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
     if n < 3:
         raise ValueError("leave-one-out fitting needs at least 3 points")
 
-    family = search_space.get("family", "rbf")
-    ls_grid = search_space.get("lengthscale")
-    os_grid = search_space.get("outputscale", [1.0])
-    nv_grid = search_space.get("noise_var")
-    if not ls_grid or not nv_grid:
-        raise ValueError("search_space must provide lengthscale and noise_var grids")
-
-    robust = weight_params is not None
-    wbar = pimq_weights(weight_params, X, y) / weight_params.w_max if robust else np.ones(n)
-
+    family, ls_grid, os_grid, nv_grid = _search_grids(search_space)
     best = None
     for ls, os_, nv in product(ls_grid, os_grid, nv_grid):
-        corr = build_corrections(weight_params, nv, X, y) if robust else None
+        corr = None if weight_params is None else build_corrections(weight_params, nv, X, y)
         try:
             post = gp_fit(X, y, KernelSpec(family, ls, os_), nv, corr)
         except (ValueError, FactorizationError):
@@ -561,9 +559,18 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
         if np.any(Ainv_diag <= 1e-12):
             continue
         loo_resid = post.alpha / Ainv_diag
+        wbar = 1.0 if corr is None else corr.weights / weight_params.w_max  # the same for every nv
         objective = float(np.sum(wbar * loo_resid**2))
         if best is None or objective < best[0]:
             best = (objective, post.spec, float(nv))
     if best is None:
         raise ValueError("no viable candidate in the hyperparameter grid")
     return best[1], best[2]
+
+
+def _search_grids(search_space) -> tuple:
+    """The kernel family and the lengthscale, outputscale and noise_var grids of a search space."""
+    if not (isinstance(search_space, dict) and search_space.get("lengthscale") and search_space.get("noise_var")):
+        raise ValueError("search_space must provide lengthscale and noise_var grids")
+    return (search_space.get("family", "rbf"), search_space["lengthscale"],
+            search_space.get("outputscale", [1.0]), search_space["noise_var"])

@@ -72,13 +72,20 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
+_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
+
+
 def _convert(convert, value, name: str):
-    """convert(value) for the config key name; a value it cannot take (null, a
-    list, a word) is a ConfigError, not a TypeError."""
+    """convert(value) for the config key name, convert one of _KINDS.  An int
+    or bool key takes only a value of that JSON type, so 7.9 is not cut to 7
+    and "no" is not true; any value a key cannot take (null, a list, a word)
+    is a ConfigError, not a TypeError."""
     try:
-        return convert(value)
+        if convert is float or type(value) is convert:
+            return convert(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be {_KINDS[convert]}, got {value!r}")
 
 
 def _section(raw: dict, name: str, allowed: set, required: set = frozenset()) -> dict:

@@ -83,22 +83,12 @@ class GpPosterior:
         """
         if self.grid is not None and Xq is self.grid.points:
             return self.grid.mean, self.grid.var
-        mean, Kq = self._mean(Xq)
-        if Kq is None:
-            return mean, np.full(mean.shape[0], self.spec.outputscale)
-        return mean, self._variance(solve_triangular(self.chol[0], Kq, lower=True, check_finite=False))
+        Kq = cross_matrix(self.spec, self.X, Xq)  # (n, m); without data (0, m), so the prior
+        return Kq.T @ self.alpha, self._variance(solve_triangular(self.chol[0], Kq, lower=True, check_finite=False))
 
     def predict_mean(self, Xq):
         """predict's mean alone, without the triangular solve of the variance."""
-        return self._mean(Xq)[0]
-
-    def _mean(self, Xq):
-        """Posterior mean at query points (m, d) and its cross-covariance (None without data)."""
-        Xq = _as_points(Xq, self.spec.dim)
-        if self.X.shape[0] == 0:
-            return np.zeros(Xq.shape[0]), None
-        Kq = cross_matrix(self.spec, self.X, Xq)  # (n, m)
-        return Kq.T @ self.alpha, Kq
+        return cross_matrix(self.spec, self.X, Xq).T @ self.alpha
 
     def _variance(self, V):
         var = self.spec.outputscale - np.sum(V * V, axis=0)

@@ -13,7 +13,7 @@ import numpy as np
 from .gp import GpPosterior, gp_fit
 # gram_matrix is unused here; perfbench's tracer wraps it in this module.
 from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho  # noqa: F401
-from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, WeightCorrections, build_corrections
+from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, build_corrections
 
 __all__ = ["RcgpPosterior", "rcgp_fit", "rcgp_data", "deviation_schur"]
 
@@ -21,21 +21,17 @@ __all__ = ["RcgpPosterior", "rcgp_fit", "rcgp_data", "deviation_schur"]
 RcgpPosterior = GpPosterior
 
 
-def _drop_negligible(params: PimqParams, X, y, corr: WeightCorrections):
-    """Remove the points whose weight is below NEGLIGIBLE_WEIGHT_RATIO of the cap;
-    also returns the indices of the points kept."""
+def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: PimqParams):
+    """The data rcgp_fit factors: the kept points, their targets and their
+    corrections, and the indices of the kept points in X.  A point is dropped
+    when its weight is below NEGLIGIBLE_WEIGHT_RATIO of the cap."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
+    corr = build_corrections(params, noise_var, X, y)
     kept = np.flatnonzero(corr.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max)
     if kept.shape[0] == y.shape[0]:
         return X, y, corr, kept
     return X[kept], y[kept], corr[kept], kept
-
-
-def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: PimqParams):
-    """The data rcgp_fit factors: the kept points, their targets and their
-    corrections, and the indices of the kept points in X."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
-    return _drop_negligible(params, X, y, build_corrections(params, noise_var, X, y))
 
 
 def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams, grid=None) -> GpPosterior:
@@ -57,26 +53,19 @@ def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: 
 
     clean and corrupt are (X, y) pairs; corrupt must be nonempty.
     """
-    Xu, yu = clean
-    Xc, yc = corrupt
-    Xc = _as_points(Xc, spec.dim)
-    yc = np.asarray(yc, dtype=float).reshape(-1)
-    if yc.shape[0] == 0:
+    if np.size(corrupt[1]) == 0:
         raise ValueError("corrupt subset must be nonempty")
     Xq = _as_points(x, spec.dim)
 
-    uc = gp_fit(Xu, yu, spec, noise_var)
+    uc = gp_fit(*clean, spec, noise_var)
 
     def cov_uc(A, B):
         # Posterior covariance conditioned on the clean subset.
-        Kab = cross_matrix(spec, A, B)
-        if uc.X.shape[0] == 0:
-            return Kab
         Ka = cross_matrix(spec, uc.X, A)
         Kb = cross_matrix(spec, uc.X, B)
-        return Kab - Ka.T @ solve_cho(uc.chol, Kb)
+        return cross_matrix(spec, A, B) - Ka.T @ solve_cho(uc.chol, Kb)  # without clean data, K(A, B) - 0
 
-    Xc, yc, corr_c, _ = _drop_negligible(params, Xc, yc, build_corrections(params, noise_var, Xc, yc))
+    Xc, yc, corr_c, _ = rcgp_data(*corrupt, spec, noise_var, params)
     if yc.shape[0] == 0:
         dev = np.zeros(Xq.shape[0])
         return dev if Xq.shape[0] > 1 else float(dev[0])

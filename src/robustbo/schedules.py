@@ -133,9 +133,7 @@ def estimate_tc(residuals, widths) -> int:
     """Count of observations whose residual magnitude exceeds its plateau width (NaN counts)."""
     r = np.abs(np.asarray(residuals, dtype=float))
     w = np.asarray(widths, dtype=float)
-    if w.ndim == 0:
-        w = np.full(r.shape, float(w))
-    if r.shape != w.shape:
+    if w.ndim and r.shape != w.shape:  # a scalar width broadcasts
         raise ValueError("residuals and widths must have equal length")
     return int(np.count_nonzero(~(r <= w)))
 

@@ -132,7 +132,7 @@ def test_standardize_is_finite_over_the_whole_float_range(y, mode):
 
 def test_prior_acquisition_constant_tie_breaks_to_first_point():
     state = make_state("gp_ucb", standardize="none")
-    x = maximize_acquisition(state, state.domain)
+    x = maximize_acquisition(state)
     assert x[0] == state.domain.grid[0, 0]
     a = acquisition_value(state, 0.3)
     beta = state.plan().beta
@@ -142,7 +142,7 @@ def test_prior_acquisition_constant_tie_breaks_to_first_point():
 def test_argmax_beats_all_grid_points(rng):
     state = make_state("fc")
     state.add_initial(seed_points())
-    best = maximize_acquisition(state, state.domain)
+    best = maximize_acquisition(state)
     best_val = acquisition_value(state, best)
     for x in rng.choice(state.domain.grid[:, 0], size=100):
         assert best_val >= acquisition_value(state, x) - 1e-12
@@ -327,7 +327,7 @@ def test_confidence_bound_sandwich_on_clean_runs():
         for _ in range(15):
             plan = state.plan()
             a_star = acquisition_value(state, x_star)
-            x_t = maximize_acquisition(state, state.domain)
+            x_t = maximize_acquisition(state)
             assert acquisition_value(state, x_t) >= a_star - 1e-12
             f_star_std = (f_star - plan.loc) / plan.scale
             checks += 1
@@ -423,7 +423,7 @@ def test_batched_search_matches_the_per_start_loop(case, algorithm, n_starts):
     if algorithm == "fc":
         assert state.corrupted[-3:] == [True, True, False]
         assert np.any(state.plan().model.corrections.jw != 1.0)
-    x = maximize_acquisition(state, state.domain)
+    x = maximize_acquisition(state)
     assert np.array_equal(x, _reference_search(state, state.domain))
     assert state.objective.in_domain(x)
 
@@ -435,7 +435,7 @@ def test_batched_search_predicts_once_per_sweep_coordinate(case, monkeypatch):
     sizes = []
     predict = gp.GpPosterior.predict
     monkeypatch.setattr(gp.GpPosterior, "predict", lambda self, Xq: sizes.append(len(Xq)) or predict(self, Xq))
-    maximize_acquisition(state, state.domain)
+    maximize_acquisition(state)
     d, block = state.domain.dim, state.domain.n_starts * state.domain.coord_grid
     assert sizes == [block] * (2 * d) + [state.domain.n_starts]
 
@@ -444,7 +444,7 @@ def test_batched_search_on_the_prior_keeps_the_first_start():
     # A flat acquisition ties everywhere: every sweep keeps the lowest grid
     # index, so every start ends at the lower corner and the first one is kept.
     state = make_search_state("sphere3d", "gp_ucb", with_data=False, standardize="none")
-    x = maximize_acquisition(state, state.domain)
+    x = maximize_acquisition(state)
     assert np.array_equal(x, _reference_search(state, state.domain))
     assert np.array_equal(x, state.domain.bounds[:, 0])
 
@@ -457,7 +457,7 @@ def test_batched_search_keeps_the_first_of_tied_starts():
     state = make_state("gp_ucb", objective=square, domain=DomainSpec.from_bounds(square.bounds),
                        spec=KernelSpec("rbf", [0.02, 0.02], 1.0), case=FiniteDomain(1001), standardize="none")
     state.add_initial(np.zeros((1, 2)))
-    x = maximize_acquisition(state, state.domain)
+    x = maximize_acquisition(state)
     assert np.array_equal(x, _reference_search(state, state.domain))
     assert not np.array_equal(x, x[::-1]) and acquisition_value(state, x) == acquisition_value(state, x[::-1])
 
@@ -467,7 +467,7 @@ def test_search_starts_are_drawn_once_per_domain_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no balance warning for 10 starts, a non-power of two
         step(state)
-        maximize_acquisition(state, state.domain)
+        maximize_acquisition(state)
     starts = state.domain.starts
     assert starts is state.domain.starts and not starts.flags.writeable
     with pytest.warns(UserWarning, match="balance properties"):
@@ -602,6 +602,18 @@ def test_a_dropped_observation_keeps_the_model():
     before = state.plan().model
     step(state)
     assert state.corrupted[-1] and state.plan().model is before
+
+
+def test_a_plan_with_no_kept_point_refits_the_prior(monkeypatch):
+    # a plateau far from every target drops all the points the previous model kept
+    state = make_state("fc", pimq_policy="manual")
+    state.add_initial(seed_points())
+    s = state._step_inputs()
+    assert algorithms._fit(state, "model", s, pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, s.nv)).y.shape == (4,)
+    events = spy_fits(monkeypatch)
+    model = algorithms._fit(state, "model", s, pimq_params_for_noise(1e9, 2.0, 1.0, s.nv))
+    assert events == ["rcgp_fit"] and model.y.shape == (0,)
+    assert np.array_equal(model.grid.mean, np.zeros(201)) and np.array_equal(model.grid.var, np.ones(201))
 
 
 def test_a_running_standardization_refits(monkeypatch):

@@ -336,12 +336,33 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"seeds": [None]},
         {"adversary": {"policy": "eager_budget", "corruption_value": None, "budget": {"mode": "fixed_count", "count": 2}}},
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count", "count": [2]}}},
+        # option values BoState checks when the run is built, not at the first fit or refit
+        {"pimq": {"shape_c": 0}},
+        {"pimq": {"half_width": -1}},
+        {"pimq": {"heuristic_quantile": 1.5}},
+        {"hyperfit": {"enabled": True, "every": 0, "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
+        {"hyperfit": {"enabled": True, "search_space": {"lengthscale": [0.1]}}},
+        {"hyperfit": {"enabled": True}},
+        # an integer or boolean key takes that JSON type exactly
+        {"n_iterations": 7.9},
+        {"seeds": [True, 2.5]},
+        {"seeds": [2.5]},
+        {"n_initial": True},
+        {"grid_size": 101.0},
+        {"hyperfit": {"every": 2.5}},
+        {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count", "count": 2.5}}},
+        {"hyperfit": {"enabled": "no", "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
+        {"hyperfit": {"enabled": 1, "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
          "algorithm", "standardize", "tc-mode-forcezero", "tc-mode-sometimes", "a2-width-mode", "pimq-policy",
          "null-shape-c", "null-n-initial", "null-outputscale", "null-hyperfit-every", "null-delta", "null-seed",
-         "null-corruption-value", "list-count"],
+         "null-corruption-value", "list-count",
+         "zero-shape-c", "negative-half-width", "quantile-above-one", "hyperfit-every-zero",
+         "search-space-no-noise-var", "hyperfit-no-search-space",
+         "fractional-n-iterations", "bool-and-fractional-seeds", "fractional-seed", "bool-n-initial",
+         "float-grid-size", "fractional-hyperfit-every", "fractional-count", "enabled-word", "enabled-integer"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"
@@ -349,3 +370,17 @@ def test_bad_config_value_exits_config_error(over, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()  # raised before any cell ran: no trace, no metadata
+
+
+def test_a_hyperfit_config_refits_only_when_enabled():
+    # the good counterpart of the hyperfit cases above: false is off, true refits and moves the queries
+    space = {"lengthscale": [0.05, 0.3], "noise_var": [0.02, 0.5]}
+
+    def queries(**over):
+        results = run_experiment(ExperimentConfig.from_dict(small_config(algorithms=["gp_ucb", "fc"], **over)))
+        return {cell: [row["x0"] for row in rows] for cell, rows in results.items()}
+
+    plain = queries()
+    assert queries(hyperfit={"enabled": False, "every": 2, "search_space": space}) == plain
+    refit = queries(hyperfit={"enabled": True, "every": 2, "search_space": space})
+    assert sorted(refit) == sorted(plain) and refit != plain

@@ -12,11 +12,17 @@ from robustbo.kernels import KernelSpec, cross_matrix
 from robustbo.weights import WeightCorrections
 
 
-def test_empty_data_returns_prior(rbf):
-    post = gp_fit([], [], rbf, 1.0)
-    mean, var = post.predict(0.3)
-    assert mean[0] == 0.0
-    assert var[0] == rbf.outputscale
+def test_empty_data_returns_prior():
+    # a (0, m) cross-covariance gives a mean of exactly 0 and kappa - 0 variance
+    for spec, Xq in (
+        (KernelSpec("rbf", 0.3, 2.5), np.linspace(0.0, 1.0, 7).reshape(-1, 1)),
+        (KernelSpec("matern52", [0.3, 1.2], 0.7), np.random.default_rng(0).uniform(-1.0, 1.0, (9, 2))),
+    ):
+        post = gp_fit([], [], spec, 1.0)
+        mean, var = post.predict(Xq)
+        assert np.array_equal(mean, np.zeros(len(Xq)))
+        assert np.array_equal(var, np.full(len(Xq), spec.outputscale))
+        assert np.array_equal(post.predict_mean(Xq), np.zeros(len(Xq)))
 
 
 def test_single_point_posterior_by_hand():
