@@ -20,7 +20,7 @@ from scipy.stats import qmc
 
 from .adversary import AdversaryPolicy, CorruptionBudget, corrupt
 from .gp import GpPosterior, gp_fit
-# gram_matrix and jittered_cho_factor are unused here; perfbench's tracer wraps them in this module.
+# gram_matrix, jittered_cho_factor and build_corrections are unused; perfbench's tracer wraps them here.
 from .kernels import FactorizationError, KernelSpec, gram_matrix, info_gain, jittered_cho_factor, solve_cho  # noqa: F401
 from .objectives import Objective, observe
 from .rcgp import rcgp_data, rcgp_fit
@@ -35,7 +35,7 @@ from .schedules import (
     wrench_width_adaptive,
     wrench_width_fixed,
 )
-from .weights import ZERO_CENTER, PimqParams, build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise
+from .weights import ZERO_CENTER, PimqParams, build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise  # noqa: F401
 
 __all__ = [
     "DomainSpec",
@@ -219,6 +219,8 @@ class BoState:
         ):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
+        if self.a2_width_mode == "adaptive" and self.pimq_policy != "schedule":  # its width reads the schedule
+            raise ValueError(f"a2_width_mode 'adaptive' needs pimq_policy 'schedule', got {self.pimq_policy!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         PimqParams(ZERO_CENTER, self.pimq_half_width, self.pimq_c, 1.0)  # checks shape_c and the manual width
@@ -280,9 +282,10 @@ class BoState:
         with np.errstate(over="ignore"):  # a gap beyond the float range is the infinite-outlier limit: ±inf
             ys = (y_raw - loc) / scale
         try:
-            nv = self.noise_var_raw / scale**2
+            scale2 = scale**2
         except OverflowError:  # a scale above 1e154 (finite values near 1e308), against which the noise vanishes
-            nv = 0.0
+            scale2 = math.inf
+        nv = self.noise_var_raw / scale2
         if nv <= 0:
             nv = 1e-12  # noiseless objectives still need a proper Gram regularizer
         sigma = math.sqrt(nv)
@@ -293,7 +296,7 @@ class BoState:
                 n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
                 wp = pimq_params_for_noise(ZERO_CENTER, self._plateau_width(ys, n_t), self.pimq_c, nv)
             self.spec, nv = fit_hyperparameters_loo((X, ys), wp, self.hyperfit_space)
-            self.noise_var_raw = nv * scale**2  # kept, like the kernel, until the next refit
+            self.noise_var_raw = min(nv * scale2, _FLOAT_MAX)  # kept, like the kernel, until the next refit
             sigma = math.sqrt(nv)
 
         gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) else 0.0
@@ -440,7 +443,7 @@ def _plan_a2(state: BoState, s: _StepInputs) -> Plan:
     else:
         bp_end = beta_prime(state.case, state.horizon, state.delta / 2.0, s.gamma_t)
         width_bound = wrench_width_fixed(robust_beta(bp_end, c_w_a, tc_eff), kappa, s.n_t)  # scalar, for C1
-    if state.pimq_policy == "schedule" and state.a2_width_mode == "adaptive":
+    if state.a2_width_mode == "adaptive":  # BoState allows it only under the schedule policy
         center, var = anchor.predict(s.X)  # the adaptive width is the only reader of the variance
         width = wrench_width_adaptive(robust_beta(s.bp, c_w_a, tc_eff), np.sqrt(var), s.n_t)
     else:
@@ -530,19 +533,16 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
 
     Minimizes sum_i wbar_i * (y_i - mu_{-i}(x_i))^2 over the Cartesian grid
     in search_space, with leave-one-out means from the rank-one identity on
-    the regularized Gram matrix.  With weight_params None (the plain GP) the
-    weights are uniform; otherwise they come from those P-IMQ parameters and
-    the leave-one-out fit itself uses the downweighted system, so an extreme
-    point neither counts in the score nor contaminates its neighbors'
-    held-out predictions.
+    the regularized Gram matrix.  Each candidate is a step's own fit: gp_fit
+    with uniform weights when weight_params is None (the plain GP), otherwise
+    rcgp_fit with those P-IMQ parameters, scored on its kept points and their
+    weights; so an extreme point, infinite and NaN ones included, neither
+    counts in the score nor contaminates its neighbors' held-out predictions.
     """
     X, y = data
-    X = np.asarray(X, dtype=float)
-    if X.ndim <= 1:
-        X = X.reshape(-1, 1)
     y = np.asarray(y, dtype=float).reshape(-1)
     n = y.shape[0]
-    if X.shape[0] != n:
+    if np.shape(X)[:1] != (n,):
         raise ValueError("X and y must have equal length")
     if n < 3:
         raise ValueError("leave-one-out fitting needs at least 3 points")
@@ -550,17 +550,16 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
     family, ls_grid, os_grid, nv_grid = _search_grids(search_space)
     best = None
     for ls, os_, nv in product(ls_grid, os_grid, nv_grid):
-        corr = None if weight_params is None else build_corrections(weight_params, nv, X, y)
         try:
-            post = gp_fit(X, y, KernelSpec(family, ls, os_), nv, corr)
+            spec = KernelSpec(family, ls, os_)
+            post = gp_fit(X, y, spec, nv) if weight_params is None else rcgp_fit(X, y, spec, nv, weight_params)
         except (ValueError, FactorizationError):
             continue
-        Ainv_diag = np.diag(solve_cho(post.chol, np.eye(n)))
+        Ainv_diag = np.diag(solve_cho(post.chol, np.eye(post.y.shape[0])))
         if np.any(Ainv_diag <= 1e-12):
             continue
-        loo_resid = post.alpha / Ainv_diag
-        wbar = 1.0 if corr is None else corr.weights / weight_params.w_max  # the same for every nv
-        objective = float(np.sum(wbar * loo_resid**2))
+        wbar = 1.0 if weight_params is None else post.corrections.weights / weight_params.w_max
+        objective = float(np.sum(wbar * (post.alpha / Ainv_diag)**2))
         if best is None or objective < best[0]:
             best = (objective, post.spec, float(nv))
     if best is None:

@@ -214,8 +214,7 @@ def optimum_on_grid(objective: Objective, extra_grid: Optional[np.ndarray] = Non
 def _build_case(cfg: ExperimentConfig, domain: DomainSpec):
     sched = cfg.schedule
     if sched["case"] == "finite_domain":
-        size = domain.grid.shape[0] if domain.grid is not None else cfg.grid_size
-        return FiniteDomain(size)
+        return FiniteDomain(cfg.grid_size)  # |D|: the 1-D grid's size, an assumed discretisation above 1-D
     if sched["case"] == "compact_convex":
         cc = sched["compact_convex"]
         a, b, r = (_convert(float, cc[k], f"schedule.compact_convex.{k}") for k in ("a", "b", "r"))

@@ -716,6 +716,17 @@ def test_loo_weighted_ignores_extreme_outlier():
     assert hits >= 11
 
 
+@pytest.mark.parametrize("value", [1e12, 1e300, math.inf, -math.inf, math.nan])
+def test_loo_search_drops_saturated_outliers(value):
+    # each candidate is rcgp_fit, which drops a negligible-weight point, so the
+    # pick cannot tell a 1e6 outlier from a larger, infinite or NaN one
+    X, y = _gp_sample(np.random.default_rng(3), 0.2)
+    params = pimq_params_for_noise(ZERO_CENTER, 3.0, 1.0, 0.01)
+    space = {**SPACE, "noise_var": [0.01, 0.05]}
+    picks = [fit_hyperparameters_loo((X, np.concatenate(([v], y[1:]))), params, space) for v in (1e6, value)]
+    assert picks[0] == picks[1]
+
+
 def test_hyperfit_loop_refits_and_keeps_fc_equal_to_gp_ucb():
     space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
     queries = {}
@@ -774,3 +785,6 @@ def test_loo_validation():
         fit_hyperparameters_loo(([0.1, 0.2], [1.0, 2.0]), None, SPACE)
     with pytest.raises(ValueError):
         fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), None, {"lengthscale": []})
+    for params in (None, pimq_params_for_noise(ZERO_CENTER, 3.0, 1.0, 0.01)):
+        with pytest.raises(ValueError, match="equal length"):  # named, not "no viable candidate"
+            fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0, 4.0]), params, SPACE)

@@ -211,15 +211,23 @@ def _eager_queries(value, **over):
     return {key: [r["x0"] for r in rows] for key, rows in results.items()}
 
 
+# A small hyperparameter search every 3 steps; each candidate is the step's own robust fit.
+# The shipped config sets no hyperfit section, which is the {} the tests pass to turn it off.
+HYPERFIT = {"enabled": True, "every": 3, "search_space": {"lengthscale": [0.1, 0.2], "noise_var": [0.1, 0.5]}}
+
+
 @pytest.fixture(scope="module")
 def eager_reference_queries():
-    return _eager_queries(1e6)
+    return {on: _eager_queries(1e6, hyperfit=HYPERFIT if on else {}) for on in (False, True)}
 
 
-@pytest.mark.parametrize("value", [1e300, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [1e12, 1e300, math.inf, -math.inf, math.nan])
 def test_saturation_holds_to_the_infinite_limit(value, eager_reference_queries):
-    # Every such outlier is dropped, so the robust loops cannot tell 1e6 from inf or NaN.
-    assert _eager_queries(value) == eager_reference_queries
+    # Every such outlier is dropped, so the robust loops cannot tell 1e6 from inf
+    # or NaN, with a fixed kernel or one the leave-one-out search refits.
+    assert eager_reference_queries[True] != eager_reference_queries[False]
+    assert _eager_queries(value) == eager_reference_queries[False]
+    assert _eager_queries(value, hyperfit=HYPERFIT) == eager_reference_queries[True]
 
 
 @pytest.fixture(scope="module")
@@ -240,17 +248,20 @@ def test_non_finite_outliers_are_one_limit_under_running_standardization(value, 
 
 @pytest.fixture(scope="module")
 def robust_reference_queries():
-    return _eager_queries(1e6, standardize="robust")
+    return {on: _eager_queries(1e6, standardize="robust", hyperfit=HYPERFIT if on else {}) for on in (False, True)}
 
 
-@given(value=st.floats(1e6, 1e308))
-@example(value=1e308)
+@given(value=st.floats(1e6, 1e308), hyperfit=st.booleans())
+@example(value=1e308, hyperfit=False)
+@example(value=1e308, hyperfit=True)
 @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_finite_outlier_magnitude_is_invisible_under_robust_standardization(value, robust_reference_queries):
+def test_finite_outlier_magnitude_is_invisible_under_robust_standardization(value, hyperfit, robust_reference_queries):
     # median and MAD are rank statistics, so a running robust standardization
-    # does not see how large the outliers are, and the fits drop all of them
-    assert all(len(set(queries)) > 1 for queries in robust_reference_queries.values())
-    assert _eager_queries(value, standardize="robust") == robust_reference_queries
+    # does not see how large the outliers are, and the fits, the hyperparameter
+    # search's included, drop all of them
+    reference = robust_reference_queries[hyperfit]
+    assert all(len(set(queries)) > 1 for queries in reference.values())
+    assert _eager_queries(value, standardize="robust", hyperfit=HYPERFIT if hyperfit else {}) == reference
 
 
 def test_zscore_robust_loops_run_with_outliers_at_the_float_limit():
@@ -282,6 +293,28 @@ def test_overflow_in_a_step_is_a_cell_failure(tmp_path):
     assert sorted(results) == [("a2", 0), ("fc", 0)]
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["failures"] == {"gp_ucb/seed0": "invalid value encountered in matmul"}
+
+
+def test_hyperfit_runs_when_the_scale_squared_overflows(tmp_path):
+    # no seed points and eager outliers of 1e300: the running robust scale is
+    # of order 1e300, so its square overflows; the noise reads as the 1e-12
+    # floor and the refit noise written back is capped at the largest float,
+    # so fc and a2 run and only the plain GP fails
+    raw = small_config(
+        objective={"name": "sinusoid", "noise_var": 0.01},
+        algorithms=["gp_ucb", "fc", "a2"],
+        kernel={"lengthscale": 0.1},
+        schedule={"case": "rkhs", "b_f": 2.0},
+        adversary={"policy": "eager_budget", "corruption_value": 1e300, "budget": {"mode": "fixed_count", "count": 2}},
+        standardize="robust", n_initial=0, n_iterations=10,
+        hyperfit={"enabled": True, "every": 3, "search_space": {"lengthscale": [0.05, 0.2], "noise_var": [0.01, 0.1]}},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+    assert sorted(results) == [("a2", 0), ("fc", 0)]
+    assert all([r["y_observed"] for r in rows[:2]] == [1e300, 1e300] for rows in results.values())
+    assert list(json.loads((tmp_path / "metadata.json").read_text())["failures"]) == ["gp_ucb/seed0"]
 
 
 def _reject_constant(token):
@@ -327,6 +360,7 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"schedule": {"tc_mode": "sometimes"}},
         {"schedule": {"a2_width_mode": "adaptve"}},
         {"pimq": {"policy": "manul"}},
+        {"schedule": {"a2_width_mode": "adaptive"}, "pimq": {"policy": "manual"}},
         # a number that is not one: a ConfigError, not a TypeError
         {"pimq": {"shape_c": None}},
         {"n_initial": None},
@@ -357,6 +391,7 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
          "algorithm", "standardize", "tc-mode-forcezero", "tc-mode-sometimes", "a2-width-mode", "pimq-policy",
+         "adaptive-width-manual-policy",
          "null-shape-c", "null-n-initial", "null-outputscale", "null-hyperfit-every", "null-delta", "null-seed",
          "null-corruption-value", "list-count",
          "zero-shape-c", "negative-half-width", "quantile-above-one", "hyperfit-every-zero",
