@@ -21,7 +21,7 @@ from .bench import ConfigError, ExperimentConfig, aggregate, load_config, run_ex
 from .gp import GpPosterior, gp_fit
 from .kernels import FactorizationError, KernelSpec, cross_matrix, gram_matrix, info_gain
 from .objectives import Objective, forrester, make_objective, observe
-from .rcgp import RcgpPosterior, deviation_schur, rcgp_fit
+from .rcgp import deviation_schur, rcgp_fit
 from .schedules import (
     CompactConvex,
     FiniteDomain,

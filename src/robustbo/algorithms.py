@@ -182,9 +182,9 @@ class BoState:
     noise_rng: np.random.Generator
     tc_mode: str = "estimate"  # "estimate" | "force_zero"
     a2_width_mode: str = "fixed"  # "fixed" | "adaptive"
-    # "initial" freezes robust location/scale on the seed observations, which
-    # the corruption channel cannot touch; the running modes re-estimate each
-    # step from all observations.
+    # "initial" fixes location/scale on the seed observations, which the
+    # corruption channel cannot touch (add_initial sets them); the running
+    # modes re-estimate each step from all observations.
     standardize: str = "robust"  # "robust" | "zscore" | "none" | "initial"
     pimq_policy: str = "schedule"  # "schedule" | "heuristic" | "manual"
     pimq_c: float = 1.0
@@ -193,8 +193,8 @@ class BoState:
     hyperfit: bool = False
     hyperfit_every: int = 5
     hyperfit_space: Optional[dict] = None
-    # Raw-unit noise variance: the objective's, until a hyperparameter refit replaces it.
-    noise_var_raw: float = field(init=False)
+    # The last hyperparameter refit's noise variance, in standardized units like its kernel; None until one.
+    fitted_noise_var: Optional[float] = field(default=None, init=False)
 
     # Run data (raw space unless noted).
     X: list = field(default_factory=list)
@@ -203,9 +203,8 @@ class BoState:
     corrupted: list = field(default_factory=list)
     records: list = field(default_factory=list)
     t: int = 0
-    n_seed_obs: int = 0
     _plan: Optional[Plan] = field(default=None, repr=False)
-    _frozen_std: Optional[tuple] = field(default=None, repr=False)
+    _seed_std: tuple = field(default=(0.0, 1.0), repr=False)  # "initial"'s location/scale
     # The last model of each plan role and the data indices of its rows, for the next plan; see _fit.
     _fits: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -230,7 +229,6 @@ class BoState:
             raise ValueError(f"hyperfit_every must be >= 1, got {self.hyperfit_every!r}")
         if self.hyperfit or self.hyperfit_space is not None:
             _search_grids(self.hyperfit_space)
-        self.noise_var_raw = self.objective.noise_var
 
     # -- data management -------------------------------------------------
 
@@ -239,7 +237,10 @@ class BoState:
         for x in np.atleast_2d(X0):
             y = observe(self.objective, x, self.noise_rng)
             self._append(x, y, y, False)
-        self.n_seed_obs = len(self.X)
+        # The seed observations bypass the corruption channel, so the plain
+        # mean/std is already outlier-proof here and is far better
+        # conditioned than median/MAD on a handful of points.
+        self._seed_std = standardize_targets(self.y_obs, "zscore")
 
     def _append(self, x, y_clean: float, y_observed: float, corrupted: bool) -> None:
         # The only place the data change, so the only place the plan goes stale.
@@ -257,16 +258,7 @@ class BoState:
     # -- per-step model preparation ---------------------------------------
 
     def _location_scale(self, y_raw: np.ndarray) -> tuple[float, float]:
-        if self.standardize != "initial":
-            return standardize_targets(y_raw, self.standardize)
-        if self._frozen_std is None:
-            if self.n_seed_obs == 0:
-                return 0.0, 1.0
-            # The seed observations bypass the corruption channel, so the
-            # plain mean/std is already outlier-proof here and is far better
-            # conditioned than median/MAD on a handful of points.
-            self._frozen_std = standardize_targets(y_raw[: self.n_seed_obs], "zscore")
-        return self._frozen_std
+        return self._seed_std if self.standardize == "initial" else standardize_targets(y_raw, self.standardize)
 
     def plan(self) -> Plan:
         """Fitted model(s) and beta for the upcoming step, cached until the data change."""
@@ -285,7 +277,7 @@ class BoState:
             scale2 = scale**2
         except OverflowError:  # a scale above 1e154 (finite values near 1e308), against which the noise vanishes
             scale2 = math.inf
-        nv = self.noise_var_raw / scale2
+        nv = self.objective.noise_var / scale2 if self.fitted_noise_var is None else self.fitted_noise_var
         if nv <= 0:
             nv = 1e-12  # noiseless objectives still need a proper Gram regularizer
         sigma = math.sqrt(nv)
@@ -295,8 +287,8 @@ class BoState:
             if self.algorithm != "gp_ucb":
                 n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
                 wp = pimq_params_for_noise(ZERO_CENTER, self._plateau_width(ys, n_t), self.pimq_c, nv)
-            self.spec, nv = fit_hyperparameters_loo((X, ys), wp, self.hyperfit_space)
-            self.noise_var_raw = min(nv * scale2, _FLOAT_MAX)  # kept, like the kernel, until the next refit
+            self.spec, self.fitted_noise_var = fit_hyperparameters_loo((X, ys), wp, self.hyperfit_space)
+            nv = self.fitted_noise_var
             sigma = math.sqrt(nv)
 
         gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) else 0.0
@@ -356,7 +348,7 @@ def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
     checked first and is one extend.  A moved standardization changes every
     old target, a hyperparameter refit the kernel object; those steps, a
     changed first row, no kept point and a border the factor cannot take
-    refit with gp_fit/rcgp_fit.
+    refit with gp_fit on the kept data.
     """
     if params is None:
         X, y, corr, kept = s.X, s.ys, None, np.arange(s.ys.shape[0])
@@ -368,11 +360,7 @@ def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
             and (None if prev.grid is None else prev.grid.points) is state.domain.grid):
         model, rows = _bordered(prev, rows, X, y, corr, kept, s.ys.shape[0])
     if model is None:
-        if params is None:
-            model = gp_fit(s.X, s.ys, state.spec, s.nv, None, state.domain.grid)
-        else:
-            model = rcgp_fit(s.X, s.ys, state.spec, s.nv, params, state.domain.grid)
-        rows = kept
+        model, rows = gp_fit(X, y, state.spec, s.nv, corr, state.domain.grid), kept
     state._fits[role] = (model, rows)
     return model
 

@@ -46,7 +46,7 @@ def _cmd_aggregate(args) -> int:
     results = bench.read_traces(args.traces)
     rows = bench.aggregate(results)
     out = Path(args.out) if args.out else Path(args.traces) / "aggregate.csv"
-    bench.write_aggregate(out, rows)
+    bench.write_trace(out, rows)
     print(f"wrote {out}")
     return EXIT_OK
 

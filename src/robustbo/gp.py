@@ -141,10 +141,8 @@ class GpPosterior:
         # The Schur complement A22 - B'B; its diagonal kappa + nv*jw - b'b is
         # formed as a single new row forms it (gram_matrix's exact diagonal,
         # plus the noise).  The plain GP's jw = 1 and mw = 0 drop out exactly.
-        if corrections is None:
-            diag, mw = np.full(t, spec.outputscale + self.noise_var), 0.0
-        else:
-            diag, mw = spec.outputscale + self.noise_var * corrections.jw, corrections.mw
+        jw, mw = (1.0, 0.0) if corrections is None else (corrections.jw, corrections.mw)
+        diag = np.full(t, spec.outputscale + self.noise_var * jw)
         S = np.diag(diag) - B.T @ B
         if t > 1:  # the covariances among the new points
             K22 = cross_matrix(spec, X2, X2)

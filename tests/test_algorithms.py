@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from robustbo import algorithms, bench, gp
+from robustbo import algorithms, bench, gp, rcgp
 from robustbo.adversary import CorruptionBudget, EagerBudget, NoCorruption
 from robustbo.algorithms import (
     BoState,
@@ -127,6 +127,18 @@ def test_standardize_is_finite_over_the_whole_float_range(y, mode):
         assert (loc, scale) == (float(np.mean(y)), float(np.std(y)) or 1.0)
 
 
+def test_the_initial_standardization_is_the_seed_zscore():
+    # "initial" reads only the seed points, so corrupted observations do not move it
+    state = make_state("fc", seed=1, policy=EagerBudget(40.0), budget_count=3, pimq_policy="manual")
+    assert (state.plan().loc, state.plan().scale) == (0.0, 1.0)  # no seed point yet
+    state.add_initial(seed_points())
+    seed_std = standardize_targets(state.y_obs, "zscore")
+    for _ in range(6):
+        assert (state.plan().loc, state.plan().scale) == seed_std
+        step(state)
+    assert sum(state.corrupted) == 3
+
+
 # -- acquisition ------------------------------------------------------------
 
 
@@ -228,7 +240,7 @@ def corrupted_a2_state():
 def standardized_data(state, plan):
     X = np.array(state.X)
     ys = (np.array(state.y_obs) - plan.loc) / plan.scale
-    return X, ys, state.noise_var_raw / plan.scale**2
+    return X, ys, plan.model.noise_var
 
 
 def test_a2_wrench_center_is_anchor_mean():
@@ -527,8 +539,23 @@ def test_clean_plans_extend_on_every_step(algorithm, monkeypatch):
     state = make_state(algorithm, pimq_policy="manual")
     state.add_initial(seed_points())
     per_plan = plan_events(state, 8, monkeypatch)
-    fits = {"gp_ucb": ["gp_fit"], "fc": ["rcgp_fit"], "a2": ["rcgp_fit"] * 2}[algorithm]
-    assert per_plan == [fits] + [["extend"] * len(fits)] * 7
+    models = 2 if algorithm == "a2" else 1
+    assert per_plan == [["gp_fit"] * models] + [["extend"] * models] * 7
+
+
+@pytest.mark.parametrize("algorithm", ["fc", "a2"])
+def test_a_refit_builds_its_corrections_once(algorithm, monkeypatch):
+    # the refit factors the kept rows _fit chose, so each robust model weighs the data once
+    state = make_state(algorithm, pimq_policy="manual")
+    state.add_initial(seed_points())
+    builds = []
+    build = rcgp.build_corrections
+    monkeypatch.setattr(rcgp, "build_corrections", lambda *args: builds.append(args) or build(*args))
+    events = spy_fits(monkeypatch)
+    state.plan()
+    models = 2 if algorithm == "a2" else 1
+    assert len(builds) == models
+    assert events == ["gp_fit"] * models
 
 
 def test_fc_matches_baseline_on_clean_data_under_a_moving_heuristic_width(monkeypatch):
@@ -546,7 +573,7 @@ def test_fc_matches_baseline_on_clean_data_under_a_moving_heuristic_width(monkey
         queries[algorithm] = [r.x[0] for r in state.records]
     assert len(set(widths)) > 1
     assert all(np.all(plan.model.corrections.jw == 1.0) for plan in plans)
-    assert per_plan == [["rcgp_fit"]] + [["extend"]] * 9
+    assert per_plan == [["gp_fit"]] + [["extend"]] * 9
     assert queries["gp_ucb"] == queries["fc"]
 
 
@@ -559,7 +586,7 @@ def test_a2_reborders_only_the_wrench_rows_its_center_moves(monkeypatch):
     state.add_initial(seed_points(6))
     plans, borders = [], []
     per_plan = plan_events(state, 8, monkeypatch, plans, borders)
-    assert per_plan == [["rcgp_fit", "rcgp_fit"]] + [["extend", "extend"]] * 7  # one refit, on the first plan
+    assert per_plan == [["gp_fit", "gp_fit"]] + [["extend", "extend"]] * 7  # one refit, on the first plan
     assert all(t == 1 for t, _ in borders[::2])  # the anchor, whose zero-centered plateau does not move
     wrench = borders[1::2]
     assert all(t <= r + 2 for t, r in wrench)
@@ -612,7 +639,7 @@ def test_a_plan_with_no_kept_point_refits_the_prior(monkeypatch):
     assert algorithms._fit(state, "model", s, pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, s.nv)).y.shape == (4,)
     events = spy_fits(monkeypatch)
     model = algorithms._fit(state, "model", s, pimq_params_for_noise(1e9, 2.0, 1.0, s.nv))
-    assert events == ["rcgp_fit"] and model.y.shape == (0,)
+    assert events == ["gp_fit"] and model.y.shape == (0,)
     assert np.array_equal(model.grid.mean, np.zeros(201)) and np.array_equal(model.grid.var, np.ones(201))
 
 
@@ -626,8 +653,8 @@ def test_a_hyperparameter_refit_refits(monkeypatch):
     space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
     state = make_state("fc", seed=4, pimq_policy="manual", hyperfit=True, hyperfit_every=3, hyperfit_space=space)
     state.add_initial(seed_points())
-    per_plan = plan_events(state, 8, monkeypatch)  # the LOO search's own gp_fit calls are recorded too
-    assert ["rcgp_fit" in events for events in per_plan] == [(t - 1) % 3 == 0 for t in range(1, 9)]
+    per_plan = plan_events(state, 8, monkeypatch)  # the LOO search's candidates are recorded as rcgp_fit
+    assert ["gp_fit" in events for events in per_plan] == [(t - 1) % 3 == 0 for t in range(1, 9)]
     assert ["extend" in events for events in per_plan] == [(t - 1) % 3 != 0 for t in range(1, 9)]
 
 
@@ -643,7 +670,7 @@ def test_a_pivot_below_the_threshold_refits(monkeypatch):
     monkeypatch.setattr(gp, "MIN_PIVOT_RATIO", 1.0)  # no pivot d^2 exceeds the whole diagonal entry
     state = make_state("fc", pimq_policy="manual")
     state.add_initial(seed_points())
-    assert plan_events(state, 4, monkeypatch) == [["rcgp_fit"]] + [["extend", "rcgp_fit"]] * 3
+    assert plan_events(state, 4, monkeypatch) == [["gp_fit"]] + [["extend", "gp_fit"]] * 3
 
 
 @pytest.mark.parametrize("algorithm", ["gp_ucb", "fc", "a2"])
@@ -655,16 +682,17 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
     cfg = dataclasses.replace(cfg, algorithms=(algorithm,), seeds=(0, 1))
     borders = []
     events = spy_fits(monkeypatch, borders)
-    centers = []
-    fit = algorithms.rcgp_fit
-    monkeypatch.setattr(algorithms, "rcgp_fit", lambda X, y, spec, nv, params, *rest: (
-        centers.append(np.ndim(params.center)) or fit(X, y, spec, nv, params, *rest)))
+    centers, refits = [], []  # per refit: None for the plain GP, else its plateau center's ndim
+    data, fit = algorithms.rcgp_data, algorithms.gp_fit
+    monkeypatch.setattr(algorithms, "rcgp_data", lambda X, y, spec, nv, params: (
+        centers.append(np.ndim(params.center)) or data(X, y, spec, nv, params)))
+    monkeypatch.setattr(algorithms, "gp_fit", lambda X, y, spec, nv, corr=None, *rest: (
+        refits.append(None if corr is None else centers[-1]) or fit(X, y, spec, nv, corr, *rest)))
     results = bench.run_experiment(cfg)
     steps = cfg.n_iterations * len(cfg.seeds)
     assert sum(any(r["corrupted"] for r in rows) for rows in results.values()) == len(cfg.seeds)
-    assert events.count("gp_fit") == (len(cfg.seeds) if algorithm == "gp_ucb" else 0)
-    assert centers.count(0) == (0 if algorithm == "gp_ucb" else len(cfg.seeds))  # the zero-centered fits
-    assert centers.count(1) == (len(cfg.seeds) if algorithm == "a2" else 0)  # a2's wrench
+    # one refit per model and seed: the plain GP, the zero-centered fit (a2's anchor), a2's wrench
+    assert refits == {"gp_ucb": [None], "fc": [0], "a2": [0, 1]}[algorithm] * len(cfg.seeds)
     models = 2 if algorithm == "a2" else 1
     assert events.count("extend") == models * (steps - len(cfg.seeds))
     if algorithm == "a2":  # each plan borders the anchor, then the wrench

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from robustbo import bench
-from robustbo.algorithms import run_loop
+from robustbo.algorithms import BoState, run_loop
 from robustbo.bench import (
     ConfigError,
     ExperimentConfig,
@@ -295,11 +295,21 @@ def test_overflow_in_a_step_is_a_cell_failure(tmp_path):
     assert meta["failures"] == {"gp_ucb/seed0": "invalid value encountered in matmul"}
 
 
-def test_hyperfit_runs_when_the_scale_squared_overflows(tmp_path):
+def test_hyperfit_runs_when_the_scale_squared_overflows(tmp_path, monkeypatch):
     # no seed points and eager outliers of 1e300: the running robust scale is
-    # of order 1e300, so its square overflows; the noise reads as the 1e-12
-    # floor and the refit noise written back is capped at the largest float,
-    # so fc and a2 run and only the plain GP fails
+    # of order 1e300, so its square overflows; the objective's noise reads as
+    # the 1e-12 floor, and each refit's noise, kept in standardized units, is
+    # the one later steps fit with once the scale is finite again; fc and a2
+    # run and only the plain GP fails
+    fitted = {}  # (algorithm, t): the standardized noise variance plan t fits with
+    inputs = BoState._step_inputs
+
+    def spy(state):
+        s = inputs(state)
+        fitted[state.algorithm, s.t] = s.nv
+        return s
+
+    monkeypatch.setattr(BoState, "_step_inputs", spy)
     raw = small_config(
         objective={"name": "sinusoid", "noise_var": 0.01},
         algorithms=["gp_ucb", "fc", "a2"],
@@ -315,6 +325,10 @@ def test_hyperfit_runs_when_the_scale_squared_overflows(tmp_path):
     assert sorted(results) == [("a2", 0), ("fc", 0)]
     assert all([r["y_observed"] for r in rows[:2]] == [1e300, 1e300] for rows in results.values())
     assert list(json.loads((tmp_path / "metadata.json").read_text())["failures"]) == ["gp_ucb/seed0"]
+    for algorithm in ("fc", "a2"):  # the refits run at t = 4, 7 and 10
+        nv = [fitted[algorithm, t] for t in range(4, 11)]
+        assert set(nv) <= {0.01, 0.1} and nv == [nv[0]] * 3 + [nv[3]] * 3 + [nv[6]]
+    assert fitted["fc", 6] == 0.01
 
 
 def _reject_constant(token):

@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_posterior, make_inplateau_dataset
-from robustbo.gp import gp_fit
-from robustbo.rcgp import RcgpPosterior, deviation_schur, rcgp_data, rcgp_fit
+from robustbo.gp import GpPosterior, gp_fit
+from robustbo.rcgp import deviation_schur, rcgp_data, rcgp_fit
 from robustbo.weights import ZERO_CENTER, build_corrections, pimq_params_for_noise
 
 GRID = np.linspace(0.0, 1.0, 101)
@@ -46,7 +46,7 @@ def test_robust_fit_is_gp_fit_on_the_kept_points(rng, rbf):
     y = np.append(rng.normal(0, 0.5, size=6), 1e9)
     params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1.0, 0.25)
     robust = rcgp_fit(X, y, rbf, 0.25, params)
-    assert isinstance(robust, RcgpPosterior) and robust.X.shape == (6, 1)
+    assert isinstance(robust, GpPosterior) and robust.X.shape == (6, 1)
     expected = gp_fit(X[:6], y[:6], rbf, 0.25, build_corrections(params, 0.25, X[:6], y[:6]))
     for a, b in zip(robust.predict(GRID), expected.predict(GRID)):
         assert np.array_equal(a, b)
