@@ -190,9 +190,8 @@ class BoState:
     pimq_c: float = 1.0
     pimq_half_width: float = 1.96  # used by the "manual" policy (standardized units)
     heuristic_quantile: float = 0.95
-    hyperfit: bool = False
     hyperfit_every: int = 5
-    hyperfit_space: Optional[dict] = None
+    hyperfit_space: Optional[dict] = None  # the LOO search space; hyperfit runs exactly when one is given
     # The last hyperparameter refit's noise variance, in standardized units like its kernel; None until one.
     fitted_noise_var: Optional[float] = field(default=None, init=False)
 
@@ -227,7 +226,7 @@ class BoState:
             raise ValueError(f"heuristic_quantile must lie in [0, 1], got {self.heuristic_quantile!r}")
         if self.hyperfit_every < 1:
             raise ValueError(f"hyperfit_every must be >= 1, got {self.hyperfit_every!r}")
-        if self.hyperfit or self.hyperfit_space is not None:
+        if self.hyperfit_space is not None:
             _search_grids(self.hyperfit_space)
 
     # -- data management -------------------------------------------------
@@ -282,7 +281,7 @@ class BoState:
             nv = 1e-12  # noiseless objectives still need a proper Gram regularizer
         sigma = math.sqrt(nv)
 
-        if self.hyperfit and len(ys) >= 3 and (t - 1) % self.hyperfit_every == 0:
+        if self.hyperfit_space is not None and len(ys) >= 3 and (t - 1) % self.hyperfit_every == 0:
             wp = None
             if self.algorithm != "gp_ucb":
                 n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
@@ -335,7 +334,8 @@ class _StepInputs:
 
 
 def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
-    """The plain (params None) or robust posterior on the step's data and grid.
+    """The plain (params None) or robust posterior on the step's data, and on
+    the grid for the "model" role, the only one the acquisition scans.
 
     The rule reads the data.  A row of the previous plan's model for the
     same role is unchanged when its point is still kept with the same
@@ -354,13 +354,14 @@ def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
         X, y, corr, kept = s.X, s.ys, None, np.arange(s.ys.shape[0])
     else:
         X, y, corr, kept = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
+    grid = state.domain.grid if role == "model" else None
     prev, rows = state._fits.get(role, (None, None))
     model = None
     if (prev is not None and y.shape[0] and prev.spec is state.spec and prev.noise_var == s.nv
-            and (None if prev.grid is None else prev.grid.points) is state.domain.grid):
+            and (None if prev.grid is None else prev.grid.points) is grid):
         model, rows = _bordered(prev, rows, X, y, corr, kept, s.ys.shape[0])
     if model is None:
-        model, rows = gp_fit(X, y, state.spec, s.nv, corr, state.domain.grid), kept
+        model, rows = gp_fit(X, y, state.spec, s.nv, corr, grid), kept
     state._fits[role] = (model, rows)
     return model
 

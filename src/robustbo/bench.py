@@ -43,24 +43,41 @@ __all__ = [
 STREAM_INITIAL = 0
 STREAM_NOISE = 1
 
-# The adversary keys each policy and each budget mode read.
+# The adversary keys each policy requires.
 _POLICY_KEYS = {
     "none": set(),
     "greedy_clairvoyant": {"near_thresh", "far_thresh", "low_value", "high_value", "budget"},
     "eager_budget": {"corruption_value", "budget"},
 }
-_BUDGET_KEYS = {"fixed_count": {"count"}, "time_budget": {"alpha"}}
 
-# {config section: {key: (BoState field, conversion)}} of the BoState options a
-# config may set; "" is the top level.  An option the config leaves out keeps
-# BoState's default, and BoState checks the values.
+# {config section: {key: kind}} of every key a config may hold; "config" is the
+# top level.  from_dict converts each value to its kind (float or int) once;
+# a kind of None passes the value through as is.
+_KEYS = {
+    "config": {"name": None, "objective": None, "algorithms": None, "kernel": None, "schedule": None,
+               "pimq": None, "adversary": None, "standardize": None, "n_initial": int, "n_iterations": int,
+               "seeds": None, "grid_size": int, "hyperfit": None},
+    "objective": {"name": None, "noise_var": float},
+    "kernel": {"family": None, "lengthscale": None, "outputscale": float},
+    "schedule": {"case": None, "delta": float, "b_f": float, "compact_convex": None,
+                 "tc_mode": None, "a2_width_mode": None},
+    "schedule.compact_convex": {"a": float, "b": float, "r": float},
+    "pimq": {"policy": None, "shape_c": float, "half_width": float, "heuristic_quantile": float},
+    "adversary": {"policy": None, "near_thresh": float, "far_thresh": float, "low_value": float,
+                  "high_value": float, "corruption_value": float, "budget": None},
+    "adversary.budget": {"mode": None, "count": int, "alpha": float},
+    "hyperfit": {"every": int, "search_space": None},
+}
+
+# {(config section, key): BoState field} of the BoState options a config may
+# set.  An option the config leaves out keeps BoState's default, and BoState
+# checks the values.
 _STATE_OPTIONS = {
-    "": {"standardize": ("standardize", None)},
-    "schedule": {"tc_mode": ("tc_mode", None), "a2_width_mode": ("a2_width_mode", None)},
-    "pimq": {"policy": ("pimq_policy", None), "shape_c": ("pimq_c", float),
-             "half_width": ("pimq_half_width", float), "heuristic_quantile": ("heuristic_quantile", float)},
-    "hyperfit": {"enabled": ("hyperfit", bool), "every": ("hyperfit_every", int),
-                 "search_space": ("hyperfit_space", None)},
+    ("config", "standardize"): "standardize", ("schedule", "tc_mode"): "tc_mode",
+    ("schedule", "a2_width_mode"): "a2_width_mode", ("pimq", "policy"): "pimq_policy",
+    ("pimq", "shape_c"): "pimq_c", ("pimq", "half_width"): "pimq_half_width",
+    ("pimq", "heuristic_quantile"): "heuristic_quantile", ("hyperfit", "every"): "hyperfit_every",
+    ("hyperfit", "search_space"): "hyperfit_space",
 }
 
 # metadata.json is strict JSON: a non-finite config float is echoed as a string float() reads back.
@@ -71,38 +88,41 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
-_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
+_KINDS = {float: "a number", int: "an integer"}
 
 
-def _convert(convert, value, name: str):
-    """convert(value) for the config key name, convert one of _KINDS.  An int
-    or bool key takes only a value of that JSON type, so 7.9 is not cut to 7
-    and "no" is not true; any value a key cannot take (null, a list, a word)
-    is a ConfigError, not a TypeError."""
+def _convert(kind, value, name: str):
+    """kind(value) for the config key name, kind one of _KINDS.  An int key
+    takes only a JSON integer, so 7.9 is not cut to 7 and true is not 1; any
+    value a key cannot take (null, a list, a word) is a ConfigError, not a
+    TypeError."""
     try:
-        if convert is float or type(value) is convert:
-            return convert(value)
+        if kind is float or type(value) is kind:
+            return kind(value)
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"{name} must be {_KINDS[convert]}, got {value!r}")
+    raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _section(raw: dict, name: str, allowed: set, required: set = frozenset()) -> dict:
+def _section(raw, name: str, required=()) -> dict:
+    """The config section name, checked against _KEYS[name] and typed."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be an object")
-    unknown = set(raw) - allowed
+    kinds = _KEYS[name]
+    unknown = set(raw) - kinds.keys()
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-    missing = required - set(raw)
+    missing = set(required) - set(raw)
     if missing:
         raise ConfigError(f"missing keys in {name}: {sorted(missing)}")
-    return raw
+    return {k: v if kinds[k] is None else _convert(kinds[k], v, f"{name}.{k}") for k, v in raw.items()}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment description of checked JSON shape (see README for the schema).
-    BoState checks the option values; standardize is None when left out."""
+    """An experiment description of checked JSON shape and typed values (see
+    README for the schema).  BoState checks the option values, and
+    CorruptionBudget the budget; standardize is None when left out."""
 
     name: str
     objective: str
@@ -121,59 +141,46 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        top = _section(
-            raw, "config", {f.name for f in dataclasses.fields(ExperimentConfig)} - {"noise_var"},  # under objective
-            {"objective", "algorithms", "kernel", "schedule", "adversary", "n_initial", "n_iterations", "seeds"},
-        )
-        obj = _section(top["objective"], "objective", {"name", "noise_var"}, {"name", "noise_var"})
-        kern = _section(top["kernel"], "kernel", {"family", "lengthscale", "outputscale"}, {"lengthscale"})
-        sched = _section(
-            top["schedule"], "schedule",
-            {"case", "delta", "b_f", "compact_convex"} | _STATE_OPTIONS["schedule"].keys(),
-            {"case", "delta", "b_f"},
-        )
+        top = _section(raw, "config", {"objective", "algorithms", "kernel", "schedule", "adversary",
+                                       "n_initial", "n_iterations", "seeds"})
+        obj = _section(top["objective"], "objective", {"name", "noise_var"})
+        kern = _section(top["kernel"], "kernel", {"lengthscale"})
+        sched = _section(top["schedule"], "schedule", {"case", "delta", "b_f"})
         if sched["case"] not in ("finite_domain", "compact_convex", "rkhs"):
             raise ConfigError(f"unknown schedule case {sched['case']!r}")
         if sched["case"] == "compact_convex":
-            _section(sched.get("compact_convex", {}), "schedule.compact_convex", {"a", "b", "r"}, {"a", "b", "r"})
-        pimq = _section(top.get("pimq", {}), "pimq", set(_STATE_OPTIONS["pimq"]))
-        adv_keys = {"policy"}.union(*_POLICY_KEYS.values())
-        adv = _section(top["adversary"], "adversary", adv_keys, {"policy"})
+            sched["compact_convex"] = _section(sched.get("compact_convex", {}), "schedule.compact_convex",
+                                               {"a", "b", "r"})
+        adv = _section(top["adversary"], "adversary", {"policy"})
         if adv["policy"] not in _POLICY_KEYS:
             raise ConfigError(f"unknown adversary policy {adv['policy']!r}")
-        _section(adv, "adversary", adv_keys, {"policy"} | _POLICY_KEYS[adv["policy"]])
+        _section(adv, "adversary", _POLICY_KEYS[adv["policy"]])
         if adv["policy"] != "none":
-            budget_keys = {"mode"}.union(*_BUDGET_KEYS.values())
-            budget = _section(adv["budget"] or {}, "adversary.budget", budget_keys, {"mode"})
-            if budget["mode"] not in _BUDGET_KEYS:
-                raise ConfigError(f"unknown budget mode {budget['mode']!r}")
-            _section(budget, "adversary.budget", budget_keys, {"mode"} | _BUDGET_KEYS[budget["mode"]])
-        hyper = _section(top.get("hyperfit", {}), "hyperfit", set(_STATE_OPTIONS["hyperfit"]))
+            adv["budget"] = _section(adv["budget"] or {}, "adversary.budget", {"mode"})
         algorithms = tuple(top["algorithms"])
         if not algorithms:
             raise ConfigError("algorithms must be nonempty")
-        seeds = tuple(_convert(int, s, "seeds") for s in top["seeds"])
+        seeds = tuple(_convert(int, s, "config.seeds") for s in top["seeds"])
         if not seeds:
             raise ConfigError("seeds must be nonempty")
-        n_initial = _convert(int, top["n_initial"], "n_initial")
-        n_iterations = _convert(int, top["n_iterations"], "n_iterations")
-        if n_initial < 0 or n_iterations < 1:
-            raise ConfigError("n_initial must be >= 0 and n_iterations >= 1")
+        grid_size = top.get("grid_size", 1001)
+        if top["n_initial"] < 0 or top["n_iterations"] < 1 or grid_size < 1:
+            raise ConfigError("n_initial must be >= 0, n_iterations >= 1 and grid_size >= 1")
         return ExperimentConfig(
             name=str(top.get("name", "experiment")),
             objective=str(obj["name"]),
-            noise_var=_convert(float, obj["noise_var"], "objective.noise_var"),
+            noise_var=obj["noise_var"],
             algorithms=algorithms,
-            kernel=dict(kern),
-            schedule=dict(sched),
-            pimq=dict(pimq),
-            adversary=dict(adv),
+            kernel=kern,
+            schedule=sched,
+            pimq=_section(top.get("pimq", {}), "pimq"),
+            adversary=adv,
             standardize=top.get("standardize"),
-            n_initial=n_initial,
-            n_iterations=n_iterations,
+            n_initial=top["n_initial"],
+            n_iterations=top["n_iterations"],
             seeds=seeds,
-            grid_size=_convert(int, top.get("grid_size", 1001), "grid_size"),
-            hyperfit=dict(hyper),
+            grid_size=grid_size,
+            hyperfit=_section(top.get("hyperfit", {}), "hyperfit"),
         )
 
 
@@ -216,39 +223,33 @@ def _build_case(cfg: ExperimentConfig, domain: DomainSpec):
         return FiniteDomain(cfg.grid_size)  # |D|: the 1-D grid's size, an assumed discretisation above 1-D
     if sched["case"] == "compact_convex":
         cc = sched["compact_convex"]
-        a, b, r = (_convert(float, cc[k], f"schedule.compact_convex.{k}") for k in ("a", "b", "r"))
-        return CompactConvex(a, b, r, domain.dim)
-    return Rkhs(_convert(float, sched["b_f"], "schedule.b_f"))
+        return CompactConvex(cc["a"], cc["b"], cc["r"], domain.dim)
+    return Rkhs(sched["b_f"])
 
 
 def _build_adversary(cfg: ExperimentConfig, x_star: np.ndarray):
     adv = cfg.adversary
     if adv["policy"] == "none":
-        policy = NoCorruption()
-        budget = CorruptionBudget("fixed_count", cfg.n_iterations, count=0)
-        return policy, budget
+        return NoCorruption(), CorruptionBudget("fixed_count", cfg.n_iterations, count=0)
     b = adv["budget"]
-    if b["mode"] == "fixed_count":
-        count = _convert(int, b["count"], "adversary.budget.count")
-        budget = CorruptionBudget("fixed_count", cfg.n_iterations, count=count)
-    else:
-        alpha = _convert(float, b["alpha"], "adversary.budget.alpha")
-        budget = CorruptionBudget("time_budget", cfg.n_iterations, alpha=alpha)
+    budget = CorruptionBudget(b["mode"], cfg.n_iterations, b.get("count"), b.get("alpha"))
     if adv["policy"] == "greedy_clairvoyant":
-        keys = ("near_thresh", "far_thresh", "low_value", "high_value")
-        policy = GreedyClairvoyant(x_star, *(_convert(float, adv[k], f"adversary.{k}") for k in keys))
-    else:
-        policy = EagerBudget(_convert(float, adv["corruption_value"], "adversary.corruption_value"))
-    return policy, budget
+        return GreedyClairvoyant(x_star, adv["near_thresh"], adv["far_thresh"], adv["low_value"],
+                                 adv["high_value"]), budget
+    return EagerBudget(adv["corruption_value"]), budget
 
 
 def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
                  objective: Objective, domain: DomainSpec, x_star: np.ndarray) -> BoState:
-    kern = cfg.kernel
-    scale = {"outputscale": _convert(float, kern["outputscale"], "kernel.outputscale")} if "outputscale" in kern else {}
-    spec = KernelSpec(kern.get("family", "rbf"), kern["lengthscale"], **scale)  # KernelSpec's outputscale otherwise
+    spec = KernelSpec(**{"family": "rbf", **cfg.kernel})  # KernelSpec's outputscale when left out
     if spec.dim != objective.dim:
         raise ConfigError("kernel lengthscale dimension does not match the objective")
+    top = {} if cfg.standardize is None else {"standardize": cfg.standardize}
+    options = {}
+    for (section, key), name in _STATE_OPTIONS.items():
+        given = top if section == "config" else getattr(cfg, section)
+        if key in given:
+            options[name] = given[key]
     policy, budget = _build_adversary(cfg, x_star)
     return BoState(
         algorithm=algorithm,
@@ -258,23 +259,12 @@ def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
         spec=spec,
         domain=domain,
         case=_build_case(cfg, domain),
-        delta=_convert(float, cfg.schedule["delta"], "schedule.delta"),
-        b_f=_convert(float, cfg.schedule["b_f"], "schedule.b_f"),
+        delta=cfg.schedule["delta"],
+        b_f=cfg.schedule["b_f"],
         horizon=cfg.n_iterations,
         noise_rng=_rng(seed, STREAM_NOISE),
-        **_state_options(cfg),
+        **options,
     )
-
-
-def _state_options(cfg: ExperimentConfig) -> dict:
-    top = {} if cfg.standardize is None else {"standardize": cfg.standardize}
-    options = {}
-    for section, keys in _STATE_OPTIONS.items():
-        given = getattr(cfg, section) if section else top
-        for key, (name, convert) in keys.items():
-            if key in given:
-                options[name] = given[key] if convert is None else _convert(convert, given[key], f"{section}.{key}")
-    return options
 
 
 def _initial_design(objective: Objective, n: int, seed: int) -> np.ndarray:

@@ -290,6 +290,13 @@ def test_a2_anchor_is_the_fc_model():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
+def test_only_the_acquisition_model_keeps_grid_predictions():
+    # a2's anchor is asked only at the data, so neither its borders nor its refit keep the grid
+    state = corrupted_a2_state()
+    for plan in (state.plan(), dataclasses.replace(state, _plan=None).plan()):
+        assert plan.anchor.grid is None and plan.model.grid.points is state.domain.grid
+
+
 def test_step_number_prefixes_a_factorization_failure(monkeypatch):
     state = make_state("fc")
     state.add_initial(seed_points())
@@ -651,7 +658,7 @@ def test_a_running_standardization_refits(monkeypatch):
 
 def test_a_hyperparameter_refit_refits(monkeypatch):
     space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
-    state = make_state("fc", seed=4, pimq_policy="manual", hyperfit=True, hyperfit_every=3, hyperfit_space=space)
+    state = make_state("fc", seed=4, pimq_policy="manual", hyperfit_every=3, hyperfit_space=space)
     state.add_initial(seed_points())
     per_plan = plan_events(state, 8, monkeypatch)  # the LOO search's candidates are recorded as rcgp_fit
     assert ["gp_fit" in events for events in per_plan] == [(t - 1) % 3 == 0 for t in range(1, 9)]
@@ -759,7 +766,7 @@ def test_hyperfit_loop_refits_and_keeps_fc_equal_to_gp_ucb():
     space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
     queries = {}
     for algorithm in ("gp_ucb", "fc"):
-        state = make_state(algorithm, seed=4, hyperfit=True, hyperfit_every=3, hyperfit_space=space)
+        state = make_state(algorithm, seed=4, hyperfit_every=3, hyperfit_space=space)
         state.add_initial(seed_points())
         run_loop(state, 6)
         queries[algorithm] = [r.x[0] for r in state.records]
@@ -776,7 +783,7 @@ def test_hyperfit_loop_refits_and_keeps_fc_equal_to_gp_ucb():
 
 def test_hyperfit_noise_variance_kept_between_refits():
     space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
-    state = make_state("fc", seed=4, hyperfit=True, hyperfit_every=3, hyperfit_space=space)
+    state = make_state("fc", seed=4, hyperfit_every=3, hyperfit_space=space)
     state.add_initial(seed_points())
     run_loop(state, 3)
     fitted = state.plan().model.noise_var  # step 4 refits
@@ -798,7 +805,7 @@ def test_hyperfit_weights_use_the_fc_plateau_width(policy, monkeypatch):
         return loo(data, wp, space)
 
     monkeypatch.setattr(algorithms, "fit_hyperparameters_loo", spy)
-    state = make_state("fc", hyperfit=True, hyperfit_every=1, hyperfit_space=SPACE,
+    state = make_state("fc", hyperfit_every=1, hyperfit_space=SPACE,
                        pimq_policy=policy, pimq_half_width=0.7)
     state.add_initial(seed_points())
     _, ys, _ = standardized_data(state, state.plan())  # step 1 refits

@@ -76,6 +76,14 @@ def test_missing_required_key_rejected():
         ExperimentConfig.from_dict(raw)
 
 
+def test_from_dict_types_every_value():
+    cfg = ExperimentConfig.from_dict(small_config(kernel={"outputscale": 2}))
+    assert cfg.kernel["outputscale"] == 2.0 and type(cfg.kernel["outputscale"]) is float
+    with pytest.raises(ConfigError):  # on load, before any run is built
+        ExperimentConfig.from_dict(small_config(adversary={"policy": "eager_budget", "corruption_value": None,
+                                                           "budget": {"mode": "fixed_count", "count": 2}}))
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_config()))
@@ -213,7 +221,7 @@ def _eager_queries(value, **over):
 
 # A small hyperparameter search every 3 steps; each candidate is the step's own robust fit.
 # The shipped config sets no hyperfit section, which is the {} the tests pass to turn it off.
-HYPERFIT = {"enabled": True, "every": 3, "search_space": {"lengthscale": [0.1, 0.2], "noise_var": [0.1, 0.5]}}
+HYPERFIT = {"every": 3, "search_space": {"lengthscale": [0.1, 0.2], "noise_var": [0.1, 0.5]}}
 
 
 @pytest.fixture(scope="module")
@@ -235,8 +243,8 @@ def nan_reference_queries():
     return {mode: _eager_queries(math.nan, standardize=mode) for mode in ("robust", "zscore")}
 
 
-@given(value=st.sampled_from([math.inf, -math.inf, math.nan]), mode=st.sampled_from(["robust", "zscore"]))
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("mode", ["robust", "zscore"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
 def test_non_finite_outliers_are_one_limit_under_running_standardization(value, mode, nan_reference_queries):
     # loc and scale read only the finite observations and the robust fits drop
     # the non-finite ones, so ±inf and NaN give one query sequence; a
@@ -251,7 +259,7 @@ def robust_reference_queries():
     return {on: _eager_queries(1e6, standardize="robust", hyperfit=HYPERFIT if on else {}) for on in (False, True)}
 
 
-@given(value=st.floats(1e6, 1e308), hyperfit=st.booleans())
+@given(value=st.floats(1e6, 1e308, exclude_min=True), hyperfit=st.booleans())  # 1e6 is the reference
 @example(value=1e308, hyperfit=False)
 @example(value=1e308, hyperfit=True)
 @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -317,7 +325,7 @@ def test_hyperfit_runs_when_the_scale_squared_overflows(tmp_path, monkeypatch):
         schedule={"case": "rkhs", "b_f": 2.0},
         adversary={"policy": "eager_budget", "corruption_value": 1e300, "budget": {"mode": "fixed_count", "count": 2}},
         standardize="robust", n_initial=0, n_iterations=10,
-        hyperfit={"enabled": True, "every": 3, "search_space": {"lengthscale": [0.05, 0.2], "noise_var": [0.01, 0.1]}},
+        hyperfit={"every": 3, "search_space": {"lengthscale": [0.05, 0.2], "noise_var": [0.01, 0.1]}},
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -364,6 +372,7 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"adversary": {"policy": "greedy_clairvoyant", "near_thresh": 0.1, "low_value": -10.0, "high_value": 25.0,
                        "budget": {"mode": "fixed_count", "count": 2}}},
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0}},
+        # budgets CorruptionBudget checks when the run is built
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count"}}},
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "time_budget"}}},
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "forever"}}},
@@ -388,10 +397,11 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"pimq": {"shape_c": 0}},
         {"pimq": {"half_width": -1}},
         {"pimq": {"heuristic_quantile": 1.5}},
-        {"hyperfit": {"enabled": True, "every": 0, "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
-        {"hyperfit": {"enabled": True, "search_space": {"lengthscale": [0.1]}}},
-        {"hyperfit": {"enabled": True}},
-        # an integer or boolean key takes that JSON type exactly
+        {"hyperfit": {"every": 0, "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
+        {"hyperfit": {"search_space": {"lengthscale": [0.1]}}},
+        # a grid of no points, not an empty acquisition domain in every cell
+        {"grid_size": 0, "schedule": {"case": "rkhs"}},
+        # an integer key takes only a JSON integer
         {"n_iterations": 7.9},
         {"seeds": [True, 2.5]},
         {"seeds": [2.5]},
@@ -399,8 +409,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"grid_size": 101.0},
         {"hyperfit": {"every": 2.5}},
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count", "count": 2.5}}},
-        {"hyperfit": {"enabled": "no", "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
-        {"hyperfit": {"enabled": 1, "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
+        # no switch: the search space alone turns hyperfit on
+        {"hyperfit": {"enabled": True, "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -409,9 +419,9 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "null-shape-c", "null-n-initial", "null-outputscale", "null-hyperfit-every", "null-delta", "null-seed",
          "null-corruption-value", "list-count",
          "zero-shape-c", "negative-half-width", "quantile-above-one", "hyperfit-every-zero",
-         "search-space-no-noise-var", "hyperfit-no-search-space",
+         "search-space-no-noise-var", "zero-grid-size",
          "fractional-n-iterations", "bool-and-fractional-seeds", "fractional-seed", "bool-n-initial",
-         "float-grid-size", "fractional-hyperfit-every", "fractional-count", "enabled-word", "enabled-integer"],
+         "float-grid-size", "fractional-hyperfit-every", "fractional-count", "enabled"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"
@@ -422,7 +432,7 @@ def test_bad_config_value_exits_config_error(over, tmp_path):
 
 
 def test_a_hyperfit_config_refits_only_when_enabled():
-    # the good counterpart of the hyperfit cases above: false is off, true refits and moves the queries
+    # the good counterpart of the hyperfit cases above: no search space is off, one refits and moves the queries
     space = {"lengthscale": [0.05, 0.3], "noise_var": [0.02, 0.5]}
 
     def queries(**over):
@@ -430,6 +440,6 @@ def test_a_hyperfit_config_refits_only_when_enabled():
         return {cell: [row["x0"] for row in rows] for cell, rows in results.items()}
 
     plain = queries()
-    assert queries(hyperfit={"enabled": False, "every": 2, "search_space": space}) == plain
-    refit = queries(hyperfit={"enabled": True, "every": 2, "search_space": space})
+    assert queries(hyperfit={"every": 2}) == plain
+    refit = queries(hyperfit={"every": 2, "search_space": space})
     assert sorted(refit) == sorted(plain) and refit != plain
