@@ -148,21 +148,33 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Plan:
-    """The acquisition model and confidence parameter for step t.
+    """Step t's record: its data and schedule, then the fits built on them.
 
-    model is the posterior the acquisition queries (in standardized space,
-    targets shifted by loc and divided by scale); tc is the corruption-count
-    estimate recorded for the step.  anchor is a2's fixed-center model and
-    None for the other algorithms.
+    ys and nv are in standardized space (targets shifted by loc and divided
+    by scale).  model is the posterior the acquisition queries; tc is the
+    corruption-count estimate recorded for the step.  anchor is a2's
+    fixed-center model and None for the other algorithms.
     """
 
     t: int
     loc: float
     scale: float
-    model: GpPosterior
-    beta: float
-    tc: int
+    X: np.ndarray
+    ys: np.ndarray
+    nv: float
+    gamma_t: float  # information gain; 0.0 outside the rkhs case
+    bp: float  # beta' at step t
+    n_t: float  # noise bound over the horizon
+    # BoState._step_inputs leaves these to the algorithm's builder; BoState.plan() returns only complete plans.
+    model: Optional[GpPosterior] = None
+    beta: float = math.nan
+    tc: int = 0
     anchor: Optional[GpPosterior] = None
+
+    def ucb(self, Xq: np.ndarray) -> np.ndarray:
+        """The upper-confidence acquisition mean + sqrt(beta)*std of model at the points Xq."""
+        mean, var = self.model.predict(Xq)
+        return mean + math.sqrt(self.beta) * np.sqrt(var)
 
 
 @dataclass
@@ -260,13 +272,13 @@ class BoState:
         return self._seed_std if self.standardize == "initial" else standardize_targets(y_raw, self.standardize)
 
     def plan(self) -> Plan:
-        """Fitted model(s) and beta for the upcoming step, cached until the data change."""
+        """The upcoming step's data, schedule, fitted model(s) and beta, cached until the data change."""
         if self._plan is None:
             self._plan = _PLAN_BUILDERS[self.algorithm](self, self._step_inputs())
         return self._plan
 
-    def _step_inputs(self) -> "_StepInputs":
-        """Shared preamble of every plan: standardize, refit hyperparameters, schedule."""
+    def _step_inputs(self) -> Plan:
+        """The data-and-schedule part of every plan: standardize, refit hyperparameters, schedule."""
         t = self.t + 1
         X, y_raw = self._data()
         loc, scale = self._location_scale(y_raw)
@@ -291,17 +303,8 @@ class BoState:
             sigma = math.sqrt(nv)
 
         gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) else 0.0
-        return _StepInputs(
-            t=t,
-            loc=loc,
-            scale=scale,
-            X=X,
-            ys=ys,
-            nv=nv,
-            gamma_t=gamma_t,
-            bp=beta_prime(self.case, t, self.delta / 2.0, gamma_t),
-            n_t=noise_bound(self.case, sigma, self.horizon, self.delta / 2.0),
-        )
+        return Plan(t, loc, scale, X, ys, nv, gamma_t, bp=beta_prime(self.case, t, self.delta / 2.0, gamma_t),
+                    n_t=noise_bound(self.case, sigma, self.horizon, self.delta / 2.0))
 
     def _plateau_width(self, ys: np.ndarray, n_t: float) -> float:
         """Half-width of the zero-centred plateau (fc's model, a2's anchor, the LOO weights)."""
@@ -318,22 +321,7 @@ class BoState:
         return 0 if self.tc_mode == "force_zero" else tc
 
 
-@dataclass(frozen=True)
-class _StepInputs:
-    """What every plan builder starts from; ys and nv are in standardized units."""
-
-    t: int
-    loc: float
-    scale: float
-    X: np.ndarray
-    ys: np.ndarray
-    nv: float
-    gamma_t: float
-    bp: float  # beta' at step t
-    n_t: float  # noise bound over the horizon
-
-
-def _fit(state: BoState, role: str, s: _StepInputs, params=None) -> GpPosterior:
+def _fit(state: BoState, role: str, s: Plan, params=None) -> GpPosterior:
     """The plain (params None) or robust posterior on the step's data, and on
     the grid for the "model" role, the only one the acquisition scans.
 
@@ -401,11 +389,11 @@ def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
     return model, np.concatenate([rows[:k], kept[order]])
 
 
-def _plan_gp_ucb(state: BoState, s: _StepInputs) -> Plan:
-    return Plan(s.t, s.loc, s.scale, _fit(state, "model", s), s.bp, 0)
+def _plan_gp_ucb(state: BoState, s: Plan) -> Plan:
+    return dataclasses.replace(s, model=_fit(state, "model", s), beta=s.bp)
 
 
-def _zero_centered_fit(state: BoState, s: _StepInputs, role: str):
+def _zero_centered_fit(state: BoState, s: Plan, role: str):
     """fc's model, also a2's anchor: (params, model, tc estimate, c_w)."""
     params = pimq_params_for_noise(ZERO_CENTER, state._plateau_width(s.ys, s.n_t), state.pimq_c, s.nv)
     model = _fit(state, role, s, params)
@@ -416,12 +404,12 @@ def _zero_centered_fit(state: BoState, s: _StepInputs, role: str):
     return params, model, tc, c_w
 
 
-def _plan_fc(state: BoState, s: _StepInputs) -> Plan:
+def _plan_fc(state: BoState, s: Plan) -> Plan:
     _, model, tc, c_w = _zero_centered_fit(state, s, "model")
-    return Plan(s.t, s.loc, s.scale, model, robust_beta(s.bp, c_w, state._effective_tc(tc)), tc)
+    return dataclasses.replace(s, model=model, beta=robust_beta(s.bp, c_w, state._effective_tc(tc)), tc=tc)
 
 
-def _plan_a2(state: BoState, s: _StepInputs) -> Plan:
+def _plan_a2(state: BoState, s: Plan) -> Plan:
     """The anchor first, then the wrench, whose plateau center (and adaptive
     width) is one anchor predict at the data, shared by the fit and tc."""
     anchor_params, anchor, tc_anchor, c_w_a = _zero_centered_fit(state, s, "anchor")
@@ -445,25 +433,15 @@ def _plan_a2(state: BoState, s: _StepInputs) -> Plan:
     # certified deviation as the center gap.
     sup_delta_w = c_w_a * math.sqrt(tc_eff) * math.sqrt(kappa)
     c_w_w = cw_from_c1(c1_bound(dataclasses.replace(wrench_params, half_width=width_bound), s.nv, sup_delta_w), s.nv)
-    return Plan(s.t, s.loc, s.scale, wrench, robust_beta(s.bp, c_w_w, tc_eff), tc, anchor)
+    return dataclasses.replace(s, model=wrench, beta=robust_beta(s.bp, c_w_w, tc_eff), tc=tc, anchor=anchor)
 
 
 _PLAN_BUILDERS = {"gp_ucb": _plan_gp_ucb, "fc": _plan_fc, "a2": _plan_a2}
 
 
-def _ucb(mean: np.ndarray, var: np.ndarray, beta: float) -> np.ndarray:
-    return mean + math.sqrt(beta) * np.sqrt(var)
-
-
 def acquisition_value(state: BoState, x) -> float:
     """Upper-confidence acquisition at a single point, in standardized space."""
-    return float(_acquisition_batch(state, np.atleast_2d(x))[0])
-
-
-def _acquisition_batch(state: BoState, Xq: np.ndarray) -> np.ndarray:
-    plan = state.plan()
-    mean, var = plan.model.predict(Xq)
-    return _ucb(mean, var, plan.beta)
+    return float(state.plan().ucb(np.atleast_2d(x))[0])
 
 
 def maximize_acquisition(state: BoState) -> np.ndarray:
@@ -474,11 +452,11 @@ def maximize_acquisition(state: BoState) -> np.ndarray:
     Above 1-D every Sobol start moves together: each sweep coordinate is one
     predict over all starts' candidate lines, 2*d + 1 predicts per search.
     """
-    domain = state.domain
+    domain, plan = state.domain, state.plan()
     if domain.grid is not None:
         if domain.grid.shape[0] == 0:
             raise ValueError("empty acquisition domain")
-        vals = _acquisition_batch(state, domain.grid)  # the model's kept predictions on the state's grid
+        vals = plan.ucb(domain.grid)  # the model's kept predictions on the state's grid
         return domain.grid[int(np.argmax(vals))].copy()
 
     d, n, k = domain.dim, domain.n_starts, domain.coord_grid
@@ -487,9 +465,9 @@ def maximize_acquisition(state: BoState) -> np.ndarray:
         for j in range(d):
             cand = np.repeat(x, k, axis=0)  # start i's line is rows i*k .. i*k + k-1
             cand[:, j] = np.tile(np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], k), n)
-            vals = _acquisition_batch(state, cand).reshape(n, k)
+            vals = plan.ucb(cand).reshape(n, k)
             x = cand.reshape(n, k, d)[np.arange(n), np.argmax(vals, axis=1)]  # first maximum per start
-    return x[int(np.argmax(_acquisition_batch(state, x)))].copy()  # first start on a tie
+    return x[int(np.argmax(plan.ucb(x)))].copy()  # first start on a tie
 
 
 def step(state: BoState) -> tuple[np.ndarray, float]:
@@ -557,8 +535,18 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
 
 
 def _search_grids(search_space) -> tuple:
-    """The kernel family and the lengthscale, outputscale and noise_var grids of a search space."""
-    if not (isinstance(search_space, dict) and search_space.get("lengthscale") and search_space.get("noise_var")):
-        raise ValueError("search_space must provide lengthscale and noise_var grids")
-    return (search_space.get("family", "rbf"), search_space["lengthscale"],
-            search_space.get("outputscale", [1.0]), search_space["noise_var"])
+    """The kernel family and the lengthscale, outputscale and noise_var grids
+    of a search space, each a nonempty list of positive numbers (a
+    lengthscale may also be a per-dimension list), checked before any fit
+    reads them: a value no candidate can fit with is a ValueError here, not
+    a refit without a viable candidate."""
+    if not isinstance(search_space, dict):
+        raise ValueError("search_space must be a dict of grids")
+    grids = (search_space.get("lengthscale"), search_space.get("outputscale", [1.0]), search_space.get("noise_var"))
+    for name, grid, ndims in zip(("lengthscale", "outputscale", "noise_var"), grids, ((1, 2), (1,), (1,))):
+        values = np.asarray(grid)  # a ragged nesting raises ValueError here
+        if values.ndim not in ndims or values.size == 0 or values.dtype.kind not in "iuf" or not np.all(values > 0):
+            raise ValueError(f"search_space {name} must be a nonempty list of positive numbers, got {grid!r}")
+    family = search_space.get("family", "rbf")
+    KernelSpec(family, 1.0)  # checks the family
+    return (family, *grids)

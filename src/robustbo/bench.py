@@ -63,7 +63,7 @@ _KEYS = {
                  "tc_mode": None, "a2_width_mode": None},
     "schedule.compact_convex": {"a": float, "b": float, "r": float},
     "pimq": {"policy": None, "shape_c": float, "half_width": float, "heuristic_quantile": float},
-    "adversary": {"policy": None, "near_thresh": float, "far_thresh": float, "low_value": float,
+    "adversary": {"policy": str, "near_thresh": float, "far_thresh": float, "low_value": float,
                   "high_value": float, "corruption_value": float, "budget": None},
     "adversary.budget": {"mode": None, "count": int, "alpha": float},
     "hyperfit": {"every": int, "search_space": None},
@@ -88,12 +88,12 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
-_KINDS = {float: "a number", int: "an integer"}
+_KINDS = {float: "a number", int: "an integer", str: "a string"}
 
 
 def _convert(kind, value, name: str):
-    """kind(value) for the config key name, kind one of _KINDS.  An int key
-    takes only a JSON integer, so 7.9 is not cut to 7 and true is not 1; any
+    """kind(value) for the config key name, kind one of _KINDS.  An int or str
+    key takes only its JSON type, so 7.9 is not cut to 7 and true is not 1; any
     value a key cannot take (null, a list, a word) is a ConfigError, not a
     TypeError."""
     try:
@@ -102,6 +102,13 @@ def _convert(kind, value, name: str):
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _list(raw, kind, name: str) -> tuple:
+    """The list-valued config key name as a tuple of kind."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a list, got {raw!r}")
+    return tuple(_convert(kind, v, name) for v in raw)
 
 
 def _section(raw, name: str, required=()) -> dict:
@@ -139,6 +146,13 @@ class ExperimentConfig:
     grid_size: int
     hyperfit: dict
 
+    def __post_init__(self):
+        # Checked here, not in from_dict, so that a dataclasses.replace (the CLI's --seeds) is checked too.
+        for name in ("algorithms", "seeds"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be nonempty and without repeats, got {list(values)}")
+
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         top = _section(raw, "config", {"objective", "algorithms", "kernel", "schedule", "adversary",
@@ -157,12 +171,6 @@ class ExperimentConfig:
         _section(adv, "adversary", _POLICY_KEYS[adv["policy"]])
         if adv["policy"] != "none":
             adv["budget"] = _section(adv["budget"] or {}, "adversary.budget", {"mode"})
-        algorithms = tuple(top["algorithms"])
-        if not algorithms:
-            raise ConfigError("algorithms must be nonempty")
-        seeds = tuple(_convert(int, s, "config.seeds") for s in top["seeds"])
-        if not seeds:
-            raise ConfigError("seeds must be nonempty")
         grid_size = top.get("grid_size", 1001)
         if top["n_initial"] < 0 or top["n_iterations"] < 1 or grid_size < 1:
             raise ConfigError("n_initial must be >= 0, n_iterations >= 1 and grid_size >= 1")
@@ -170,7 +178,7 @@ class ExperimentConfig:
             name=str(top.get("name", "experiment")),
             objective=str(obj["name"]),
             noise_var=obj["noise_var"],
-            algorithms=algorithms,
+            algorithms=_list(top["algorithms"], str, "config.algorithms"),
             kernel=kern,
             schedule=sched,
             pimq=_section(top.get("pimq", {}), "pimq"),
@@ -178,7 +186,7 @@ class ExperimentConfig:
             standardize=top.get("standardize"),
             n_initial=top["n_initial"],
             n_iterations=top["n_iterations"],
-            seeds=seeds,
+            seeds=_list(top["seeds"], int, "config.seeds"),
             grid_size=grid_size,
             hyperfit=_section(top.get("hyperfit", {}), "hyperfit"),
         )

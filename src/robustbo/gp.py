@@ -191,9 +191,9 @@ def gp_fit(X, y, spec: KernelSpec, noise_var: float,
     """Fit the conjugate GP posterior via Cholesky of K + noise_var*J_w on y - m_w.
 
     corrections=None is the plain GP (J_w = I, m_w = 0); otherwise it holds
-    one (jw, mw) entry per point.  The only place the noise diagonal is added
-    to a Gram matrix.  With grid points (m, d) the posterior also keeps its
-    predictions there.
+    one (jw, mw) entry per point.  The noise diagonal noise_var*jw is formed
+    here and, for the rows it borders, in GpPosterior.extend, the same way.
+    With grid points (m, d) the posterior also keeps its predictions there.
     """
     if not noise_var > 0:
         raise ValueError("noise_var must be positive")

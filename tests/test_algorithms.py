@@ -22,10 +22,10 @@ from robustbo.algorithms import (
     step,
 )
 from robustbo.gp import gp_fit
-from robustbo.kernels import FactorizationError, KernelSpec
+from robustbo.kernels import FactorizationError, KernelSpec, info_gain
 from robustbo.objectives import Objective, make_objective
 from robustbo.rcgp import rcgp_fit
-from robustbo.schedules import FiniteDomain, beta_prime
+from robustbo.schedules import FiniteDomain, Rkhs, beta_prime, noise_bound
 from robustbo.weights import ZERO_CENTER, pimq_params_for_noise
 
 
@@ -642,12 +642,29 @@ def test_a_plan_with_no_kept_point_refits_the_prior(monkeypatch):
     # a plateau far from every target drops all the points the previous model kept
     state = make_state("fc", pimq_policy="manual")
     state.add_initial(seed_points())
-    s = state._step_inputs()
+    s = state.plan()
     assert algorithms._fit(state, "model", s, pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, s.nv)).y.shape == (4,)
     events = spy_fits(monkeypatch)
     model = algorithms._fit(state, "model", s, pimq_params_for_noise(1e9, 2.0, 1.0, s.nv))
     assert events == ["gp_fit"] and model.y.shape == (0,)
     assert np.array_equal(model.grid.mean, np.zeros(201)) and np.array_equal(model.grid.var, np.ones(201))
+
+
+@pytest.mark.parametrize("case", [Rkhs(8.0), FiniteDomain(201)], ids=["rkhs", "finite_domain"])
+def test_a_plan_records_its_data_and_schedule(case):
+    state = make_state("a2", seed=1, policy=EagerBudget(40.0), budget_count=2, case=case)
+    state.add_initial(seed_points())
+    run_loop(state, 3)
+    plan = state.plan()
+    X = np.array(state.X)
+    assert plan.t == 4 and np.array_equal(plan.X, X)
+    assert np.array_equal(plan.ys, (np.asarray(state.y_obs) - plan.loc) / plan.scale)
+    assert plan.nv == state.objective.noise_var / plan.scale**2
+    assert plan.gamma_t == (info_gain(state.spec, X, plan.nv) if isinstance(case, Rkhs) else 0.0)
+    assert plan.bp == beta_prime(case, plan.t, state.delta / 2.0, plan.gamma_t)
+    assert plan.n_t == noise_bound(case, math.sqrt(plan.nv), state.horizon, state.delta / 2.0)
+    for x in (0.3, 0.75):
+        assert acquisition_value(state, x) == plan.ucb(np.array([[x]]))[0]
 
 
 def test_a_running_standardization_refits(monkeypatch):

@@ -60,6 +60,7 @@ def test_unknown_keys_rejected():
 def test_invalid_values_rejected():
     for bad in (
         small_config(algorithms=[]),
+        small_config(algorithms="gp_ucb"),  # not split into letters for BoState to reject
         small_config(seeds=[]),
         small_config(schedule={"case": "infinite"}),
         small_config(adversary={"policy": "chaotic"}),
@@ -310,14 +311,14 @@ def test_hyperfit_runs_when_the_scale_squared_overflows(tmp_path, monkeypatch):
     # the one later steps fit with once the scale is finite again; fc and a2
     # run and only the plain GP fails
     fitted = {}  # (algorithm, t): the standardized noise variance plan t fits with
-    inputs = BoState._step_inputs
+    plan = BoState.plan
 
     def spy(state):
-        s = inputs(state)
-        fitted[state.algorithm, s.t] = s.nv
-        return s
+        p = plan(state)
+        fitted[state.algorithm, p.t] = p.nv
+        return p
 
-    monkeypatch.setattr(BoState, "_step_inputs", spy)
+    monkeypatch.setattr(BoState, "plan", spy)
     raw = small_config(
         objective={"name": "sinusoid", "noise_var": 0.01},
         algorithms=["gp_ucb", "fc", "a2"],
@@ -411,6 +412,16 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count", "count": 2.5}}},
         # no switch: the search space alone turns hyperfit on
         {"hyperfit": {"enabled": True, "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
+        # a list key takes only a list of its kind, without repeats, and a name key only a string
+        {"seeds": 5},
+        {"algorithms": "gp_ucb"},
+        {"adversary": {"policy": ["none"]}},
+        {"seeds": [0, 0]},
+        {"algorithms": ["fc", "fc"]},
+        # a search space no candidate can fit with, checked when the run is built, not in a cell's first refit
+        {"hyperfit": {"search_space": {"lengthscale": [0.1], "noise_var": ["x"]}}},
+        {"hyperfit": {"search_space": {"lengthscale": [0.1], "noise_var": [-0.5]}}},
+        {"hyperfit": {"search_space": {"family": "laplace", "lengthscale": [0.1], "noise_var": [0.1]}}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -421,7 +432,9 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "zero-shape-c", "negative-half-width", "quantile-above-one", "hyperfit-every-zero",
          "search-space-no-noise-var", "zero-grid-size",
          "fractional-n-iterations", "bool-and-fractional-seeds", "fractional-seed", "bool-n-initial",
-         "float-grid-size", "fractional-hyperfit-every", "fractional-count", "enabled"],
+         "float-grid-size", "fractional-hyperfit-every", "fractional-count", "enabled",
+         "integer-seeds", "string-algorithms", "list-policy", "repeated-seeds", "repeated-algorithms",
+         "word-in-search-grid", "negative-search-grid", "search-space-family"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"
@@ -429,6 +442,15 @@ def test_bad_config_value_exits_config_error(over, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()  # raised before any cell ran: no trace, no metadata
+
+
+def test_repeated_cli_seeds_exit_config_error(tmp_path):
+    # --seeds replaces the config's seeds after from_dict, so the check must cover that path too
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--seeds", "3,3", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_a_hyperfit_config_refits_only_when_enabled():
