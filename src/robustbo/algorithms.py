@@ -35,7 +35,8 @@ from .schedules import (
     wrench_width_adaptive,
     wrench_width_fixed,
 )
-from .weights import ZERO_CENTER, PimqParams, build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise  # noqa: F401
+from .weights import (ZERO_CENTER, PimqParams, WeightCorrections, build_corrections, c1_bound,  # noqa: F401
+                      cw_from_c1, pimq_params_for_noise)
 
 __all__ = [
     "DomainSpec",
@@ -238,8 +239,11 @@ class BoState:
             raise ValueError(f"heuristic_quantile must lie in [0, 1], got {self.heuristic_quantile!r}")
         if self.hyperfit_every < 1:
             raise ValueError(f"hyperfit_every must be >= 1, got {self.hyperfit_every!r}")
+        if not self.spec.dim == self.domain.dim == self.objective.dim:
+            raise ValueError(f"kernel lengthscale dimension {self.spec.dim}, domain dimension {self.domain.dim} "
+                             f"and objective dimension {self.objective.dim} must be equal")
         if self.hyperfit_space is not None:
-            _search_grids(self.hyperfit_space)
+            _search_grids(self.hyperfit_space, self.spec.dim)
 
     # -- data management -------------------------------------------------
 
@@ -322,8 +326,9 @@ class BoState:
 
 
 def _fit(state: BoState, role: str, s: Plan, params=None) -> GpPosterior:
-    """The plain (params None) or robust posterior on the step's data, and on
-    the grid for the "model" role, the only one the acquisition scans.
+    """The plain (params None: every point, in-plateau) or robust posterior on
+    the step's data, and on the grid for the "model" role, the only one the
+    acquisition scans.
 
     The rule reads the data.  A row of the previous plan's model for the
     same role is unchanged when its point is still kept with the same
@@ -332,14 +337,14 @@ def _fit(state: BoState, role: str, s: Plan, params=None) -> GpPosterior:
     their previous order, then the changed and new kept points, in insertion
     order; so the points whose corrections keep moving (the ones a2's
     wrench downweights) sink to the end, and the next step re-borders only
-    them.  The usual step, one new point after an unchanged model, is
-    checked first and is one extend.  A moved standardization changes every
-    old target, a hyperparameter refit the kernel object; those steps, a
-    changed first row, no kept point and a border the factor cannot take
+    them.  The usual step, one new point after an unchanged model, is one
+    extend on head(n), the model itself.  A moved standardization changes
+    every old target, a hyperparameter refit the kernel object; those steps,
+    a changed first row, no kept point and a border the factor cannot take
     refit with gp_fit on the kept data.
     """
     if params is None:
-        X, y, corr, kept = s.X, s.ys, None, np.arange(s.ys.shape[0])
+        X, y, corr, kept = s.X, s.ys, WeightCorrections.in_plateau(len(s.ys), s.nv), np.arange(len(s.ys))
     else:
         X, y, corr, kept = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
     grid = state.domain.grid if role == "model" else None
@@ -357,9 +362,8 @@ def _fit(state: BoState, role: str, s: Plan, params=None) -> GpPosterior:
 def _unchanged(post: GpPosterior, y, corr) -> np.ndarray:
     """Per row of post: whether y and corr, aligned with its rows, are its target and corrections, bit for bit."""
     same = post.y == y
-    if corr is not None:
-        for f in ("weights", "jw", "mw"):
-            same &= getattr(post.corrections, f) == getattr(corr, f)
+    for f in ("weights", "jw", "mw"):
+        same &= getattr(post.corrections, f) == getattr(corr, f)
     return same
 
 
@@ -368,16 +372,11 @@ def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
     and the data indices of its rows, or (None, None) when the step must
     refit.  X, y and corr are the kept data, kept their indices among the n
     points."""
-    def pick(index):
-        return None if corr is None else corr[index]
-
     m = rows.shape[0]
-    if kept.shape[0] == m + 1 and (rows == kept[:m]).all() and _unchanged(prev, y[:m], pick(slice(m))).all():
-        return prev.extend(X[m:], y[m:], pick(slice(m, None))), kept
     at = np.full(n, -1)
     at[kept] = np.arange(kept.shape[0])
     at = at[rows]  # each previous row's position in the kept data; -1 once dropped
-    same = (at >= 0) & _unchanged(prev, y[np.maximum(at, 0)], pick(np.maximum(at, 0)))
+    same = (at >= 0) & _unchanged(prev, y[np.maximum(at, 0)], corr[np.maximum(at, 0)])
     k = m if same.all() else int(np.argmin(same))
     head = prev.head(k) if k else None
     if head is None:
@@ -385,7 +384,7 @@ def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
     fresh = np.ones(kept.shape[0], dtype=bool)
     fresh[at[same]] = False
     order = np.concatenate([at[k:][same[k:]], np.flatnonzero(fresh)])  # the kept data's rows to border
-    model = head.extend(X[order], y[order], pick(order)) if order.shape[0] else head
+    model = head.extend(X[order], y[order], corr[order]) if order.shape[0] else head
     return model, np.concatenate([rows[:k], kept[order]])
 
 
@@ -514,7 +513,7 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
     if n < 3:
         raise ValueError("leave-one-out fitting needs at least 3 points")
 
-    family, ls_grid, os_grid, nv_grid = _search_grids(search_space)
+    family, ls_grid, os_grid, nv_grid = _search_grids(search_space, np.shape(X)[1] if np.ndim(X) == 2 else 1)
     best = None
     for ls, os_, nv in product(ls_grid, os_grid, nv_grid):
         try:
@@ -534,12 +533,12 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
     return best[1], best[2]
 
 
-def _search_grids(search_space) -> tuple:
+def _search_grids(search_space, dim: int) -> tuple:
     """The kernel family and the lengthscale, outputscale and noise_var grids
     of a search space, each a nonempty list of positive numbers (a
-    lengthscale may also be a per-dimension list), checked before any fit
-    reads them: a value no candidate can fit with is a ValueError here, not
-    a refit without a viable candidate."""
+    lengthscale may also be a list of per-dimension lists, each of length
+    dim), checked before any fit reads them: a value no candidate can fit
+    with is a ValueError here, not a refit without a viable candidate."""
     if not isinstance(search_space, dict):
         raise ValueError("search_space must be a dict of grids")
     grids = (search_space.get("lengthscale"), search_space.get("outputscale", [1.0]), search_space.get("noise_var"))
@@ -547,6 +546,8 @@ def _search_grids(search_space) -> tuple:
         values = np.asarray(grid)  # a ragged nesting raises ValueError here
         if values.ndim not in ndims or values.size == 0 or values.dtype.kind not in "iuf" or not np.all(values > 0):
             raise ValueError(f"search_space {name} must be a nonempty list of positive numbers, got {grid!r}")
+    if (np.shape(grids[0])[1] if np.ndim(grids[0]) == 2 else 1) != dim:  # a scalar lengthscale is 1-D
+        raise ValueError(f"search_space lengthscale entries must have the kernel's dimension {dim}, got {grids[0]!r}")
     family = search_space.get("family", "rbf")
     KernelSpec(family, 1.0)  # checks the family
     return (family, *grids)

@@ -250,8 +250,6 @@ def _build_adversary(cfg: ExperimentConfig, x_star: np.ndarray):
 def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
                  objective: Objective, domain: DomainSpec, x_star: np.ndarray) -> BoState:
     spec = KernelSpec(**{"family": "rbf", **cfg.kernel})  # KernelSpec's outputscale when left out
-    if spec.dim != objective.dim:
-        raise ConfigError("kernel lengthscale dimension does not match the objective")
     top = {} if cfg.standardize is None else {"standardize": cfg.standardize}
     options = {}
     for (section, key), name in _STATE_OPTIONS.items():

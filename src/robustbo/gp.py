@@ -1,8 +1,8 @@
-"""The one conjugate GP posterior, plain or robust, with Cholesky-based solves.
+"""The one conjugate GP posterior, with Cholesky-based solves.
 
-The robust posterior (:mod:`robustbo.rcgp`) is this fit with K + noise_var*J_w
-and targets y - m_w; the plain GP is J_w = I, m_w = 0 on the same lines, so an
-all-in-plateau robust fit is bit-identical to the plain fit.
+The robust posterior (:mod:`robustbo.rcgp`) fits K + noise_var*J_w on y - m_w
+with P-IMQ corrections; the plain GP is the same fit with in-plateau ones
+(J_w = I, m_w = 0), so an all-in-plateau robust fit equals it in every field.
 
 A fit keeps the lower factor L of A = K + noise_var*J_w and w = L^-1 (y - m_w),
 so t more points border L by t rows (:meth:`GpPosterior.extend`) instead of
@@ -50,7 +50,7 @@ class GridPredictions:
 
 @dataclass(frozen=True)
 class GpPosterior:
-    """Immutable fitted GP: data, corrections (None: plain GP), factorized K + noise_var*J_w.
+    """Immutable fitted GP: data, corrections (in-plateau for the plain GP), factorized K + noise_var*J_w.
 
     chol is (L, True) with L the lower factor (its upper triangle is unused),
     w = L^-1 (y - m_w) and alpha = A^-1 (y - m_w).  jitter is the diagonal jitter the
@@ -64,7 +64,7 @@ class GpPosterior:
     y: np.ndarray
     spec: KernelSpec
     noise_var: float
-    corrections: Optional[WeightCorrections]
+    corrections: WeightCorrections
     chol: object = field(repr=False)
     w: np.ndarray = field(repr=False)
     jitter: float = 0.0
@@ -73,7 +73,7 @@ class GpPosterior:
     @functools.cached_property
     def alpha(self) -> np.ndarray:
         """A^-1 (y - m_w), solved on first use: an extended posterior needs it only off its grid."""
-        return solve_cho(self.chol, self.y if self.corrections is None else self.y - self.corrections.mw)
+        return solve_cho(self.chol, self.y - self.corrections.mw)
 
     def predict(self, Xq):
         """Vectorized posterior mean k'a and variance k(x,x) - |L^-1 k|^2 at query points (m, d).
@@ -109,17 +109,16 @@ class GpPosterior:
         if grid is not None:
             V = grid.V[:k]
             grid = GridPredictions(grid.points, V, w @ V, self._variance(V))
-        corrections = None if self.corrections is None else self.corrections[:k]
-        return GpPosterior(self.X[:k], self.y[:k], self.spec, self.noise_var, corrections,
+        return GpPosterior(self.X[:k], self.y[:k], self.spec, self.noise_var, self.corrections[:k],
                            (self.chol[0][:k, :k], True), w, 0.0, grid)
 
     def extend(self, X2, y2, corrections: Optional[WeightCorrections] = None) -> Optional["GpPosterior"]:
         """The posterior with t more points (X2, y2) after its own, by bordering the factor.
 
-        corrections holds the new points' (weight, jw, mw), None for the plain
-        GP.  With B = L^-1 K(X, X2) the new block of the factor is the
-        Cholesky factor L22 of the Schur complement A22 - B'B, and the new
-        rows of w and V are L22^-1 (y2 - m_w2 - B'w) and
+        corrections holds the new points' (weight, jw, mw); left out, they
+        are in-plateau, as in gp_fit.  With B = L^-1 K(X, X2) the new block
+        of the factor is the Cholesky factor L22 of the Schur complement
+        A22 - B'B, and the new rows of w and V are L22^-1 (y2 - m_w2 - B'w) and
         L22^-1 (K(X2, points) - B'V).  Costs O(t*n^2 + t*n*m) on m grid
         points against gp_fit's O(n^3 + n^2*m), and agrees with gp_fit on
         the extended data up to round-off.  The t x t block is factored and
@@ -129,27 +128,25 @@ class GpPosterior:
         needed jitter, or a new pivot is not finite and clearly positive; the
         caller refits with gp_fit then.
         """
-        if (corrections is None) != (self.corrections is None):
-            raise ValueError("extend a plain posterior without corrections, a robust one with them")
         if self.jitter:
             return None
         spec, L, n = self.spec, self.chol[0], self.X.shape[0]
         X2 = _as_points(X2, spec.dim)
         y2 = np.asarray(y2, dtype=float).reshape(-1)
         t = y2.shape[0]
+        corrections = WeightCorrections.in_plateau(t, self.noise_var) if corrections is None else corrections
         B = solve_triangular(L, cross_matrix(spec, self.X, X2), lower=True, check_finite=False)  # (n, t)
         # The Schur complement A22 - B'B; its diagonal kappa + nv*jw - b'b is
         # formed as a single new row forms it (gram_matrix's exact diagonal,
-        # plus the noise).  The plain GP's jw = 1 and mw = 0 drop out exactly.
-        jw, mw = (1.0, 0.0) if corrections is None else (corrections.jw, corrections.mw)
-        diag = np.full(t, spec.outputscale + self.noise_var * jw)
+        # plus the noise).  An in-plateau point's jw = 1 and mw = 0 drop out exactly.
+        diag = spec.outputscale + self.noise_var * corrections.jw
         S = np.diag(diag) - B.T @ B
         if t > 1:  # the covariances among the new points
             K22 = cross_matrix(spec, X2, X2)
             np.fill_diagonal(K22, 0.0)
             S += K22
         grid = self.grid
-        w2 = y2 - mw - B.T @ self.w  # becomes the new entries of w
+        w2 = y2 - corrections.mw - B.T @ self.w  # becomes the new entries of w
         if grid is not None:
             V2 = cross_matrix(spec, X2, grid.points) - B.T @ grid.V  # becomes the new rows of V
             mean, var = grid.mean, grid.var
@@ -179,9 +176,8 @@ class GpPosterior:
                 S[i + 1:, i + 1:] -= np.outer(c, c)
         if grid is not None:  # a variance is negative only through round-off
             grid = GridPredictions(grid.points, np.concatenate((grid.V, V2)), mean, np.maximum(var, 0.0))
-        if corrections is not None:
-            corrections = WeightCorrections(*(np.concatenate((getattr(self.corrections, f), getattr(corrections, f)))
-                                              for f in ("weights", "jw", "mw")))
+        corrections = WeightCorrections(*(np.concatenate((getattr(self.corrections, f), getattr(corrections, f)))
+                                          for f in ("weights", "jw", "mw")))
         return GpPosterior(np.concatenate((self.X, X2)), np.concatenate((self.y, y2)), spec, self.noise_var,
                            corrections, (L1, True), np.concatenate((self.w, w2)), 0.0, grid)
 
@@ -190,8 +186,8 @@ def gp_fit(X, y, spec: KernelSpec, noise_var: float,
            corrections: Optional[WeightCorrections] = None, grid=None) -> GpPosterior:
     """Fit the conjugate GP posterior via Cholesky of K + noise_var*J_w on y - m_w.
 
-    corrections=None is the plain GP (J_w = I, m_w = 0); otherwise it holds
-    one (jw, mw) entry per point.  The noise diagonal noise_var*jw is formed
+    corrections holds a (weight, jw, mw) entry per point, in-plateau ones
+    (J_w = I, m_w = 0: the plain GP) when left out.  noise_var*jw is formed
     here and, for the rows it borders, in GpPosterior.extend, the same way.
     With grid points (m, d) the posterior also keeps its predictions there.
     """
@@ -201,8 +197,8 @@ def gp_fit(X, y, spec: KernelSpec, noise_var: float,
     X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y must have equal length")
-    # noise_var * 1.0 and y - 0.0 are exact, so identity corrections give the plain fit's bits.
-    jw, mw = (1.0, 0.0) if corrections is None else (corrections.jw, corrections.mw)
+    corrections = WeightCorrections.in_plateau(y.shape[0], noise_var) if corrections is None else corrections
+    jw, mw = corrections.jw, corrections.mw
     if not np.all(np.isfinite(y - mw)):
         raise ValueError("targets must be finite")
     L, jitter = np.empty((0, 0)), 0.0

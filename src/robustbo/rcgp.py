@@ -2,8 +2,8 @@
 
 The robust posterior is :func:`robustbo.gp.gp_fit` with the P-IMQ
 corrections: K + noise_var*J_w and targets shifted by m_w.  When every
-residual sits inside the weight plateau, J_w is the identity and m_w is
-zero, so the fit runs the plain GP's arithmetic on the plain GP's numbers.
+residual sits inside the weight plateau, the corrections are the plain GP's
+(WeightCorrections.in_plateau), so the two fits are equal in every field.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: PimqParams):
     X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
     corr = build_corrections(params, noise_var, X, y)
     kept = np.flatnonzero(corr.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max)
-    if kept.shape[0] == y.shape[0]:
-        return X, y, corr, kept
     return X[kept], y[kept], corr[kept], kept
 
 

@@ -76,6 +76,11 @@ class WeightCorrections:
     jw: np.ndarray  # diagonal of J_w; entry 1 iff the point is in-plateau
     mw: np.ndarray  # mean correction; entry 0 iff the point is in-plateau
 
+    @staticmethod
+    def in_plateau(n: int, noise_var: float) -> "WeightCorrections":
+        """The corrections of n in-plateau points: pimq_params_for_noise's cap, jw 1, mw 0; the plain GP."""
+        return WeightCorrections(np.full(n, math.sqrt(noise_var / 2.0)), np.ones(n), np.zeros(n))
+
     def __getitem__(self, index) -> "WeightCorrections":
         """The corrections of the indexed points (a slice or a mask)."""
         return WeightCorrections(self.weights[index], self.jw[index], self.mw[index])

@@ -210,13 +210,21 @@ def test_determinism_same_seed_same_queries():
 
 
 def test_fc_matches_baseline_on_clean_data():
-    queries = {}
+    queries, models = {}, {}
     for algorithm in ("gp_ucb", "fc"):
         state = make_state(algorithm, seed=3, pimq_policy="schedule")
         state.add_initial(seed_points())
         run_loop(state, 10)
         queries[algorithm] = [r.x[0] for r in state.records]
+        models[algorithm] = state.plan().model
     assert queries["gp_ucb"] == queries["fc"]
+    # the plain GP is the all-in-plateau robust fit: the two models are equal field for field
+    def fields(m):
+        c = m.corrections
+        return m.X, m.y, c.weights, c.jw, c.mw, m.chol[0], m.w, m.grid.mean, m.grid.var
+
+    for a, b in zip(fields(models["gp_ucb"]), fields(models["fc"])):
+        assert np.array_equal(a, b)
 
 
 def test_a2_models_coincide_before_any_data():
@@ -307,6 +315,17 @@ def test_step_number_prefixes_a_factorization_failure(monkeypatch):
     monkeypatch.setattr(gp, "jittered_cho_factor", fail)
     with pytest.raises(FactorizationError, match="^step 1: Cholesky failed"):
         step(state)
+
+
+@pytest.mark.parametrize("over", [
+    {"spec": KernelSpec("rbf", [0.15, 0.15])},
+    {"domain": DomainSpec.from_bounds([[0.0, 1.0], [0.0, 1.0]])},
+    {"hyperfit_space": {"lengthscale": [[0.1, 0.2]], "noise_var": [0.1]}},
+], ids=["kernel", "domain", "search-space"])
+def test_a_dimension_other_than_the_objectives_is_rejected_at_construction(over):
+    # not in the first step's fit, or in every hyperparameter refit as "no viable candidate"
+    with pytest.raises(ValueError, match="dimension"):
+        make_state("gp_ucb", **over)
 
 
 def test_delta_outside_unit_interval_rejected():
@@ -683,11 +702,12 @@ def test_a_hyperparameter_refit_refits(monkeypatch):
 
 
 def test_a_jittered_factor_refits(monkeypatch):
+    # the rule asks head first, which refuses a jittered factor, so no step borders
     factor = gp.jittered_cho_factor
     monkeypatch.setattr(gp, "jittered_cho_factor", lambda A, outputscale: (factor(A, outputscale)[0], 1e-10))
     state = make_state("gp_ucb")
     state.add_initial(seed_points())
-    assert plan_events(state, 4, monkeypatch) == [["gp_fit"]] + [["extend", "gp_fit"]] * 3
+    assert plan_events(state, 4, monkeypatch) == [["gp_fit"]] * 4
 
 
 def test_a_pivot_below_the_threshold_refits(monkeypatch):
@@ -706,12 +726,18 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
     cfg = dataclasses.replace(cfg, algorithms=(algorithm,), seeds=(0, 1))
     borders = []
     events = spy_fits(monkeypatch, borders)
-    centers, refits = [], []  # per refit: None for the plain GP, else its plateau center's ndim
+    # per refit: its plateau center's ndim, or None for the plain GP, which calls no rcgp_data
+    centers, refits = [], []
     data, fit = algorithms.rcgp_data, algorithms.gp_fit
     monkeypatch.setattr(algorithms, "rcgp_data", lambda X, y, spec, nv, params: (
         centers.append(np.ndim(params.center)) or data(X, y, spec, nv, params)))
-    monkeypatch.setattr(algorithms, "gp_fit", lambda X, y, spec, nv, corr=None, *rest: (
-        refits.append(None if corr is None else centers[-1]) or fit(X, y, spec, nv, corr, *rest)))
+
+    def refit(*args):
+        refits.append(centers[-1] if centers else None)
+        centers.clear()
+        return fit(*args)
+
+    monkeypatch.setattr(algorithms, "gp_fit", refit)
     results = bench.run_experiment(cfg)
     steps = cfg.n_iterations * len(cfg.seeds)
     assert sum(any(r["corrupted"] for r in rows) for rows in results.values()) == len(cfg.seeds)

@@ -422,6 +422,9 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"hyperfit": {"search_space": {"lengthscale": [0.1], "noise_var": ["x"]}}},
         {"hyperfit": {"search_space": {"lengthscale": [0.1], "noise_var": [-0.5]}}},
         {"hyperfit": {"search_space": {"family": "laplace", "lengthscale": [0.1], "noise_var": [0.1]}}},
+        {"hyperfit": {"every": 3, "search_space": {"lengthscale": [[0.1, 0.2]], "noise_var": [0.1]}}},
+        # a kernel of another dimension than the objective, which BoState checks
+        {"kernel": {"lengthscale": [0.15, 0.15]}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -434,7 +437,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "fractional-n-iterations", "bool-and-fractional-seeds", "fractional-seed", "bool-n-initial",
          "float-grid-size", "fractional-hyperfit-every", "fractional-count", "enabled",
          "integer-seeds", "string-algorithms", "list-policy", "repeated-seeds", "repeated-algorithms",
-         "word-in-search-grid", "negative-search-grid", "search-space-family"],
+         "word-in-search-grid", "negative-search-grid", "search-space-family", "search-space-dimension",
+         "kernel-dimension"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from scipy.linalg import solve_triangular
 from conftest import assert_same_posterior
 from robustbo.gp import gp_fit
 from robustbo.kernels import KernelSpec, cross_matrix
-from robustbo.weights import WeightCorrections
+from robustbo.weights import WeightCorrections, pimq_params_for_noise
 
 
 def test_empty_data_returns_prior():
@@ -97,12 +97,16 @@ def test_rejects_nonpositive_noise(rbf):
 
 
 def test_identity_corrections_run_the_plain_fit(rng, rbf):
-    # J_w = I and m_w = 0 passed explicitly give the plain fit's factor and weights bit for bit
+    # J_w = I and m_w = 0 passed explicitly give the plain fit's factor and weights bit for bit,
+    # and the plain fit carries the in-plateau corrections, the cap sqrt(noise_var / 2) included
     X = rng.uniform(0, 1, size=9)
     y = rng.normal(size=9)
     plain = gp_fit(X, y, rbf, 0.3)
     ident = gp_fit(X, y, rbf, 0.3, WeightCorrections(np.ones(9), np.ones(9), np.zeros(9)))
-    assert plain.corrections is None
+    want = WeightCorrections.in_plateau(9, 0.3)
+    for name in ("weights", "jw", "mw"):
+        assert np.array_equal(getattr(plain.corrections, name), getattr(want, name))
+    assert np.all(plain.corrections.weights == pimq_params_for_noise(0.0, 1.0, 1.0, 0.3).w_max)
     assert np.array_equal(plain.chol[0], ident.chol[0])
     assert np.array_equal(plain.alpha, ident.alpha)
 
@@ -202,16 +206,23 @@ def test_extend_rejects_non_finite_targets_like_the_fit(rbf):
             gp_fit([0.2, 0.7, 0.4], [1.0, -1.0, bad], rbf, 0.1)
 
 
-def test_extend_keeps_the_plain_or_robust_kind(rbf):
-    plain = gp_fit([0.2], [1.0], rbf, 0.1)
-    robust = gp_fit([0.2], [1.0], rbf, 0.1, WeightCorrections(np.ones(1), np.ones(1), np.zeros(1)))
-    one = WeightCorrections(np.ones(1), np.ones(1), np.zeros(1))
-    with pytest.raises(ValueError):
-        plain.extend(0.5, 0.0, one)
-    with pytest.raises(ValueError):
-        robust.extend(0.5, 0.0)
-    assert plain.extend(0.5, 0.0).corrections is None
-    assert robust.extend(0.5, 0.0, one).corrections.jw.shape == (2,)
+def _fields(post):
+    return (post.X, post.y, post.corrections.weights, post.corrections.jw, post.corrections.mw, post.chol[0],
+            post.w, post.alpha, post.grid.V, post.grid.mean, post.grid.var)
+
+
+def test_extend_without_corrections_is_extend_with_in_plateau_ones(rng, rbf):
+    # the left-out corrections are the in-plateau ones, bit for bit, on a plain and on a robust
+    # posterior, for one row and for several
+    jw = np.where(np.arange(6) % 2 == 0, 5.0, 1.0)
+    robust = WeightCorrections(np.sqrt(0.05 / jw), jw, np.where(jw != 1.0, -0.3, 0.0))
+    for t in (1, 3):
+        X, y = rng.uniform(0, 1, size=6 + t), rng.normal(size=6 + t)
+        for post in (gp_fit(X[:6], y[:6], rbf, 0.1, grid=GRID), gp_fit(X[:6], y[:6], rbf, 0.1, robust, GRID)):
+            got = post.extend(X[6:], y[6:])
+            want = post.extend(X[6:], y[6:], WeightCorrections.in_plateau(t, 0.1))
+            for a, b in zip(_fields(got), _fields(want)):
+                assert np.array_equal(a, b)
 
 
 # -- bordering several rows after a head --------------------------------------
