@@ -13,10 +13,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
+import scipy
 
 from .adversary import AdversaryPolicy, CorruptionBudget, corrupt
 from .gp import GpPosterior, gp_fit
@@ -63,9 +64,73 @@ _MAD_SCALE = 1.4826
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def sobol_prefix(sampler: qmc.Sobol, n: int) -> np.ndarray:
-    """A fresh sampler's random(n), drawn as the next power of two and cut, so scipy does not warn."""
-    return sampler.random_base2(max(0, (n - 1).bit_length()))[:n]
+_SOBOL_BITS = 30
+_SOBOL_MAXDIM = 21201
+# Joe & Kuo's direction numbers as scipy ships them, found by path: importing
+# scipy.stats to locate them would load all its distributions.
+_SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+
+
+@functools.cache
+def _sobol_directions(d: int) -> np.ndarray:
+    """The (d, 30) Sobol direction numbers as 30-bit fractions, read-only.
+
+    Row 0 is all ones (van der Corput), so 1-D reads no table.  Row r > 0
+    starts from Joe & Kuo's initial numbers for primitive polynomial p and
+    continues by Bratley & Fox's recurrence.  Only the d rows needed are kept:
+    the 3 MB table is read and freed here.  Freeing it raises glibc's dynamic
+    mmap threshold, which keeps the d > 1 search's temporaries on the heap
+    (BENCH_import.json); a table held for the process's life would not.
+    """
+    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    if d > 1:
+        with np.load(_SOBOL_TABLE) as table:
+            poly, init = table["poly"][1:d], table["vinit"][1:d]
+        deg = np.frexp(poly)[1] - 1  # a polynomial's degree is its bit length less one
+        v[1:, :init.shape[1]] = init  # the first deg numbers; the recurrence overwrites the rest
+        for i in range(1, _SOBOL_BITS):
+            r = np.flatnonzero(deg <= i)  # the rows whose number i follows the recurrence
+            m, p = deg[r], poly[r]
+            new = v[r + 1, i - m]
+            for k in range(min(i, init.shape[1])):
+                tap = (k < m) & ((p >> np.maximum(m - 1 - k, 0)) & 1 == 1)
+                new ^= (v[r + 1, i - k - 1] << (k + 1)) * tap
+            v[r + 1, i] = new
+    v = (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+    v.flags.writeable = False
+    return v
+
+
+def sobol_points(bounds, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """The first n Sobol points scaled to bounds (d, 2), bit for bit scipy
+    1.17's qmc.scale(qmc.Sobol(d, scramble=rng is not None, seed=rng).random(n), lo, hi).
+
+    30 bits in Gray-code order from the first point.  With rng the sequence is
+    scrambled (Owen-style linear matrix scrambling plus a digital shift) by
+    rng's first spawned child, as scipy draws it.  Nothing warns when n is not
+    a power of two.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    d = bounds.shape[0]
+    if d > _SOBOL_MAXDIM:
+        raise ValueError(f"Sobol points have at most {_SOBOL_MAXDIM} dimensions, got {d}")
+    if not 0 <= n <= 2**_SOBOL_BITS:
+        raise ValueError(f"Sobol points number 0 to 2**{_SOBOL_BITS}, got {n}")
+    v, shift = _sobol_directions(d), np.zeros(d, dtype=np.uint32)
+    if rng is not None:
+        child = rng.spawn(1)[0]
+        bottom_first = np.arange(_SOBOL_BITS, dtype=np.uint32)
+        shift = child.integers(0, 2, (d, _SOBOL_BITS), dtype=np.uint32) @ (1 << bottom_first)
+        lms = np.tril(child.integers(0, 2, (d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+        lms[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+        top_first = bottom_first[::-1]
+        bits = (v[:, :, None] >> top_first) & 1  # (d, number, bit from the top)
+        v = ((bits @ lms.transpose(0, 2, 1)) & 1) @ (1 << top_first)  # each number's bits times lms, mod 2
+    # Point k flips the number at k's lowest set bit, so point k is shift xor
+    # the numbers at the set bits of k's Gray code.
+    k = np.arange(1, n)
+    quasi = np.bitwise_xor.accumulate(np.vstack([shift, v.T[np.frexp(k & -k)[1] - 1]]), axis=0)[:n]
+    return quasi * 2.0**-_SOBOL_BITS * (bounds[:, 1] - bounds[:, 0]) + bounds[:, 0]
 
 
 @dataclass(frozen=True)
@@ -86,8 +151,7 @@ class DomainSpec:
         """The d > 1 search's starts: the first n_starts unscrambled Sobol
         points, scaled to the bounds and drawn once, since every step uses the
         same ones."""
-        points = sobol_prefix(qmc.Sobol(self.dim, scramble=False), self.n_starts)
-        starts = qmc.scale(points, self.bounds[:, 0], self.bounds[:, 1])
+        starts = sobol_points(self.bounds, self.n_starts)
         starts.flags.writeable = False
         return starts
 
@@ -376,7 +440,8 @@ def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
     at = np.full(n, -1)
     at[kept] = np.arange(kept.shape[0])
     at = at[rows]  # each previous row's position in the kept data; -1 once dropped
-    same = (at >= 0) & _unchanged(prev, y[np.maximum(at, 0)], corr[np.maximum(at, 0)])
+    pos = np.maximum(at, 0)
+    same = (at >= 0) & _unchanged(prev, y[pos], corr[pos])
     k = m if same.all() else int(np.argmin(same))
     head = prev.head(k) if k else None
     if head is None:

@@ -20,10 +20,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .adversary import CorruptionBudget, EagerBudget, GreedyClairvoyant, NoCorruption
-from .algorithms import BoState, DomainSpec, run_loop, sobol_prefix
+from .algorithms import BoState, DomainSpec, run_loop, sobol_points
 from .kernels import FactorizationError, KernelSpec
 from .objectives import Objective, make_objective
 from .schedules import CompactConvex, FiniteDomain, Rkhs
@@ -273,13 +272,6 @@ def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
     )
 
 
-def _initial_design(objective: Objective, n: int, seed: int) -> np.ndarray:
-    if n == 0:
-        return np.empty((0, objective.dim))
-    unit = sobol_prefix(qmc.Sobol(objective.dim, scramble=True, seed=_rng(seed, STREAM_INITIAL)), n)
-    return qmc.scale(unit, objective.bounds[:, 0], objective.bounds[:, 1])
-
-
 def _trace_rows(state: BoState, f_star: float) -> list[dict]:
     rows, cum = [], 0.0
     for rec in state.records:
@@ -341,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         raise ConfigError(str(exc)) from exc
     results, failures = {}, {}
     for seed in cfg.seeds:
-        X0 = _initial_design(objective, cfg.n_initial, seed)
+        X0 = sobol_points(objective.bounds, cfg.n_initial, _rng(seed, STREAM_INITIAL))  # scrambled
         for algorithm in cfg.algorithms:
             state = states.pop((algorithm, seed))  # a finished cell's models and caches go with it
             state.add_initial(X0)

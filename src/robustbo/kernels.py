@@ -72,24 +72,35 @@ def _scaled_sqdist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray
     """(n, m) matrix of squared distances after lengthscale scaling."""
     As = A / spec.lengthscale
     Bs = B / spec.lengthscale
-    d2 = (
-        np.sum(As * As, axis=1)[:, None]
-        + np.sum(Bs * Bs, axis=1)[None, :]
-        - 2.0 * As @ Bs.T
-    )
-    return np.maximum(d2, 0.0)
+    d2 = np.sum(As * As, axis=1)[:, None] + np.sum(Bs * Bs, axis=1)[None, :]
+    d2 -= 2.0 * As @ Bs.T
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def cross_matrix(spec: KernelSpec, A, B) -> np.ndarray:
-    """Kernel matrix k(A, B) of shape (len(A), len(B))."""
+    """Kernel matrix k(A, B) of shape (len(A), len(B)).  Built in the distance
+    buffer, in the order of outputscale * exp(-0.5 d2) and
+    outputscale * (1 + r + r r / 3) * exp(-r), so the bits are those formulas'."""
     A = _as_points(A, spec.dim)
     B = _as_points(B, spec.dim)
-    d2 = _scaled_sqdist(spec, A, B)
+    k = _scaled_sqdist(spec, A, B)
     if spec.family == "rbf":
-        return spec.outputscale * np.exp(-0.5 * d2)
-    # Matern 5/2
-    r = np.sqrt(5.0 * d2)
-    return spec.outputscale * (1.0 + r + r * r / 3.0) * np.exp(-r)
+        k *= -0.5
+        np.exp(k, out=k)
+        k *= spec.outputscale
+        return k
+    # Matern 5/2, with r = sqrt(5 d2) in k's buffer
+    k *= 5.0
+    np.sqrt(k, out=k)
+    decay = np.negative(k)
+    np.exp(decay, out=decay)
+    quad = k * k
+    quad /= 3.0
+    k += 1.0
+    k += quad
+    k *= spec.outputscale
+    k *= decay
+    return k
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:

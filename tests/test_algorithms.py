@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -414,18 +417,42 @@ def _reference_search(state, domain):
     return best_x
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_sobol_prefix_is_the_plain_draw_without_the_warning(d):
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 9])
+def test_sobol_points_are_scipys_draw_without_the_warning(d):
     # the scrambled initial design and the unscrambled search starts both draw through it
-    for n in (1, 3, 5, 7, 8):
-        for scramble in (True, False):
+    unit = np.tile([0.0, 1.0], (d, 1))
+    bounds = np.column_stack([-np.arange(1.0, d + 1), np.linspace(0.5, 7.0, d)])
+    for n in (0, 1, 2, 3, 5, 7, 8, 33, 64, 100):
+        for seed in (None, 0, 1, 2):
+            rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(3)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # random(n) warns unless n is a power of two
-                want = qmc.Sobol(d, scramble=scramble, seed=n).random(n)
+                want = qmc.Sobol(d, scramble=seed is not None, seed=rngs[0]).random(n)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = algorithms.sobol_prefix(qmc.Sobol(d, scramble=scramble, seed=n), n)
-            assert np.array_equal(got, want)
+                got = algorithms.sobol_points(unit, n, rngs[1])
+                scaled = algorithms.sobol_points(bounds, n, rngs[2])
+            assert got.shape == (n, d) and np.array_equal(got, want)
+            if n:
+                assert np.array_equal(scaled, qmc.scale(want, bounds[:, 0], bounds[:, 1]))
+
+
+def test_sobol_points_check_the_dimension_and_count():
+    with pytest.raises(ValueError, match="21201"):
+        algorithms.sobol_points(np.tile([0.0, 1.0], (21202, 1)), 4)
+    with pytest.raises(ValueError, match="2\\*\\*30"):  # not 2**30 + 1: with a broken check that allocates 8 GB
+        algorithms.sobol_points(np.tile([0.0, 1.0], (2, 1)), -1)
+    directions = algorithms._sobol_directions(3)
+    assert directions is algorithms._sobol_directions(3) and not directions.flags.writeable
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # in a fresh interpreter: this one imports qmc above as the oracle
+    src = str(Path(algorithms.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, robustbo, robustbo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 _BRANIN = make_objective("branin", 1.0)
