@@ -6,17 +6,7 @@ objectives, the optimization loops, and the benchmark harness.
 """
 
 from .adversary import CorruptionBudget, EagerBudget, GreedyClairvoyant, NoCorruption, budget_from_horizon, corrupt
-from .algorithms import (
-    BoState,
-    DomainSpec,
-    Plan,
-    acquisition_value,
-    fit_hyperparameters_loo,
-    maximize_acquisition,
-    run_loop,
-    standardize_targets,
-    step,
-)
+from .algorithms import BoState, Plan, fit_hyperparameters_loo, run_loop, standardize_targets, step
 from .bench import ConfigError, ExperimentConfig, aggregate, load_config, run_experiment
 from .gp import GpPosterior, gp_fit
 from .kernels import FactorizationError, KernelSpec, cross_matrix, gram_matrix, info_gain
@@ -34,6 +24,7 @@ from .schedules import (
     wrench_width_adaptive,
     wrench_width_fixed,
 )
-from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1, pimq_mw, pimq_params_for_noise, pimq_weight
+from .search import DomainSpec, maximize_acquisition
+from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise
 
 __version__ = "0.1.0"

@@ -9,15 +9,12 @@ standardized space, and the caller accounts regret in raw space.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from .adversary import AdversaryPolicy, CorruptionBudget, corrupt
 from .gp import GpPosterior, gp_fit
@@ -36,15 +33,14 @@ from .schedules import (
     wrench_width_adaptive,
     wrench_width_fixed,
 )
+# step calls maximize_acquisition through this module's binding, which perfbench's tracer wraps.
+from .search import DomainSpec, maximize_acquisition
 from .weights import (ZERO_CENTER, PimqParams, WeightCorrections, build_corrections, c1_bound,  # noqa: F401
                       cw_from_c1, pimq_params_for_noise)
 
 __all__ = [
-    "DomainSpec",
     "BoState",
     "StepRecord",
-    "acquisition_value",
-    "maximize_acquisition",
     "Plan",
     "step",
     "run_loop",
@@ -62,106 +58,6 @@ STANDARDIZE_MODES = ("robust", "zscore", "none", "initial")
 # standard deviation under Gaussian data.
 _MAD_SCALE = 1.4826
 _FLOAT_MAX = float(np.finfo(float).max)
-
-
-_SOBOL_BITS = 30
-_SOBOL_MAXDIM = 21201
-# Joe & Kuo's direction numbers as scipy ships them, found by path: importing
-# scipy.stats to locate them would load all its distributions.
-_SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
-
-
-@functools.cache
-def _sobol_directions(d: int) -> np.ndarray:
-    """The (d, 30) Sobol direction numbers as 30-bit fractions, read-only.
-
-    Row 0 is all ones (van der Corput), so 1-D reads no table.  Row r > 0
-    starts from Joe & Kuo's initial numbers for primitive polynomial p and
-    continues by Bratley & Fox's recurrence.  Only the d rows needed are kept:
-    the 3 MB table is read and freed here.  Freeing it raises glibc's dynamic
-    mmap threshold, which keeps the d > 1 search's temporaries on the heap
-    (BENCH_import.json); a table held for the process's life would not.
-    """
-    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
-    if d > 1:
-        with np.load(_SOBOL_TABLE) as table:
-            poly, init = table["poly"][1:d], table["vinit"][1:d]
-        deg = np.frexp(poly)[1] - 1  # a polynomial's degree is its bit length less one
-        v[1:, :init.shape[1]] = init  # the first deg numbers; the recurrence overwrites the rest
-        for i in range(1, _SOBOL_BITS):
-            r = np.flatnonzero(deg <= i)  # the rows whose number i follows the recurrence
-            m, p = deg[r], poly[r]
-            new = v[r + 1, i - m]
-            for k in range(min(i, init.shape[1])):
-                tap = (k < m) & ((p >> np.maximum(m - 1 - k, 0)) & 1 == 1)
-                new ^= (v[r + 1, i - k - 1] << (k + 1)) * tap
-            v[r + 1, i] = new
-    v = (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
-    v.flags.writeable = False
-    return v
-
-
-def sobol_points(bounds, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """The first n Sobol points scaled to bounds (d, 2), bit for bit scipy
-    1.17's qmc.scale(qmc.Sobol(d, scramble=rng is not None, seed=rng).random(n), lo, hi).
-
-    30 bits in Gray-code order from the first point.  With rng the sequence is
-    scrambled (Owen-style linear matrix scrambling plus a digital shift) by
-    rng's first spawned child, as scipy draws it.  Nothing warns when n is not
-    a power of two.
-    """
-    bounds = np.asarray(bounds, dtype=float)
-    d = bounds.shape[0]
-    if d > _SOBOL_MAXDIM:
-        raise ValueError(f"Sobol points have at most {_SOBOL_MAXDIM} dimensions, got {d}")
-    if not 0 <= n <= 2**_SOBOL_BITS:
-        raise ValueError(f"Sobol points number 0 to 2**{_SOBOL_BITS}, got {n}")
-    v, shift = _sobol_directions(d), np.zeros(d, dtype=np.uint32)
-    if rng is not None:
-        child = rng.spawn(1)[0]
-        bottom_first = np.arange(_SOBOL_BITS, dtype=np.uint32)
-        shift = child.integers(0, 2, (d, _SOBOL_BITS), dtype=np.uint32) @ (1 << bottom_first)
-        lms = np.tril(child.integers(0, 2, (d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-        lms[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
-        top_first = bottom_first[::-1]
-        bits = (v[:, :, None] >> top_first) & 1  # (d, number, bit from the top)
-        v = ((bits @ lms.transpose(0, 2, 1)) & 1) @ (1 << top_first)  # each number's bits times lms, mod 2
-    # Point k flips the number at k's lowest set bit, so point k is shift xor
-    # the numbers at the set bits of k's Gray code.
-    k = np.arange(1, n)
-    quasi = np.bitwise_xor.accumulate(np.vstack([shift, v.T[np.frexp(k & -k)[1] - 1]]), axis=0)[:n]
-    return quasi * 2.0**-_SOBOL_BITS * (bounds[:, 1] - bounds[:, 0]) + bounds[:, 0]
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Search domain: bounds plus the 1-D evaluation grid (when d == 1)."""
-
-    bounds: np.ndarray  # (d, 2)
-    grid: Optional[np.ndarray] = None  # (m, d); required for d == 1
-    n_starts: int = 64  # multi-start count for d > 1
-    coord_grid: int = 33  # per-coordinate resolution for refinement
-
-    @property
-    def dim(self) -> int:
-        return self.bounds.shape[0]
-
-    @functools.cached_property
-    def starts(self) -> np.ndarray:
-        """The d > 1 search's starts: the first n_starts unscrambled Sobol
-        points, scaled to the bounds and drawn once, since every step uses the
-        same ones."""
-        starts = sobol_points(self.bounds, self.n_starts)
-        starts.flags.writeable = False
-        return starts
-
-    @staticmethod
-    def from_bounds(bounds, grid_size: int = 1001) -> "DomainSpec":
-        bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-        if bounds.shape[0] == 1:
-            grid = np.linspace(bounds[0, 0], bounds[0, 1], grid_size).reshape(-1, 1)
-            return DomainSpec(bounds, grid)
-        return DomainSpec(bounds, None)
 
 
 def standardize_targets(y, mode: str) -> tuple[float, float]:
@@ -274,10 +170,8 @@ class BoState:
 
     # Run data (raw space unless noted).
     X: list = field(default_factory=list)
-    y_clean: list = field(default_factory=list)
     y_obs: list = field(default_factory=list)
-    corrupted: list = field(default_factory=list)
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list)  # one StepRecord per step: clean value, corruption flag
     t: int = 0
     _plan: Optional[Plan] = field(default=None, repr=False)
     _seed_std: tuple = field(default=(0.0, 1.0), repr=False)  # "initial"'s location/scale
@@ -314,19 +208,16 @@ class BoState:
     def add_initial(self, X0: np.ndarray) -> None:
         """Seed observations: never corrupted, drawn from the shared noise stream."""
         for x in np.atleast_2d(X0):
-            y = observe(self.objective, x, self.noise_rng)
-            self._append(x, y, y, False)
+            self._append(x, observe(self.objective, x, self.noise_rng))
         # The seed observations bypass the corruption channel, so the plain
         # mean/std is already outlier-proof here and is far better
         # conditioned than median/MAD on a handful of points.
         self._seed_std = standardize_targets(self.y_obs, "zscore")
 
-    def _append(self, x, y_clean: float, y_observed: float, corrupted: bool) -> None:
+    def _append(self, x, y: float) -> None:
         # The only place the data change, so the only place the plan goes stale.
         self.X.append(np.atleast_1d(np.asarray(x, dtype=float)))
-        self.y_clean.append(y_clean)
-        self.y_obs.append(y_observed)
-        self.corrupted.append(corrupted)
+        self.y_obs.append(y)
         self._plan = None
 
     def _data(self):
@@ -503,37 +394,6 @@ def _plan_a2(state: BoState, s: Plan) -> Plan:
 _PLAN_BUILDERS = {"gp_ucb": _plan_gp_ucb, "fc": _plan_fc, "a2": _plan_a2}
 
 
-def acquisition_value(state: BoState, x) -> float:
-    """Upper-confidence acquisition at a single point, in standardized space."""
-    return float(state.plan().ucb(np.atleast_2d(x))[0])
-
-
-def maximize_acquisition(state: BoState) -> np.ndarray:
-    """Argmax of the acquisition over state.domain, the domain the models are
-    fit on: grid scan in 1-D, multi-start coordinate refinement otherwise.
-    Ties break toward the lowest grid index.
-
-    Above 1-D every Sobol start moves together: each sweep coordinate is one
-    predict over all starts' candidate lines, 2*d + 1 predicts per search.
-    """
-    domain, plan = state.domain, state.plan()
-    if domain.grid is not None:
-        if domain.grid.shape[0] == 0:
-            raise ValueError("empty acquisition domain")
-        vals = plan.ucb(domain.grid)  # the model's kept predictions on the state's grid
-        return domain.grid[int(np.argmax(vals))].copy()
-
-    d, n, k = domain.dim, domain.n_starts, domain.coord_grid
-    x = domain.starts  # (n, d): every start at once
-    for _ in range(2):  # coordinate sweeps
-        for j in range(d):
-            cand = np.repeat(x, k, axis=0)  # start i's line is rows i*k .. i*k + k-1
-            cand[:, j] = np.tile(np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], k), n)
-            vals = plan.ucb(cand).reshape(n, k)
-            x = cand.reshape(n, k, d)[np.arange(n), np.argmax(vals, axis=1)]  # first maximum per start
-    return x[int(np.argmax(plan.ucb(x)))].copy()  # first start on a tie
-
-
 def step(state: BoState) -> tuple[np.ndarray, float]:
     """One BO step: maximize the acquisition, observe, let the adversary
     corrupt, record.  Returns the query and the (possibly corrupted) value."""
@@ -542,12 +402,12 @@ def step(state: BoState) -> tuple[np.ndarray, float]:
         # of leaving a NaN acquisition; the deliberate errstate(ignore) blocks nest inside.
         with np.errstate(over="raise", invalid="raise"):
             plan = state.plan()  # the fits, and so the Cholesky factorizations, run here
-            x = maximize_acquisition(state)
+            x = maximize_acquisition(state.domain, plan.ucb)
     except FactorizationError as exc:
         raise FactorizationError(f"step {state.t + 1}: {exc}") from exc
     y_clean = observe(state.objective, x, state.noise_rng)
     y_observed, flag = corrupt(state.policy, state.budget, x, y_clean, plan.t)
-    state._append(x, y_clean, y_observed, flag)
+    state._append(x, y_observed)
     state.records.append(StepRecord(plan.t, np.atleast_1d(x), y_clean, y_observed, flag, plan.beta, plan.tc))
     state.t = plan.t
     return x, y_observed

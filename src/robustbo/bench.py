@@ -22,10 +22,11 @@ from typing import Optional
 import numpy as np
 
 from .adversary import CorruptionBudget, EagerBudget, GreedyClairvoyant, NoCorruption
-from .algorithms import BoState, DomainSpec, run_loop, sobol_points
+from .algorithms import BoState, run_loop
 from .kernels import FactorizationError, KernelSpec
 from .objectives import Objective, make_objective
 from .schedules import CompactConvex, FiniteDomain, Rkhs
+from .search import DomainSpec, sobol_points
 
 __all__ = [
     "ConfigError",

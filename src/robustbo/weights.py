@@ -21,9 +21,7 @@ __all__ = [
     "PimqParams",
     "WeightCorrections",
     "pimq_params_for_noise",
-    "pimq_weight",
     "NEGLIGIBLE_WEIGHT_RATIO",
-    "pimq_mw",
     "build_corrections",
     "c1_bound",
     "cw_from_c1",
@@ -117,20 +115,6 @@ def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorre
             jw[outside] = noise_var / (2.0 * params.w_max**2) * q
             mw[outside] = -2.0 * noise_var * (zo * np.sign(resid[outside]) / c2) / q
     return WeightCorrections(w, jw, mw)
-
-
-def pimq_weights(params: PimqParams, X, y) -> np.ndarray:
-    """Vectorized P-IMQ weights; exactly w_max on/inside the plateau boundary."""
-    return build_corrections(params, 1.0, X, y).weights  # weights do not depend on noise_var
-
-
-def pimq_weight(params: PimqParams, x, y: float) -> float:
-    return float(pimq_weights(params, x, [y])[0])
-
-
-def pimq_mw(params: PimqParams, noise_var: float, x, y: float) -> float:
-    """Mean-correction term of one point; exactly 0 on/inside the plateau."""
-    return float(build_corrections(params, noise_var, x, [y]).mw[0])
 
 
 def c1_bound(params: PimqParams, noise_var: float, sup_delta: float) -> float:

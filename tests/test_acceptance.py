@@ -18,12 +18,10 @@ from robustbo.kernels import KernelSpec
 from robustbo.rcgp import deviation_schur, rcgp_fit
 from robustbo.weights import (
     ZERO_CENTER,
+    build_corrections,
     c1_bound,
     cw_from_c1,
-    pimq_mw,
     pimq_params_for_noise,
-    pimq_weight,
-    pimq_weights,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -146,10 +144,10 @@ def test_criterion_05_mean_shift_gradient_check():
         h = 1e-6
 
         def log_w2(val):
-            return 2.0 * np.log(pimq_weight(params, 0.0, val))
+            return 2.0 * np.log(build_corrections(params, 1.0, 0.0, [val]).weights[0])
 
         fd = nv * (log_w2(y + h) - log_w2(y - h)) / (2.0 * h)
-        analytic = pimq_mw(params, nv, 0.0, y)
+        analytic = build_corrections(params, nv, 0.0, [y]).mw[0]
         worst = max(worst, abs(fd - analytic) / max(abs(analytic), 1e-12))
     report(5, "mean-shift term matches the weight-gradient definition",
            worst < 1e-5, f"max rel err {worst:.2e} over 1000 draws")
@@ -168,8 +166,8 @@ def test_criterion_06_influence_constant_domination():
         n = int(rng.integers(2, 10))
         uc = gp_fit(rng.uniform(0, 1, size=n), rng.normal(0, 0.5, size=n), spec, nv)
         mu_uc, _ = uc.predict(GRID)
-        w = pimq_weights(params, np.zeros(ys.shape), ys)
-        mw = np.array([pimq_mw(params, nv, 0.0, y) for y in ys])
+        corr = build_corrections(params, nv, np.zeros(ys.shape), ys)
+        w, mw = corr.weights, corr.mw
         influence = np.abs(w[:, None] * (ys[:, None] - mw[:, None] - mu_uc[None, :]))
         bound = c1_bound(params, nv, float(np.max(np.abs(mu_uc))))
         failures += int(np.max(influence) > bound + 1e-9)

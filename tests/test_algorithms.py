@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -12,23 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from robustbo import algorithms, bench, gp, rcgp
+from robustbo import algorithms, bench, gp, rcgp, search
 from robustbo.adversary import CorruptionBudget, EagerBudget, NoCorruption
-from robustbo.algorithms import (
-    BoState,
-    DomainSpec,
-    acquisition_value,
-    fit_hyperparameters_loo,
-    maximize_acquisition,
-    run_loop,
-    standardize_targets,
-    step,
-)
+from robustbo.algorithms import BoState, fit_hyperparameters_loo, run_loop, standardize_targets, step
 from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec, info_gain
 from robustbo.objectives import Objective, make_objective
 from robustbo.rcgp import rcgp_fit
 from robustbo.schedules import FiniteDomain, Rkhs, beta_prime, noise_bound
+from robustbo.search import DomainSpec, maximize_acquisition
 from robustbo.weights import ZERO_CENTER, pimq_params_for_noise
 
 
@@ -139,7 +132,7 @@ def test_the_initial_standardization_is_the_seed_zscore():
     for _ in range(6):
         assert (state.plan().loc, state.plan().scale) == seed_std
         step(state)
-    assert sum(state.corrupted) == 3
+    assert sum(r.corrupted for r in state.records) == 3
 
 
 # -- acquisition ------------------------------------------------------------
@@ -147,20 +140,19 @@ def test_the_initial_standardization_is_the_seed_zscore():
 
 def test_prior_acquisition_constant_tie_breaks_to_first_point():
     state = make_state("gp_ucb", standardize="none")
-    x = maximize_acquisition(state)
+    plan = state.plan()
+    x = maximize_acquisition(state.domain, plan.ucb)
     assert x[0] == state.domain.grid[0, 0]
-    a = acquisition_value(state, 0.3)
-    beta = state.plan().beta
-    assert a == pytest.approx(math.sqrt(beta) * 1.0, abs=1e-12)
+    assert plan.ucb(np.atleast_2d(0.3))[0] == pytest.approx(math.sqrt(plan.beta) * 1.0, abs=1e-12)
 
 
 def test_argmax_beats_all_grid_points(rng):
     state = make_state("fc")
     state.add_initial(seed_points())
-    best = maximize_acquisition(state)
-    best_val = acquisition_value(state, best)
+    ucb = state.plan().ucb
+    best_val = ucb(np.atleast_2d(maximize_acquisition(state.domain, ucb)))[0]
     for x in rng.choice(state.domain.grid[:, 0], size=100):
-        assert best_val >= acquisition_value(state, x) - 1e-12
+        assert best_val >= ucb(np.atleast_2d(x))[0] - 1e-12
 
 
 def test_step_appends_data_and_advances():
@@ -367,9 +359,9 @@ def test_confidence_bound_sandwich_on_clean_runs():
         state.add_initial(seed_points())
         for _ in range(15):
             plan = state.plan()
-            a_star = acquisition_value(state, x_star)
-            x_t = maximize_acquisition(state)
-            assert acquisition_value(state, x_t) >= a_star - 1e-12
+            a_star = plan.ucb(np.atleast_2d(x_star))[0]
+            x_t = maximize_acquisition(state.domain, plan.ucb)
+            assert plan.ucb(np.atleast_2d(x_t))[0] >= a_star - 1e-12
             f_star_std = (f_star - plan.loc) / plan.scale
             checks += 1
             if a_star < f_star_std:
@@ -430,8 +422,8 @@ def test_sobol_points_are_scipys_draw_without_the_warning(d):
                 want = qmc.Sobol(d, scramble=seed is not None, seed=rngs[0]).random(n)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = algorithms.sobol_points(unit, n, rngs[1])
-                scaled = algorithms.sobol_points(bounds, n, rngs[2])
+                got = search.sobol_points(unit, n, rngs[1])
+                scaled = search.sobol_points(bounds, n, rngs[2])
             assert got.shape == (n, d) and np.array_equal(got, want)
             if n:
                 assert np.array_equal(scaled, qmc.scale(want, bounds[:, 0], bounds[:, 1]))
@@ -439,11 +431,11 @@ def test_sobol_points_are_scipys_draw_without_the_warning(d):
 
 def test_sobol_points_check_the_dimension_and_count():
     with pytest.raises(ValueError, match="21201"):
-        algorithms.sobol_points(np.tile([0.0, 1.0], (21202, 1)), 4)
+        search.sobol_points(np.tile([0.0, 1.0], (21202, 1)), 4)
     with pytest.raises(ValueError, match="2\\*\\*30"):  # not 2**30 + 1: with a broken check that allocates 8 GB
-        algorithms.sobol_points(np.tile([0.0, 1.0], (2, 1)), -1)
-    directions = algorithms._sobol_directions(3)
-    assert directions is algorithms._sobol_directions(3) and not directions.flags.writeable
+        search.sobol_points(np.tile([0.0, 1.0], (2, 1)), -1)
+    directions = search._sobol_directions(3)
+    assert directions is search._sobol_directions(3) and not directions.flags.writeable
 
 
 def test_importing_the_package_leaves_scipy_stats_unloaded():
@@ -486,9 +478,9 @@ def make_search_state(case, algorithm, n_starts=64, steps=0, with_data=True, **k
 def test_batched_search_matches_the_per_start_loop(case, algorithm, n_starts):
     state = make_search_state(case, algorithm, n_starts, steps=3)
     if algorithm == "fc":
-        assert state.corrupted[-3:] == [True, True, False]
+        assert [r.corrupted for r in state.records[-3:]] == [True, True, False]
         assert np.any(state.plan().model.corrections.jw != 1.0)
-    x = maximize_acquisition(state)
+    x = maximize_acquisition(state.domain, state.plan().ucb)
     assert np.array_equal(x, _reference_search(state, state.domain))
     assert state.objective.in_domain(x)
 
@@ -500,7 +492,7 @@ def test_batched_search_predicts_once_per_sweep_coordinate(case, monkeypatch):
     sizes = []
     predict = gp.GpPosterior.predict
     monkeypatch.setattr(gp.GpPosterior, "predict", lambda self, Xq: sizes.append(len(Xq)) or predict(self, Xq))
-    maximize_acquisition(state)
+    maximize_acquisition(state.domain, state.plan().ucb)
     d, block = state.domain.dim, state.domain.n_starts * state.domain.coord_grid
     assert sizes == [block] * (2 * d) + [state.domain.n_starts]
 
@@ -509,7 +501,7 @@ def test_batched_search_on_the_prior_keeps_the_first_start():
     # A flat acquisition ties everywhere: every sweep keeps the lowest grid
     # index, so every start ends at the lower corner and the first one is kept.
     state = make_search_state("sphere3d", "gp_ucb", with_data=False, standardize="none")
-    x = maximize_acquisition(state)
+    x = maximize_acquisition(state.domain, state.plan().ucb)
     assert np.array_equal(x, _reference_search(state, state.domain))
     assert np.array_equal(x, state.domain.bounds[:, 0])
 
@@ -522,9 +514,10 @@ def test_batched_search_keeps_the_first_of_tied_starts():
     state = make_state("gp_ucb", objective=square, domain=DomainSpec.from_bounds(square.bounds),
                        spec=KernelSpec("rbf", [0.02, 0.02], 1.0), case=FiniteDomain(1001), standardize="none")
     state.add_initial(np.zeros((1, 2)))
-    x = maximize_acquisition(state)
+    ucb = state.plan().ucb
+    x = maximize_acquisition(state.domain, ucb)
     assert np.array_equal(x, _reference_search(state, state.domain))
-    assert not np.array_equal(x, x[::-1]) and acquisition_value(state, x) == acquisition_value(state, x[::-1])
+    assert not np.array_equal(x, x[::-1]) and ucb(np.atleast_2d(x))[0] == ucb(np.atleast_2d(x[::-1]))[0]
 
 
 def test_search_starts_are_drawn_once_per_domain_without_a_warning():
@@ -532,7 +525,7 @@ def test_search_starts_are_drawn_once_per_domain_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no balance warning for 10 starts, a non-power of two
         step(state)
-        maximize_acquisition(state)
+        maximize_acquisition(state.domain, state.plan().ucb)
     starts = state.domain.starts
     assert starts is state.domain.starts and not starts.flags.writeable
     with pytest.warns(UserWarning, match="balance properties"):
@@ -681,7 +674,7 @@ def test_a_dropped_observation_keeps_the_model():
     state.add_initial(seed_points())
     before = state.plan().model
     step(state)
-    assert state.corrupted[-1] and state.plan().model is before
+    assert state.records[-1].corrupted and state.plan().model is before
 
 
 def test_a_plan_with_no_kept_point_refits_the_prior(monkeypatch):
@@ -709,8 +702,6 @@ def test_a_plan_records_its_data_and_schedule(case):
     assert plan.gamma_t == (info_gain(state.spec, X, plan.nv) if isinstance(case, Rkhs) else 0.0)
     assert plan.bp == beta_prime(case, plan.t, state.delta / 2.0, plan.gamma_t)
     assert plan.n_t == noise_bound(case, math.sqrt(plan.nv), state.horizon, state.delta / 2.0)
-    for x in (0.3, 0.75):
-        assert acquisition_value(state, x) == plan.ucb(np.array([[x]]))[0]
 
 
 def test_a_running_standardization_refits(monkeypatch):
@@ -779,6 +770,53 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
         assert sum(t > 1 for t, _ in wrench) >= 0.5 * len(wrench)  # most corrupted steps move a correction
     else:
         assert all(t == 1 for t, _ in borders)
+
+
+def _ci_variant(name):
+    """The config of CI's CLI run of that name, built from a shipped config as CI builds it."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    if name == "forrester_corrupted_small":
+        return json.loads((configs / f"{name}.json").read_text())
+    if name == "branin_small":
+        c = json.loads((configs / "forrester_corrupted_small.json").read_text())
+        c["objective"]["name"] = "branin"
+        c["kernel"].update(family="matern52", lengthscale=[3.0, 3.0])
+        c["adversary"].update(near_thresh=1, far_thresh=5, low_value=-300, high_value=300)
+        return dict(c, name=name, n_iterations=5)
+    c = json.loads((configs / "forrester_clean.json").read_text())
+    c["objective"] = {"name": "sinusoid", "noise_var": 0.01}
+    c["kernel"]["lengthscale"] = 0.1
+    c["schedule"].update(case="rkhs", b_f=2.0, tc_mode="estimate", a2_width_mode="adaptive")
+    c["pimq"] = {"policy": "schedule", "shape_c": 1.0}
+    return dict(c, name=name, n_iterations=10, grid_size=201)
+
+
+@pytest.mark.parametrize("name", ["forrester_corrupted_small", "branin_small", "rkhs_adaptive"])
+def test_refitting_on_every_step_gives_the_same_rows(name, monkeypatch):
+    # the incremental path (head and extend) is a fast path: its slow twin refits with gp_fit on every step
+    cfg = bench.ExperimentConfig.from_dict(dict(_ci_variant(name), seeds=[0]))
+    bordered, border = [], algorithms._bordered
+    monkeypatch.setattr(algorithms, "_bordered", lambda *args: bordered.append(1) or border(*args))
+    fast = bench.run_experiment(cfg)
+    monkeypatch.setattr(algorithms, "_bordered", lambda *args: (None, None))
+    assert bordered and len(fast) == len(cfg.algorithms)
+    assert bench.run_experiment(cfg) == fast
+
+
+def test_step_searches_through_the_algorithms_binding(monkeypatch):
+    # perfbench's tracer wraps algorithms.maximize_acquisition; a step calling
+    # search.maximize_acquisition directly would hide every search from it
+    state = make_state("fc")
+    state.add_initial(seed_points())
+    calls, search_fn = [], algorithms.maximize_acquisition
+    monkeypatch.setattr(algorithms, "maximize_acquisition",
+                        lambda domain, acquisition: calls.append((domain, acquisition)) or search_fn(domain, acquisition))
+    plans = []
+    for _ in range(2):
+        plans.append(state.plan())
+        step(state)
+    assert len(calls) == 2 and all(domain is state.domain for domain, _ in calls)
+    assert [acquisition for _, acquisition in calls] == [plan.ucb for plan in plans]
 
 
 # -- hyperparameter fitting -------------------------------------------------

@@ -12,33 +12,30 @@ from robustbo.weights import (
     build_corrections,
     c1_bound,
     cw_from_c1,
-    pimq_mw,
     pimq_params_for_noise,
-    pimq_weight,
-    pimq_weights,
 )
 
 FIG_PARAMS = PimqParams(ZERO_CENTER, 2.0, 1.0, 1.0)  # cap 1, width 2, shape 1
 
 
 def test_plateau_value():
-    assert pimq_weight(FIG_PARAMS, 0.0, 1.0) == 1.0
+    assert build_corrections(FIG_PARAMS, 1.0, 0.0, [1.0]).weights[0] == 1.0
 
 
 def test_decay_just_outside():
-    assert pimq_weight(FIG_PARAMS, 0.0, 3.0) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    assert build_corrections(FIG_PARAMS, 1.0, 0.0, [3.0]).weights[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
 def test_plateau_boundary_inclusive():
-    assert pimq_weight(FIG_PARAMS, 0.0, -2.0) == 1.0
-    assert pimq_weight(FIG_PARAMS, 0.0, 2.0) == 1.0
+    assert build_corrections(FIG_PARAMS, 1.0, 0.0, [-2.0]).weights[0] == 1.0
+    assert build_corrections(FIG_PARAMS, 1.0, 0.0, [2.0]).weights[0] == 1.0
 
 
 def test_imq_weight_values():
     # a zero-width plateau leaves the plain inverse multi-quadric
-    assert pimq_weight(PimqParams(ZERO_CENTER, 0.0, 1.0, 2.5), 0.0, 0.0) == 2.5
+    assert build_corrections(PimqParams(ZERO_CENTER, 0.0, 1.0, 2.5), 1.0, 0.0, [0.0]).weights[0] == 2.5
     imq = PimqParams(ZERO_CENTER, 0.0, 1.0, 1.0)
-    assert pimq_weight(imq, 0.0, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    assert build_corrections(imq, 1.0, 0.0, [1.0]).weights[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
     with pytest.raises(ValueError):
         PimqParams(ZERO_CENTER, 0.0, 0.0, 1.0)
 
@@ -47,44 +44,45 @@ def test_imq_weight_values():
 @settings(max_examples=50, deadline=None)
 def test_weight_nonincreasing_in_residual(r1, r2):
     lo, hi = sorted([r1, r2])
-    assert pimq_weight(FIG_PARAMS, 0.0, hi) <= pimq_weight(FIG_PARAMS, 0.0, lo) + 1e-15
+    w_lo, w_hi = build_corrections(FIG_PARAMS, 1.0, [0.0, 0.0], [lo, hi]).weights
+    assert w_hi <= w_lo + 1e-15
 
 
 @given(y=st.floats(-1e6, 1e6))
 @example(y=2.0000000000000004)  # w rounds to the cap, m_w = -8.9e-16 still marks it outside
 @settings(max_examples=100, deadline=None)
 def test_weight_range(y):
-    w = pimq_weight(FIG_PARAMS, 0.0, y)
+    w = build_corrections(FIG_PARAMS, 1.0, 0.0, [y]).weights[0]
     assert 0.0 < w <= 1.0
     if abs(y) <= 2.0:
         assert w == 1.0
     # Just past the edge w can round to exactly the cap; the mean correction states the edge exactly.
-    assert (pimq_mw(FIG_PARAMS, 1.0, 0.0, y) == 0.0) == (abs(y) <= 2.0)
+    assert (build_corrections(FIG_PARAMS, 1.0, 0.0, [y]).mw[0] == 0.0) == (abs(y) <= 2.0)
 
 
 def test_bounded_influence_over_huge_targets():
     # y * w(y)^2 must stay bounded, the defining property of a redescending
     # correction: w ~ c/|y| far out, so y * w^2 ~ c^2 / y -> 0.
     ys = np.concatenate([np.linspace(-1e6, 1e6, 2001), [1e6, -1e6]])
-    w = pimq_weights(FIG_PARAMS, np.zeros(ys.shape), ys)
+    w = build_corrections(FIG_PARAMS, 1.0, np.zeros(ys.shape), ys).weights
     assert np.max(np.abs(ys) * w**2) < 10.0
 
 
 def test_mw_inside_plateau_is_zero():
-    assert pimq_mw(FIG_PARAMS, 1.0, 0.0, 1.5) == 0.0
-    assert pimq_mw(FIG_PARAMS, 1.0, 0.0, -2.0) == 0.0
+    assert build_corrections(FIG_PARAMS, 1.0, 0.0, [1.5]).mw[0] == 0.0
+    assert build_corrections(FIG_PARAMS, 1.0, 0.0, [-2.0]).mw[0] == 0.0
 
 
 def test_mw_closed_form_value():
     # unit noise variance, shape 1, width 2: one unit past the plateau edge
-    assert pimq_mw(FIG_PARAMS, 1.0, 0.0, 3.0) == pytest.approx(-1.0, abs=1e-12)
+    assert build_corrections(FIG_PARAMS, 1.0, 0.0, [3.0]).mw[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 @given(r=st.floats(0.01, 30.0))
 @settings(max_examples=60, deadline=None)
 def test_mw_antisymmetry(r):
-    up = pimq_mw(FIG_PARAMS, 1.0, 0.0, r)
-    down = pimq_mw(FIG_PARAMS, 1.0, 0.0, -r)
+    up = build_corrections(FIG_PARAMS, 1.0, 0.0, [r]).mw[0]
+    down = build_corrections(FIG_PARAMS, 1.0, 0.0, [-r]).mw[0]
     assert up == pytest.approx(-down, abs=1e-14)
 
 
@@ -117,14 +115,14 @@ def test_extreme_outlier_influence_vanishes():
 
 def test_adaptive_width_per_point():
     params = pimq_params_for_noise(ZERO_CENTER, np.array([1.0, 4.0]), 1.0, 1.0)
-    w = pimq_weights(params, [0.0, 3.0], [1.5, 1.5])
+    w = build_corrections(params, 1.0, [0.0, 3.0], [1.5, 1.5]).weights
     assert w[0] < params.w_max  # width 1 at the first point, residual 1.5 outside
     assert w[1] == params.w_max  # width 4 at the second point, inside
 
 
 def test_per_point_center():
     params = pimq_params_for_noise(np.array([0.0, 10.0]), 1.0, 1.0, 1.0)
-    w = pimq_weights(params, [0.0, 0.5], [10.0, 10.5])
+    w = build_corrections(params, 1.0, [0.0, 0.5], [10.0, 10.5]).weights
     assert w[0] < params.w_max  # 10 away from center 0
     assert w[1] == params.w_max  # 0.5 away from center 10
 
@@ -147,8 +145,8 @@ def test_nan_observation_is_the_infinite_outlier():
 def test_hard_threshold_collapses_fast():
     # the hard threshold is the shape_c -> 0 limit of the P-IMQ
     params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1e-6, 1.0)
-    assert pimq_weight(params, 0.0, 1.0) == params.w_max
-    assert pimq_weight(params, 0.0, 1.001) < 1e-3 * params.w_max
+    assert build_corrections(params, 1.0, 0.0, [1.0]).weights[0] == params.w_max
+    assert build_corrections(params, 1.0, 0.0, [1.001]).weights[0] < 1e-3 * params.w_max
 
 
 def test_c1_bound_value():
