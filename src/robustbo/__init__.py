@@ -25,6 +25,6 @@ from .schedules import (
     wrench_width_fixed,
 )
 from .search import DomainSpec, maximize_acquisition
-from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1, pimq_params_for_noise
+from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1
 
 __version__ = "0.1.0"

@@ -18,8 +18,9 @@ import numpy as np
 
 from .adversary import AdversaryPolicy, CorruptionBudget, corrupt
 from .gp import GpPosterior, gp_fit
-# gram_matrix, jittered_cho_factor and build_corrections are unused; perfbench's tracer wraps them here.
-from .kernels import FactorizationError, KernelSpec, gram_matrix, info_gain, jittered_cho_factor, solve_cho  # noqa: F401
+from .kernels import FactorizationError, KernelSpec, info_gain, solve_cho
+# Tracer-only, like build_corrections below: unused here, but perfbench's tracer wraps these bindings.
+from .kernels import gram_matrix, jittered_cho_factor  # noqa: F401
 from .objectives import Objective, observe
 from .rcgp import rcgp_data, rcgp_fit
 from .schedules import (
@@ -35,8 +36,8 @@ from .schedules import (
 )
 # step calls maximize_acquisition through this module's binding, which perfbench's tracer wraps.
 from .search import DomainSpec, maximize_acquisition
-from .weights import (ZERO_CENTER, PimqParams, WeightCorrections, build_corrections, c1_bound,  # noqa: F401
-                      cw_from_c1, pimq_params_for_noise)
+from .weights import ZERO_CENTER, PimqParams, WeightCorrections, c1_bound, cw_from_c1, plateau_cap
+from .weights import build_corrections  # noqa: F401
 
 __all__ = [
     "BoState",
@@ -192,7 +193,7 @@ class BoState:
             raise ValueError(f"a2_width_mode 'adaptive' needs pimq_policy 'schedule', got {self.pimq_policy!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        PimqParams(ZERO_CENTER, self.pimq_half_width, self.pimq_c, 1.0)  # checks shape_c and the manual width
+        PimqParams(ZERO_CENTER, self.pimq_half_width, self.pimq_c)  # checks shape_c and the manual width
         if not 0.0 <= self.heuristic_quantile <= 1.0:
             raise ValueError(f"heuristic_quantile must lie in [0, 1], got {self.heuristic_quantile!r}")
         if self.hyperfit_every < 1:
@@ -256,7 +257,7 @@ class BoState:
             wp = None
             if self.algorithm != "gp_ucb":
                 n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
-                wp = pimq_params_for_noise(ZERO_CENTER, self._plateau_width(ys, n_t), self.pimq_c, nv)
+                wp = PimqParams(ZERO_CENTER, self._plateau_width(ys, n_t), self.pimq_c)
             self.spec, self.fitted_noise_var = fit_hyperparameters_loo((X, ys), wp, self.hyperfit_space)
             nv = self.fitted_noise_var
             sigma = math.sqrt(nv)
@@ -350,7 +351,7 @@ def _plan_gp_ucb(state: BoState, s: Plan) -> Plan:
 
 def _zero_centered_fit(state: BoState, s: Plan, role: str):
     """fc's model, also a2's anchor: (params, model, tc estimate, c_w)."""
-    params = pimq_params_for_noise(ZERO_CENTER, state._plateau_width(s.ys, s.n_t), state.pimq_c, s.nv)
+    params = PimqParams(ZERO_CENTER, state._plateau_width(s.ys, s.n_t), state.pimq_c)
     model = _fit(state, role, s, params)
     tc = estimate_tc(s.ys, params.half_width)
     # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
@@ -380,7 +381,7 @@ def _plan_a2(state: BoState, s: Plan) -> Plan:
         width = wrench_width_adaptive(robust_beta(s.bp, c_w_a, tc_eff), np.sqrt(var), s.n_t)
     else:
         center, width = anchor.predict_mean(s.X), width_bound
-    wrench_params = pimq_params_for_noise(center, width, state.pimq_c, s.nv)
+    wrench_params = PimqParams(center, width, state.pimq_c)
     wrench = _fit(state, "model", s, wrench_params)
     tc = estimate_tc(s.ys - center, width)
     tc_eff = state._effective_tc(tc)
@@ -429,6 +430,7 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
     rcgp_fit with those P-IMQ parameters, scored on its kept points and their
     weights; so an extreme point, infinite and NaN ones included, neither
     counts in the score nor contaminates its neighbors' held-out predictions.
+    A candidate's weights and their cap are read at its own noise variance.
     """
     X, y = data
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -449,7 +451,7 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
         Ainv_diag = np.diag(solve_cho(post.chol, np.eye(post.y.shape[0])))
         if np.any(Ainv_diag <= 1e-12):
             continue
-        wbar = 1.0 if weight_params is None else post.corrections.weights / weight_params.w_max
+        wbar = 1.0 if weight_params is None else post.corrections.weights / plateau_cap(nv)
         objective = float(np.sum(wbar * (post.alpha / Ainv_diag)**2))
         if best is None or objective < best[0]:
             best = (objective, post.spec, float(nv))

@@ -381,13 +381,17 @@ def aggregate(results: dict) -> list[dict]:
 
     results maps (algorithm, seed) to trace rows.  The standard error uses
     the sample standard deviation (ddof=1); with a single seed it is
-    reported as 0.0 and flagged.
+    reported as 0.0 and flagged.  Traces of one algorithm and unequal
+    lengths are a ConfigError.
     """
     by_algorithm = {}
     for (algorithm, _seed), rows in sorted(results.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         by_algorithm.setdefault(algorithm, []).append([r["cum_regret"] for r in rows])
     out = []
     for algorithm in sorted(by_algorithm):
+        lengths = sorted({len(curve) for curve in by_algorithm[algorithm]})
+        if len(lengths) > 1:
+            raise ConfigError(f"traces of {algorithm} have different lengths {lengths}; aggregate runs of one config")
         curves = np.asarray(by_algorithm[algorithm])
         n = curves.shape[0]
         mean = curves.mean(axis=0)
@@ -410,10 +414,12 @@ def write_aggregate(path: Path, rows: list[dict]) -> None:
 
 
 def read_traces(directory) -> dict:
-    """Load previously written traces back into the aggregate() input shape."""
+    """Load previously written traces back into the aggregate() input shape; a misnamed one is a ConfigError."""
     results = {}
     for path in sorted(Path(directory).glob("*_seed*.csv")):
         algorithm, _, seed_part = path.stem.rpartition("_seed")
+        if not seed_part.isdecimal():
+            raise ConfigError(f"trace file {path} is not named <algorithm>_seed<integer>.csv")
         with open(path, newline="") as fh:
             rows = [{k: _parse(v) for k, v in row.items()} for row in csv.DictReader(fh)]
         results[(algorithm, int(seed_part))] = rows

@@ -1,4 +1,4 @@
-"""Stationary covariance kernels, Gram matrices, and an information-gain tracker.
+"""Stationary covariance kernels, Gram matrices, and the information gain of a point set.
 
 Points are 1-D float arrays of shape (d,); point sets are (n, d) arrays.
 Scalars are accepted for 1-D problems and promoted internally.
@@ -136,10 +136,11 @@ def jittered_cho_factor(A: np.ndarray, outputscale: float):
 
 
 def info_gain(spec: KernelSpec, X, noise_var: float) -> float:
-    """Running information gain 0.5 * logdet(I + K / noise_var) on queried points.
+    """Information gain 0.5 * logdet(I + K / noise_var) of the points X.
 
     A computable, monotone surrogate for the maximum information gain used
-    by the RKHS-case confidence schedule.
+    by the RKHS-case confidence schedule.  Each call factorizes I + K / noise_var
+    over all of X anew, O(n^3); nothing is carried between calls.
     """
     if not noise_var > 0:
         raise ValueError("noise_var must be positive")

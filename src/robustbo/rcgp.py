@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .gp import GpPosterior, gp_fit
-# gram_matrix is unused here; perfbench's tracer wraps it in this module.
-from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho  # noqa: F401
-from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, build_corrections
+from .kernels import KernelSpec, _as_points, cross_matrix, jittered_cho_factor, solve_cho
+# Tracer-only: unused here; perfbench's tracer wraps this binding of this module.
+from .kernels import gram_matrix  # noqa: F401
+from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, build_corrections, plateau_cap
 
 __all__ = ["rcgp_fit", "rcgp_data", "deviation_schur"]
 
@@ -24,11 +25,12 @@ RcgpPosterior = GpPosterior
 def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: PimqParams):
     """The data rcgp_fit factors: the kept points, their targets and their
     corrections, and the indices of the kept points in X.  A point is dropped
-    when its weight is below NEGLIGIBLE_WEIGHT_RATIO of the cap."""
+    when its weight is below NEGLIGIBLE_WEIGHT_RATIO of the cap,
+    plateau_cap(noise_var)."""
     y = np.asarray(y, dtype=float).reshape(-1)
     X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
     corr = build_corrections(params, noise_var, X, y)
-    kept = np.flatnonzero(corr.weights > NEGLIGIBLE_WEIGHT_RATIO * params.w_max)
+    kept = np.flatnonzero(corr.weights > NEGLIGIBLE_WEIGHT_RATIO * plateau_cap(noise_var))
     return X[kept], y[kept], corr[kept], kept
 
 

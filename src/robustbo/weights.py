@@ -3,10 +3,10 @@
 The plateau-IMQ weight is constant at its cap within a residual band of
 half-width L around a center g, and decays like an inverse multi-quadric
 outside it.  The fit only reads g and L at the weighted points, so both are
-plain values there: one float for every point or one entry per point.  The cap is tied to the noise level
-(W_max = sigma_noise / sqrt(2)) so that in-plateau points reproduce the
-standard GP update exactly: their diagonal correction is exactly 1 and
-their mean correction exactly 0.
+plain values there: one float for every point or one entry per point.  The cap
+is read from the corrected fit's noise (plateau_cap: sigma_noise / sqrt(2)) so
+that in-plateau points reproduce the standard GP update exactly: their
+diagonal correction is exactly 1 and their mean correction exactly 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 __all__ = [
     "PimqParams",
     "WeightCorrections",
-    "pimq_params_for_noise",
+    "plateau_cap",
     "NEGLIGIBLE_WEIGHT_RATIO",
     "build_corrections",
     "c1_bound",
@@ -43,27 +43,25 @@ class PimqParams:
 
     center and half_width are the plateau's center and half-width at the
     weighted points: a float for every point, or a 1-D array with one entry
-    per point (an adaptive plateau).  w_max must equal sigma_noise / sqrt(2)
-    for the model it corrects.
+    per point (an adaptive plateau).  shape_c is stored as a float.  The cap
+    is the corrected fit's plateau_cap(noise_var), at any noise level.
     """
 
     center: Union[float, np.ndarray]
     half_width: Union[float, np.ndarray]
     shape_c: float
-    w_max: float
 
     def __post_init__(self):
         if not self.shape_c > 0:
             raise ValueError("shape_c must be positive")
-        if not self.w_max > 0:
-            raise ValueError("w_max must be positive")
         if np.any(np.asarray(self.half_width) < 0):
             raise ValueError("half_width must be nonnegative")
+        object.__setattr__(self, "shape_c", float(self.shape_c))
 
 
-def pimq_params_for_noise(center, half_width, shape_c, noise_var) -> PimqParams:
-    """Build P-IMQ params with the cap pinned to sqrt(noise_var / 2)."""
-    return PimqParams(center, half_width, float(shape_c), math.sqrt(noise_var / 2.0))
+def plateau_cap(noise_var: float) -> float:
+    """The P-IMQ weight's cap sqrt(noise_var / 2), at which J_w is exactly 1 and m_w exactly 0."""
+    return math.sqrt(noise_var / 2.0)
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,8 @@ class WeightCorrections:
 
     @staticmethod
     def in_plateau(n: int, noise_var: float) -> "WeightCorrections":
-        """The corrections of n in-plateau points: pimq_params_for_noise's cap, jw 1, mw 0; the plain GP."""
-        return WeightCorrections(np.full(n, math.sqrt(noise_var / 2.0)), np.ones(n), np.zeros(n))
+        """The corrections of n in-plateau points: weight plateau_cap(noise_var), jw 1, mw 0; the plain GP."""
+        return WeightCorrections(np.full(n, plateau_cap(noise_var)), np.ones(n), np.zeros(n))
 
     def __getitem__(self, index) -> "WeightCorrections":
         """The corrections of the indexed points (a slice or a mask)."""
@@ -88,10 +86,13 @@ def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorre
     """Weights, J_w diagonal noise_var/(2 w^2), and m_w vector for a dataset.
 
     The one implementation of the P-IMQ formula.  X is only checked against
-    y's length; the plateau is read from params.  In-plateau entries are
-    forced to exactly (w_max, 1, 0) so the robust update is bit-identical to
-    the standard GP there.
+    y's length; the plateau is read from params, the cap from noise_var (> 0).
+    In-plateau entries are forced to exactly (plateau_cap(noise_var), 1, 0)
+    so the robust update is bit-identical to the standard GP there.
     """
+    if not noise_var > 0:
+        raise ValueError("noise_var must be positive")
+    cap = plateau_cap(noise_var)
     y = np.asarray(y, dtype=float).reshape(-1)
     g, L = np.asarray(params.center, dtype=float), np.asarray(params.half_width, dtype=float)
     n_x = np.shape(X)[0] if np.ndim(X) else 1
@@ -99,7 +100,7 @@ def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorre
         raise ValueError("X, y and any per-point center or half_width must have equal length")
     resid = y - g
     z = np.abs(resid) - L  # residual excess over the plateau edge
-    w = np.full(z.shape, params.w_max)
+    w = np.full(z.shape, cap)
     jw = np.ones(z.shape)
     mw = np.zeros(z.shape)
     outside = ~(z <= 0)  # a NaN observation counts as outside
@@ -110,9 +111,9 @@ def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorre
         # the weight is 0 and rcgp_fit drops the point, so the overflow in
         # zo * zo and the inf/inf of m_w are expected; finite q keeps its bits.
         with np.errstate(over="ignore", invalid="ignore"):
-            q = 1.0 + zo * zo / c2  # (w_max / w)^2
-            w[outside] = params.w_max / np.sqrt(q)
-            jw[outside] = noise_var / (2.0 * params.w_max**2) * q
+            q = 1.0 + zo * zo / c2  # (cap / w)^2
+            w[outside] = cap / np.sqrt(q)
+            jw[outside] = noise_var / (2.0 * cap**2) * q
             mw[outside] = -2.0 * noise_var * (zo * np.sign(resid[outside]) / c2) / q
     return WeightCorrections(w, jw, mw)
 
@@ -130,7 +131,7 @@ def c1_bound(params: PimqParams, noise_var: float, sup_delta: float) -> float:
         raise ValueError("c1_bound requires a scalar plateau width")
     c = params.shape_c
     c_m = 4.0 * noise_var / (3.0 * math.sqrt(3.0) * c)
-    return params.w_max * (math.sqrt(L * L + c * c) + sup_delta + c_m)
+    return plateau_cap(noise_var) * (math.sqrt(L * L + c * c) + sup_delta + c_m)
 
 
 def cw_from_c1(c1: float, noise_var: float) -> float:

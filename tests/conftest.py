@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustbo.kernels import KernelSpec
-from robustbo.weights import ZERO_CENTER, pimq_params_for_noise
+from robustbo.weights import ZERO_CENTER, PimqParams
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ def make_inplateau_dataset(rng, n, noise_var=0.25, width=10.0):
     """Random 1-D dataset whose targets all sit inside a zero-centered plateau."""
     X = rng.uniform(0.0, 1.0, size=n)
     y = rng.normal(0.0, 0.5, size=n)
-    params = pimq_params_for_noise(ZERO_CENTER, width, 1.0, noise_var)
+    params = PimqParams(ZERO_CENTER, width, 1.0)
     return X, y, params
 
 

@@ -18,10 +18,10 @@ from robustbo.kernels import KernelSpec
 from robustbo.rcgp import deviation_schur, rcgp_fit
 from robustbo.weights import (
     ZERO_CENTER,
+    PimqParams,
     build_corrections,
     c1_bound,
     cw_from_c1,
-    pimq_params_for_noise,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -62,7 +62,7 @@ def test_criterion_01_plateau_equivalence():
         noise_var = float(rng.uniform(0.05, 1.0))
         X = rng.uniform(0, 1, size=n)
         y = rng.normal(0, 0.5, size=n)
-        params = pimq_params_for_noise(ZERO_CENTER, float(np.max(np.abs(y))) + 0.1, 1.0, noise_var)
+        params = PimqParams(ZERO_CENTER, float(np.max(np.abs(y))) + 0.1, 1.0)
         pm, pv = gp_fit(X, y, spec, noise_var).predict(GRID)
         rm, rv = rcgp_fit(X, y, spec, noise_var, params).predict(GRID)
         worst = max(worst, float(np.max(np.abs(pm - rm))), float(np.max(np.abs(pv - rv))))
@@ -92,7 +92,7 @@ def _random_deviation_instance(rng):
     yu = np.clip(rng.normal(0, 0.4, size=n_clean), -1.9, 1.9)
     Xc = rng.uniform(0, 1, size=n_corrupt)
     yc = rng.uniform(5, 20, size=n_corrupt) * rng.choice([-1.0, 1.0], size=n_corrupt)
-    params = pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, noise_var)
+    params = PimqParams(ZERO_CENTER, 2.0, 1.0)
     return spec, noise_var, (Xu, yu), (Xc, yc), params
 
 
@@ -140,7 +140,7 @@ def test_criterion_05_mean_shift_gradient_check():
         nv = float(rng.uniform(0.1, 2.0))
         z = float(rng.uniform(0.01, 10.0))
         y = (L + z) * (1.0 if rng.random() < 0.5 else -1.0)
-        params = pimq_params_for_noise(ZERO_CENTER, L, c, nv)
+        params = PimqParams(ZERO_CENTER, L, c)
         h = 1e-6
 
         def log_w2(val):
@@ -162,7 +162,7 @@ def test_criterion_06_influence_constant_domination():
         nv = float(rng.uniform(0.1, 2.0))
         L = float(rng.uniform(0.0, 3.0))
         c = float(rng.uniform(0.2, 3.0))
-        params = pimq_params_for_noise(ZERO_CENTER, L, c, nv)
+        params = PimqParams(ZERO_CENTER, L, c)
         n = int(rng.integers(2, 10))
         uc = gp_fit(rng.uniform(0, 1, size=n), rng.normal(0, 0.5, size=n), spec, nv)
         mu_uc, _ = uc.predict(GRID)

@@ -19,10 +19,10 @@ from robustbo.algorithms import BoState, fit_hyperparameters_loo, run_loop, stan
 from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec, info_gain
 from robustbo.objectives import Objective, make_objective
-from robustbo.rcgp import rcgp_fit
+from robustbo.rcgp import rcgp_data, rcgp_fit
 from robustbo.schedules import FiniteDomain, Rkhs, beta_prime, noise_bound
 from robustbo.search import DomainSpec, maximize_acquisition
-from robustbo.weights import ZERO_CENTER, pimq_params_for_noise
+from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections
 
 
 def make_state(algorithm, seed=0, horizon=20, policy=None, budget_count=0, grid=201, **kw):
@@ -255,7 +255,7 @@ def test_a2_wrench_center_is_anchor_mean():
     grid = state.domain.grid
     for live, p in ((False, refit), (True, plan)):
         X, ys, nv = standardized_data(state, p)
-        params = pimq_params_for_noise(p.anchor.predict(X)[0], state.pimq_half_width, state.pimq_c, nv)
+        params = PimqParams(p.anchor.predict(X)[0], state.pimq_half_width, state.pimq_c)
         expected = rcgp_fit(X, ys, state.spec, nv, params)
         for got, want in zip(p.model.predict(grid), expected.predict(grid)):
             if live:
@@ -639,7 +639,7 @@ def test_a2_reborders_only_the_wrench_rows_its_center_moves(monkeypatch):
     assert sum(r > 0 and t > 1 for t, r in wrench) >= 5  # the plans that moved a correction
     X, ys, nv = standardized_data(state, plans[-1])
     X, ys = X[:-1], ys[:-1]  # the data of the last plan, before its step
-    params = pimq_params_for_noise(plans[-1].anchor.predict(X)[0], state.pimq_half_width, state.pimq_c, nv)
+    params = PimqParams(plans[-1].anchor.predict(X)[0], state.pimq_half_width, state.pimq_c)
     want = rcgp_fit(X, ys, state.spec, nv, params, state.domain.grid)
     for a, b in zip(plans[-1].model.predict(state.domain.grid), (want.grid.mean, want.grid.var)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
@@ -660,7 +660,7 @@ def test_a_moving_heuristic_width_reborders_a_downweighted_fit(monkeypatch):
             assert per_plan[t] == ["extend"]
             moved += 1
         X, ys, nv = standardized_data(state, plans[t])
-        params = pimq_params_for_noise(ZERO_CENTER, widths[t], state.pimq_c, nv)
+        params = PimqParams(ZERO_CENTER, widths[t], state.pimq_c)
         want = rcgp_fit(X[:6 + t], ys[:6 + t], state.spec, nv, params, state.domain.grid)  # plan t's data
         for a, b in zip(plans[t].model.predict(state.domain.grid), (want.grid.mean, want.grid.var)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
@@ -682,9 +682,9 @@ def test_a_plan_with_no_kept_point_refits_the_prior(monkeypatch):
     state = make_state("fc", pimq_policy="manual")
     state.add_initial(seed_points())
     s = state.plan()
-    assert algorithms._fit(state, "model", s, pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, s.nv)).y.shape == (4,)
+    assert algorithms._fit(state, "model", s, PimqParams(ZERO_CENTER, 2.0, 1.0)).y.shape == (4,)
     events = spy_fits(monkeypatch)
-    model = algorithms._fit(state, "model", s, pimq_params_for_noise(1e9, 2.0, 1.0, s.nv))
+    model = algorithms._fit(state, "model", s, PimqParams(1e9, 2.0, 1.0))
     assert events == ["gp_fit"] and model.y.shape == (0,)
     assert np.array_equal(model.grid.mean, np.zeros(201)) and np.array_equal(model.grid.var, np.ones(201))
 
@@ -845,15 +845,13 @@ def test_loo_recovers_generating_lengthscale():
 
 
 def test_loo_weighted_ignores_extreme_outlier():
-    from robustbo.weights import ZERO_CENTER, pimq_params_for_noise
-
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         X, y = _gp_sample(rng, 0.2)
         y = y.copy()
         y[0] += 1e3
-        params = pimq_params_for_noise(ZERO_CENTER, 3.0, 1.0, 0.01)
+        params = PimqParams(ZERO_CENTER, 3.0, 1.0)
         spec, _ = fit_hyperparameters_loo((X, y), params, SPACE)
         hits += spec.lengthscale[0] == 0.2
     assert hits >= 11
@@ -864,7 +862,7 @@ def test_loo_search_drops_saturated_outliers(value):
     # each candidate is rcgp_fit, which drops a negligible-weight point, so the
     # pick cannot tell a 1e6 outlier from a larger, infinite or NaN one
     X, y = _gp_sample(np.random.default_rng(3), 0.2)
-    params = pimq_params_for_noise(ZERO_CENTER, 3.0, 1.0, 0.01)
+    params = PimqParams(ZERO_CENTER, 3.0, 1.0)
     space = {**SPACE, "noise_var": [0.01, 0.05]}
     picks = [fit_hyperparameters_loo((X, np.concatenate(([v], y[1:]))), params, space) for v in (1e6, value)]
     assert picks[0] == picks[1]
@@ -923,11 +921,40 @@ def test_hyperfit_weights_use_the_fc_plateau_width(policy, monkeypatch):
         assert widths == [float(np.quantile(np.abs(ys - np.median(ys)), 0.95, method="lower"))]
 
 
+def test_each_loo_candidate_is_weighted_at_its_own_noise(monkeypatch):
+    # The step's noise variance (1.0: standardize "none") is in no candidate's grid.  The point at
+    # 1.1 sits just past the plateau edge 1.0, so every candidate fit must give it jw >= 1, more
+    # noise than an in-plateau point, with the corrections build_corrections gives at the
+    # candidate's own noise variance.
+    fits = []
+    fit = algorithms.rcgp_fit
+
+    def spy(X, y, spec, noise_var, params, grid=None):
+        post = fit(X, y, spec, noise_var, params, grid)
+        fits.append((X, y, noise_var, params, post))
+        return post
+
+    monkeypatch.setattr(algorithms, "rcgp_fit", spy)
+    space = {"lengthscale": [0.1, 0.3], "outputscale": [1.0], "noise_var": [0.05, 0.2]}
+    state = make_state("fc", standardize="none", hyperfit_every=1, hyperfit_space=space,
+                       pimq_policy="manual", pimq_half_width=1.0)
+    for x, y in zip(np.linspace(0.1, 0.9, 5), [0.3, -0.5, 1.1, 0.2, -0.4]):
+        state._append(x, y)
+    state.plan()  # step 1 refits
+    assert len(fits) == 4 and {nv for _, _, nv, _, _ in fits} == set(space["noise_var"])
+    for X, y, nv, params, post in fits:
+        kept = rcgp_data(X, y, post.spec, nv, params)[3]
+        want = build_corrections(params, nv, X, y)[kept]
+        assert np.all(post.corrections.jw >= 1.0) and post.corrections.jw[2] > 1.0
+        for name in ("weights", "jw", "mw"):
+            np.testing.assert_array_equal(getattr(post.corrections, name), getattr(want, name))
+
+
 def test_loo_validation():
     with pytest.raises(ValueError):
         fit_hyperparameters_loo(([0.1, 0.2], [1.0, 2.0]), None, SPACE)
     with pytest.raises(ValueError):
         fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), None, {"lengthscale": []})
-    for params in (None, pimq_params_for_noise(ZERO_CENTER, 3.0, 1.0, 0.01)):
+    for params in (None, PimqParams(ZERO_CENTER, 3.0, 1.0)):
         with pytest.raises(ValueError, match="equal length"):  # named, not "no viable candidate"
             fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0, 4.0]), params, SPACE)

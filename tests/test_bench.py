@@ -169,6 +169,22 @@ def test_trace_round_trip(tmp_path):
         assert a["mean_cum_regret"] == pytest.approx(b["mean_cum_regret"], abs=1e-12)
 
 
+def test_aggregating_runs_of_different_lengths_exits_config_error(tmp_path, capsys):
+    # a 3-step and a 4-step run of one algorithm written to the same directory
+    for seed, steps in ((0, 3), (1, 4)):
+        run_experiment(ExperimentConfig.from_dict(small_config(seeds=[seed], n_iterations=steps)), tmp_path)
+    assert main(["aggregate", "--in", str(tmp_path)]) == EXIT_CONFIG
+    assert "gp_ucb" in capsys.readouterr().err
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
+def test_a_trace_file_without_an_integer_seed_exits_config_error(tmp_path, capsys):
+    run_experiment(ExperimentConfig.from_dict(small_config(n_iterations=2)), tmp_path)
+    (tmp_path / "gp_ucb_seed0 (copy).csv").write_bytes((tmp_path / "gp_ucb_seed0.csv").read_bytes())
+    assert main(["aggregate", "--in", str(tmp_path)]) == EXIT_CONFIG
+    assert "gp_ucb_seed0 (copy).csv" in capsys.readouterr().err
+
+
 def test_aggregate_single_seed_flags_se():
     cfg = ExperimentConfig.from_dict(small_config())
     rows = aggregate(run_experiment(cfg))

@@ -9,7 +9,7 @@ from scipy.linalg import solve_triangular
 from conftest import assert_same_posterior
 from robustbo.gp import gp_fit
 from robustbo.kernels import KernelSpec, cross_matrix
-from robustbo.weights import WeightCorrections, pimq_params_for_noise
+from robustbo.weights import PimqParams, WeightCorrections, build_corrections
 
 
 def test_empty_data_returns_prior():
@@ -98,7 +98,7 @@ def test_rejects_nonpositive_noise(rbf):
 
 def test_identity_corrections_run_the_plain_fit(rng, rbf):
     # J_w = I and m_w = 0 passed explicitly give the plain fit's factor and weights bit for bit,
-    # and the plain fit carries the in-plateau corrections, the cap sqrt(noise_var / 2) included
+    # and the plain fit carries the in-plateau corrections, the weights build_corrections gives in-plateau points
     X = rng.uniform(0, 1, size=9)
     y = rng.normal(size=9)
     plain = gp_fit(X, y, rbf, 0.3)
@@ -106,7 +106,8 @@ def test_identity_corrections_run_the_plain_fit(rng, rbf):
     want = WeightCorrections.in_plateau(9, 0.3)
     for name in ("weights", "jw", "mw"):
         assert np.array_equal(getattr(plain.corrections, name), getattr(want, name))
-    assert np.all(plain.corrections.weights == pimq_params_for_noise(0.0, 1.0, 1.0, 0.3).w_max)
+    assert np.all(plain.corrections.weights == build_corrections(PimqParams(0.0, 1.0, 1.0), 0.3, X, 0.0 * y).weights)
+    assert np.all(plain.corrections.weights == math.sqrt(0.3 / 2.0))
     assert np.array_equal(plain.chol[0], ident.chol[0])
     assert np.array_equal(plain.alpha, ident.alpha)
 

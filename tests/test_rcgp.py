@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from conftest import assert_same_posterior, make_inplateau_dataset
 from robustbo.gp import GpPosterior, gp_fit
 from robustbo.rcgp import deviation_schur, rcgp_data, rcgp_fit
-from robustbo.weights import ZERO_CENTER, build_corrections, pimq_params_for_noise
+from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections
 
 GRID = np.linspace(0.0, 1.0, 101)
 
 
 def test_no_data_prior(rbf):
-    params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1.0, 1.0)
+    params = PimqParams(ZERO_CENTER, 1.0, 1.0)
     post = rcgp_fit([], [], rbf, 1.0, params)
     mean, var = post.predict(0.5)
     assert mean[0] == 0.0 and var[0] == rbf.outputscale
@@ -23,7 +23,7 @@ def test_single_inplateau_point_matches_plain_gp():
     from robustbo.kernels import KernelSpec
 
     spec = KernelSpec("rbf", 1.0, 1.0)
-    params = pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, 1.0)
+    params = PimqParams(ZERO_CENTER, 2.0, 1.0)
     post = rcgp_fit([0.0], [1.0], spec, 1.0, params)
     mean, var = post.predict(0.0)
     assert mean[0] == pytest.approx(0.5, abs=1e-12)
@@ -44,7 +44,7 @@ def test_robust_fit_is_gp_fit_on_the_kept_points(rng, rbf):
     # corrections, drop the rejected point, then the one gp_fit
     X = rng.uniform(0, 1, size=7)
     y = np.append(rng.normal(0, 0.5, size=6), 1e9)
-    params = pimq_params_for_noise(ZERO_CENTER, 1.0, 1.0, 0.25)
+    params = PimqParams(ZERO_CENTER, 1.0, 1.0)
     robust = rcgp_fit(X, y, rbf, 0.25, params)
     assert isinstance(robust, GpPosterior) and robust.X.shape == (6, 1)
     expected = gp_fit(X[:6], y[:6], rbf, 0.25, build_corrections(params, 0.25, X[:6], y[:6]))
@@ -55,7 +55,7 @@ def test_robust_fit_is_gp_fit_on_the_kept_points(rng, rbf):
 def test_variance_bounds(rng, rbf):
     X = rng.uniform(0, 1, size=10)
     y = np.concatenate([rng.normal(size=8), [30.0, -30.0]])
-    params = pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, 0.25)
+    params = PimqParams(ZERO_CENTER, 2.0, 1.0)
     _, var = rcgp_fit(X, y, rbf, 0.25, params).predict(GRID)
     assert np.all(var >= 0.0) and np.all(var <= rbf.outputscale + 1e-10)
 
@@ -63,7 +63,7 @@ def test_variance_bounds(rng, rbf):
 def test_huge_outlier_barely_moves_posterior(rng, rbf):
     Xc = rng.uniform(0, 1, size=6)
     yc = rng.normal(0, 0.5, size=6)
-    params = pimq_params_for_noise(ZERO_CENTER, 3.0, 1.0, 0.25)
+    params = PimqParams(ZERO_CENTER, 3.0, 1.0)
     clean = gp_fit(Xc, yc, rbf, 0.25)
     full = rcgp_fit(np.append(Xc, 0.5), np.append(yc, 1e9), rbf, 0.25, params)
     cm, _ = clean.predict(GRID)
@@ -74,7 +74,7 @@ def test_huge_outlier_barely_moves_posterior(rng, rbf):
 def test_outlier_magnitude_insensitivity(rng, rbf):
     X = rng.uniform(0, 1, size=8)
     y = rng.normal(0, 0.5, size=8)
-    params = pimq_params_for_noise(ZERO_CENTER, 3.0, 1.0, 0.25)
+    params = PimqParams(ZERO_CENTER, 3.0, 1.0)
     means = []
     for mag in (1e6, 1e9, 1e12):
         yy = y.copy()
@@ -89,7 +89,7 @@ def _random_split_instance(rng, rbf, n_clean=5, n_corrupt=2, noise_var=0.25):
     yu = rng.normal(0, 0.4, size=n_clean)
     Xc = rng.uniform(0, 1, size=n_corrupt)
     yc = rng.uniform(5, 20, size=n_corrupt) * rng.choice([-1, 1], size=n_corrupt)
-    params = pimq_params_for_noise(ZERO_CENTER, 2.0, 1.0, noise_var)
+    params = PimqParams(ZERO_CENTER, 2.0, 1.0)
     return (Xu, yu), (Xc, yc), params
 
 
@@ -139,7 +139,7 @@ def test_extending_by_the_kept_points_matches_the_refit(seed, kinds, n0, on_grid
     n0 = min(n0, len(kinds) - 1)
     X = rng.uniform(0, 1, size=(len(kinds), 1))
     y = rng.normal(0, 0.4, size=len(kinds)) + np.array([_OUTLIER[k] for k in kinds]) * rng.choice([-1, 1], len(kinds))
-    params = pimq_params_for_noise(ZERO_CENTER, 1.5, 1.0, 0.25)
+    params = PimqParams(ZERO_CENTER, 1.5, 1.0)
     grid = GRID.reshape(-1, 1) if on_grid else None
     post = rcgp_fit(X[:n0], y[:n0], rbf, 0.25, params, grid)
     Xk, yk, corr, _ = rcgp_data(X, y, rbf, 0.25, params)
@@ -168,7 +168,7 @@ def test_head_then_extend_matches_the_refit_on_the_same_rows(seed, kinds, k, t, 
     X = rng.uniform(0, 1, size=(len(kinds), 1))
     outliers = np.array([_OUTLIER[kind] for kind in kinds]) * rng.choice([-1, 1], len(kinds))
     y = rng.normal(0, 0.4, size=len(kinds)) + outliers
-    params = pimq_params_for_noise(ZERO_CENTER, 1.5, 1.0, 0.25)
+    params = PimqParams(ZERO_CENTER, 1.5, 1.0)
     Xk, yk, corr, _ = rcgp_data(X, y, rbf, 0.25, params)
     N = yk.shape[0]
     assume(N >= 2)
@@ -190,7 +190,7 @@ def test_head_then_extend_matches_the_refit_on_the_same_rows(seed, kinds, k, t, 
 
 
 def test_rcgp_data_is_what_rcgp_fit_factors(rbf):
-    params = pimq_params_for_noise(ZERO_CENTER, 1.5, 1.0, 0.25)
+    params = PimqParams(ZERO_CENTER, 1.5, 1.0)
     X, y = np.array([0.1, 0.5, 0.9, 0.3]), np.array([0.2, 1e9, -0.1, 6.0])
     Xk, yk, corr, kept = rcgp_data(X, y, rbf, 0.25, params)
     post = rcgp_fit(X, y, rbf, 0.25, params)
