@@ -15,12 +15,13 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .adversary import AdversaryPolicy, CorruptionBudget, corrupt
 from .gp import GpPosterior, gp_fit
-from .kernels import FactorizationError, KernelSpec, info_gain, solve_cho
+from .kernels import FactorizationError, KernelSpec, info_gain
 # Tracer-only, like build_corrections below: unused here, but perfbench's tracer wraps these bindings.
-from .kernels import gram_matrix, jittered_cho_factor  # noqa: F401
+from .kernels import gram_matrix, jittered_cho_factor, solve_cho  # noqa: F401
 from .objectives import Objective, observe
 from .rcgp import rcgp_data, rcgp_fit
 from .schedules import (
@@ -193,6 +194,8 @@ class BoState:
             raise ValueError(f"a2_width_mode 'adaptive' needs pimq_policy 'schedule', got {self.pimq_policy!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        if not 0.0 <= self.b_f < math.inf:
+            raise ValueError(f"b_f must be finite and >= 0, got {self.b_f!r}")
         PimqParams(ZERO_CENTER, self.pimq_half_width, self.pimq_c)  # checks shape_c and the manual width
         if not 0.0 <= self.heuristic_quantile <= 1.0:
             raise ValueError(f"heuristic_quantile must lie in [0, 1], got {self.heuristic_quantile!r}")
@@ -448,7 +451,8 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
             post = gp_fit(X, y, spec, nv) if weight_params is None else rcgp_fit(X, y, spec, nv, weight_params)
         except (ValueError, FactorizationError):
             continue
-        Ainv_diag = np.diag(solve_cho(post.chol, np.eye(post.y.shape[0])))
+        Linv = solve_triangular(post.L, np.eye(post.y.shape[0]), lower=True, check_finite=False)
+        Ainv_diag = np.sum(Linv * Linv, axis=0)  # [A^-1]_ii, the squared norm of column i of L^-1
         if np.any(Ainv_diag <= 1e-12):
             continue
         wbar = 1.0 if weight_params is None else post.corrections.weights / plateau_cap(nv)

@@ -4,12 +4,13 @@ The robust posterior (:mod:`robustbo.rcgp`) fits K + noise_var*J_w on y - m_w
 with P-IMQ corrections; the plain GP is the same fit with in-plateau ones
 (J_w = I, m_w = 0), so an all-in-plateau robust fit equals it in every field.
 
-A fit keeps the lower factor L of A = K + noise_var*J_w and w = L^-1 (y - m_w),
-so t more points border L by t rows (:meth:`GpPosterior.extend`) instead of
-refactoring A, and the posterior of its first k rows is the leading block
-(:meth:`GpPosterior.head`).  On a fixed point set (the 1-D acquisition grid)
-it also keeps V = L^-1 K(X, points) and the predictions there, which grow by
-one row of V per point as well.
+A fit keeps the lower factor L of A = K + noise_var*J_w and w = L^-1 (y - m_w);
+every other quantity is a triangular solve with L: alpha = L^-T w and the
+variances |L^-1 k|^2.  So t more points border L by t rows
+(:meth:`GpPosterior.extend`) instead of refactoring A, and the posterior of
+its first k rows is the leading block (:meth:`GpPosterior.head`).  On a fixed
+point set (the 1-D acquisition grid) it also keeps V = L^-1 K(X, points) and
+the predictions there, which grow by one row of V per point as well.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor, solve_cho
+from .kernels import KernelSpec, _as_points, cross_matrix, gram_matrix, jittered_cho_factor
+# Tracer-only: unused here; perfbench's tracer wraps this binding of this module.
+from .kernels import solve_cho  # noqa: F401
 from .weights import WeightCorrections
 
 __all__ = ["GpPosterior", "GridPredictions", "gp_fit"]
@@ -52,12 +55,13 @@ class GridPredictions:
 class GpPosterior:
     """Immutable fitted GP: data, corrections (in-plateau for the plain GP), factorized K + noise_var*J_w.
 
-    chol is (L, True) with L the lower factor (its upper triangle is unused),
-    w = L^-1 (y - m_w) and alpha = A^-1 (y - m_w).  jitter is the diagonal jitter the
-    factorization needed; grid holds the predictions on the point set the
-    posterior was fit for, or None.  The rows (X, y, corrections, L, w, V)
-    are in the order the points were factored, which for a bordered model
-    may differ from the order they were observed in.
+    L is the lower factor of A (its upper triangle is unused: cho_factor
+    leaves A's entries there), w = L^-1 (y - m_w) and alpha = A^-1 (y - m_w)
+    = L^-T w.  jitter is the diagonal jitter the factorization needed;
+    grid holds the predictions on the point set the posterior was fit for,
+    or None.  The rows (X, y, corrections, L, w, V) are in the order the
+    points were factored, which for a bordered model may differ from the
+    order they were observed in.
     """
 
     X: np.ndarray
@@ -65,15 +69,15 @@ class GpPosterior:
     spec: KernelSpec
     noise_var: float
     corrections: WeightCorrections
-    chol: object = field(repr=False)
+    L: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
     jitter: float = 0.0
     grid: Optional[GridPredictions] = field(default=None, repr=False)
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:
-        """A^-1 (y - m_w), solved on first use: an extended posterior needs it only off its grid."""
-        return solve_cho(self.chol, self.y - self.corrections.mw)
+        """A^-1 (y - m_w) = L^-T w, solved on first use: an extended posterior needs it only off its grid."""
+        return solve_triangular(self.L, self.w, lower=True, trans="T")
 
     def predict(self, Xq):
         """Vectorized posterior mean k'a and variance k(x,x) - |L^-1 k|^2 at query points (m, d).
@@ -84,7 +88,7 @@ class GpPosterior:
         if self.grid is not None and Xq is self.grid.points:
             return self.grid.mean, self.grid.var
         Kq = cross_matrix(self.spec, self.X, Xq)  # (n, m); without data (0, m), so the prior
-        return Kq.T @ self.alpha, self._variance(solve_triangular(self.chol[0], Kq, lower=True, check_finite=False))
+        return Kq.T @ self.alpha, self._variance(solve_triangular(self.L, Kq, lower=True, check_finite=False))
 
     def predict_mean(self, Xq):
         """predict's mean alone, without the triangular solve of the variance."""
@@ -110,7 +114,7 @@ class GpPosterior:
             V = grid.V[:k]
             grid = GridPredictions(grid.points, V, w @ V, self._variance(V))
         return GpPosterior(self.X[:k], self.y[:k], self.spec, self.noise_var, self.corrections[:k],
-                           (self.chol[0][:k, :k], True), w, 0.0, grid)
+                           self.L[:k, :k], w, 0.0, grid)
 
     def extend(self, X2, y2, corrections: Optional[WeightCorrections] = None) -> Optional["GpPosterior"]:
         """The posterior with t more points (X2, y2) after its own, by bordering the factor.
@@ -130,7 +134,7 @@ class GpPosterior:
         """
         if self.jitter:
             return None
-        spec, L, n = self.spec, self.chol[0], self.X.shape[0]
+        spec, L, n = self.spec, self.L, self.X.shape[0]
         X2 = _as_points(X2, spec.dim)
         y2 = np.asarray(y2, dtype=float).reshape(-1)
         t = y2.shape[0]
@@ -179,7 +183,7 @@ class GpPosterior:
         corrections = WeightCorrections(*(np.concatenate((getattr(self.corrections, f), getattr(corrections, f)))
                                           for f in ("weights", "jw", "mw")))
         return GpPosterior(np.concatenate((self.X, X2)), np.concatenate((self.y, y2)), spec, self.noise_var,
-                           corrections, (L1, True), np.concatenate((self.w, w2)), 0.0, grid)
+                           corrections, L1, np.concatenate((self.w, w2)), 0.0, grid)
 
 
 def gp_fit(X, y, spec: KernelSpec, noise_var: float,
@@ -207,7 +211,7 @@ def gp_fit(X, y, spec: KernelSpec, noise_var: float,
         A[np.diag_indices_from(A)] += noise_var * jw
         (L, _), jitter = jittered_cho_factor(A, spec.outputscale)
     w = solve_triangular(L, y - mw, lower=True, check_finite=False)
-    post = GpPosterior(X, y, spec, float(noise_var), corrections, (L, True), w, jitter)
+    post = GpPosterior(X, y, spec, float(noise_var), corrections, L, w, jitter)
     if grid is None:
         return post
     grid = _as_points(grid, spec.dim)

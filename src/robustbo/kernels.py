@@ -154,7 +154,8 @@ def info_gain(spec: KernelSpec, X, noise_var: float) -> float:
 
 
 def solve_cho(chol, b: np.ndarray) -> np.ndarray:
-    """cho_solve wrapper for the full solves: a posterior's alpha, the
-    leave-one-out inverse diagonal and the deviation Schur complement.  Fits,
-    extensions and variances use one triangular solve with the lower factor."""
+    """cho_solve with a (factor, lower) pair.  A tracer-only binding: no
+    library path calls it, since every solve is a triangular one with a
+    posterior's lower factor L; perfbench's tracer still wraps it here and in
+    gp, rcgp and algorithms."""
     return cho_solve(chol, b)

@@ -27,8 +27,8 @@ class Objective:
         if b.shape[1] != 2 or np.any(b[:, 0] >= b[:, 1]):
             raise ValueError("bounds must be (d, 2) with lower < upper")
         object.__setattr__(self, "bounds", b)
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError("noise_var must be finite and nonnegative")
 
     @property
     def dim(self) -> int:

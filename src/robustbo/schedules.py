@@ -46,8 +46,8 @@ class CompactConvex:
     d: int
 
     def __post_init__(self):
-        if min(self.a, self.b, self.r) <= 0 or self.d < 1:
-            raise ValueError("compact-convex constants must be positive")
+        if not all(0 < v < math.inf for v in (self.a, self.b, self.r)) or self.d < 1:  # each on its own: NaN fails
+            raise ValueError("compact-convex constants must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Rkhs:
     b_f: float
 
     def __post_init__(self):
-        if self.b_f <= 0:
+        if not self.b_f > 0:
             raise ValueError("RKHS norm bound must be positive")
 
 

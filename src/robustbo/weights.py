@@ -54,7 +54,7 @@ class PimqParams:
     def __post_init__(self):
         if not self.shape_c > 0:
             raise ValueError("shape_c must be positive")
-        if np.any(np.asarray(self.half_width) < 0):
+        if not np.all(np.asarray(self.half_width) >= 0):  # a NaN width fails too
             raise ValueError("half_width must be nonnegative")
         object.__setattr__(self, "shape_c", float(self.shape_c))
 

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import deviation_schur
 from robustbo.bench import ExperimentConfig, load_config, run_experiment
 from robustbo.gp import gp_fit
 from robustbo.kernels import KernelSpec
-from robustbo.rcgp import deviation_schur, rcgp_fit
+from robustbo.rcgp import rcgp_fit
 from robustbo.weights import (
     ZERO_CENTER,
     PimqParams,

@@ -1,9 +1,6 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -11,39 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import qmc
 
-from robustbo import algorithms, bench, gp, rcgp, search
-from robustbo.adversary import CorruptionBudget, EagerBudget, NoCorruption
+from conftest import make_state
+from robustbo import algorithms, bench, gp, rcgp
+from robustbo.adversary import EagerBudget
 from robustbo.algorithms import BoState, fit_hyperparameters_loo, run_loop, standardize_targets, step
 from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec, info_gain
-from robustbo.objectives import Objective, make_objective
+from robustbo.objectives import make_objective
 from robustbo.rcgp import rcgp_data, rcgp_fit
 from robustbo.schedules import FiniteDomain, Rkhs, beta_prime, noise_bound
 from robustbo.search import DomainSpec, maximize_acquisition
-from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections
-
-
-def make_state(algorithm, seed=0, horizon=20, policy=None, budget_count=0, grid=201, **kw):
-    obj = make_objective("forrester", 1.0)
-    domain = DomainSpec.from_bounds(obj.bounds, grid)
-    defaults = dict(
-        algorithm=algorithm,
-        objective=obj,
-        policy=policy if policy is not None else NoCorruption(),
-        budget=CorruptionBudget("fixed_count", horizon, count=budget_count),
-        spec=KernelSpec("rbf", 0.15, 1.0),
-        domain=domain,
-        case=FiniteDomain(grid),
-        delta=0.1,
-        b_f=8.0,
-        horizon=horizon,
-        noise_rng=np.random.default_rng(seed),
-        standardize="initial",
-    )
-    defaults.update(kw)
-    return BoState(**defaults)
+from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections, plateau_cap
 
 
 def seed_points(n=4):
@@ -216,7 +192,7 @@ def test_fc_matches_baseline_on_clean_data():
     # the plain GP is the all-in-plateau robust fit: the two models are equal field for field
     def fields(m):
         c = m.corrections
-        return m.X, m.y, c.weights, c.jw, c.mw, m.chol[0], m.w, m.grid.mean, m.grid.var
+        return m.X, m.y, c.weights, c.jw, c.mw, m.L, m.w, m.grid.mean, m.grid.var
 
     for a, b in zip(fields(models["gp_ucb"]), fields(models["fc"])):
         assert np.array_equal(a, b)
@@ -381,156 +357,6 @@ def test_multistart_refinement_on_2d_objective():
     state.add_initial(np.array([[0.0, 5.0], [5.0, 10.0], [-3.0, 2.0], [8.0, 12.0]]))
     x, _ = step(state)
     assert obj.in_domain(x) and x.shape == (2,)
-
-
-def _reference_search(state, domain):
-    """The per-start coordinate search the batched one replaced: each Sobol
-    start refined on its own, the first start kept on equal final values."""
-    plan = state.plan()
-
-    def ucb(X):
-        mean, var = plan.model.predict(X)
-        return mean + math.sqrt(plan.beta) * np.sqrt(var)
-
-    d = domain.dim
-    starts = qmc.Sobol(d, scramble=False).random(domain.n_starts)
-    starts = qmc.scale(starts, domain.bounds[:, 0], domain.bounds[:, 1])
-    best_x, best_v = None, -np.inf
-    for x0 in starts:
-        x = x0.copy()
-        for _ in range(2):
-            for j in range(d):
-                cand = np.tile(x, (domain.coord_grid, 1))
-                cand[:, j] = np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], domain.coord_grid)
-                x = cand[int(np.argmax(ucb(cand)))]
-        v = float(ucb(np.atleast_2d(x))[0])
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 6, 9])
-def test_sobol_points_are_scipys_draw_without_the_warning(d):
-    # the scrambled initial design and the unscrambled search starts both draw through it
-    unit = np.tile([0.0, 1.0], (d, 1))
-    bounds = np.column_stack([-np.arange(1.0, d + 1), np.linspace(0.5, 7.0, d)])
-    for n in (0, 1, 2, 3, 5, 7, 8, 33, 64, 100):
-        for seed in (None, 0, 1, 2):
-            rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(3)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # random(n) warns unless n is a power of two
-                want = qmc.Sobol(d, scramble=seed is not None, seed=rngs[0]).random(n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = search.sobol_points(unit, n, rngs[1])
-                scaled = search.sobol_points(bounds, n, rngs[2])
-            assert got.shape == (n, d) and np.array_equal(got, want)
-            if n:
-                assert np.array_equal(scaled, qmc.scale(want, bounds[:, 0], bounds[:, 1]))
-
-
-def test_sobol_points_check_the_dimension_and_count():
-    with pytest.raises(ValueError, match="21201"):
-        search.sobol_points(np.tile([0.0, 1.0], (21202, 1)), 4)
-    with pytest.raises(ValueError, match="2\\*\\*30"):  # not 2**30 + 1: with a broken check that allocates 8 GB
-        search.sobol_points(np.tile([0.0, 1.0], (2, 1)), -1)
-    directions = search._sobol_directions(3)
-    assert directions is search._sobol_directions(3) and not directions.flags.writeable
-
-
-def test_importing_the_package_leaves_scipy_stats_unloaded():
-    # in a fresh interpreter: this one imports qmc above as the oracle
-    src = str(Path(algorithms.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, robustbo, robustbo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
-
-
-_BRANIN = make_objective("branin", 1.0)
-_SPHERE3 = Objective("sphere3", np.array([[-1.0, 1.0], [0.0, 2.0], [-2.0, 0.5]]),
-                     lambda x: -float(np.sum((x - 0.3) ** 2)), 0.01)
-_SEARCH_CASES = {
-    # objective, lengthscale, seed points, eager outlier for the corrupted fc state
-    "branin2d": (_BRANIN, [3.0, 3.0], np.array([[0.0, 5.0], [5.0, 10.0], [-3.0, 2.0], [8.0, 12.0], [2.0, 1.0]]), 300.0),
-    "sphere3d": (_SPHERE3, [0.6, 0.6, 0.6], np.array([[-0.5, 0.5, -1.0], [0.5, 1.5, 0.0], [0.9, 0.1, -1.8],
-                                                     [-0.9, 1.9, 0.3], [0.0, 1.0, -0.5]]), 5.0),
-}
-
-
-def make_search_state(case, algorithm, n_starts=64, steps=0, with_data=True, **kw):
-    objective, lengthscale, X0, outlier = _SEARCH_CASES[case]
-    domain = dataclasses.replace(DomainSpec.from_bounds(objective.bounds), n_starts=n_starts)
-    if algorithm == "fc":  # corrupted: the first observations are outliers the robust fit downweights
-        kw = dict(policy=EagerBudget(outlier), budget_count=2, pimq_policy="manual", **kw)
-    state = make_state(algorithm, objective=objective, domain=domain, spec=KernelSpec("matern52", lengthscale, 1.0),
-                       case=FiniteDomain(1001), **kw)
-    if with_data:
-        state.add_initial(X0)
-    run_loop(state, steps)
-    return state
-
-
-@pytest.mark.filterwarnings("ignore:The balance properties of Sobol:UserWarning")  # n_starts = 10
-@pytest.mark.parametrize("n_starts", [64, 10])
-@pytest.mark.parametrize("algorithm", ["gp_ucb", "fc"])
-@pytest.mark.parametrize("case", ["branin2d", "sphere3d"])
-def test_batched_search_matches_the_per_start_loop(case, algorithm, n_starts):
-    state = make_search_state(case, algorithm, n_starts, steps=3)
-    if algorithm == "fc":
-        assert [r.corrupted for r in state.records[-3:]] == [True, True, False]
-        assert np.any(state.plan().model.corrections.jw != 1.0)
-    x = maximize_acquisition(state.domain, state.plan().ucb)
-    assert np.array_equal(x, _reference_search(state, state.domain))
-    assert state.objective.in_domain(x)
-
-
-@pytest.mark.parametrize("case", ["branin2d", "sphere3d"])
-def test_batched_search_predicts_once_per_sweep_coordinate(case, monkeypatch):
-    state = make_search_state(case, "fc", steps=2)
-    state.plan()  # the fit is not part of the search
-    sizes = []
-    predict = gp.GpPosterior.predict
-    monkeypatch.setattr(gp.GpPosterior, "predict", lambda self, Xq: sizes.append(len(Xq)) or predict(self, Xq))
-    maximize_acquisition(state.domain, state.plan().ucb)
-    d, block = state.domain.dim, state.domain.n_starts * state.domain.coord_grid
-    assert sizes == [block] * (2 * d) + [state.domain.n_starts]
-
-
-def test_batched_search_on_the_prior_keeps_the_first_start():
-    # A flat acquisition ties everywhere: every sweep keeps the lowest grid
-    # index, so every start ends at the lower corner and the first one is kept.
-    state = make_search_state("sphere3d", "gp_ucb", with_data=False, standardize="none")
-    x = maximize_acquisition(state.domain, state.plan().ucb)
-    assert np.array_equal(x, _reference_search(state, state.domain))
-    assert np.array_equal(x, state.domain.bounds[:, 0])
-
-
-def test_batched_search_keeps_the_first_of_tied_starts():
-    # One low observation in a corner of the unit square, with a short
-    # lengthscale: away from it the acquisition is exactly the prior's, so
-    # starts settle on different points of equal value and the first start wins.
-    square = Objective("square", np.array([[0.0, 1.0], [0.0, 1.0]]), lambda x: -10.0, 0.01)
-    state = make_state("gp_ucb", objective=square, domain=DomainSpec.from_bounds(square.bounds),
-                       spec=KernelSpec("rbf", [0.02, 0.02], 1.0), case=FiniteDomain(1001), standardize="none")
-    state.add_initial(np.zeros((1, 2)))
-    ucb = state.plan().ucb
-    x = maximize_acquisition(state.domain, ucb)
-    assert np.array_equal(x, _reference_search(state, state.domain))
-    assert not np.array_equal(x, x[::-1]) and ucb(np.atleast_2d(x))[0] == ucb(np.atleast_2d(x[::-1]))[0]
-
-
-def test_search_starts_are_drawn_once_per_domain_without_a_warning():
-    state = make_search_state("branin2d", "gp_ucb", n_starts=10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no balance warning for 10 starts, a non-power of two
-        step(state)
-        maximize_acquisition(state.domain, state.plan().ucb)
-    starts = state.domain.starts
-    assert starts is state.domain.starts and not starts.flags.writeable
-    with pytest.warns(UserWarning, match="balance properties"):
-        prefix = qmc.Sobol(2, scramble=False).random(10)
-    assert np.array_equal(starts, qmc.scale(prefix, state.domain.bounds[:, 0], state.domain.bounds[:, 1]))
 
 
 # -- extending the previous model -------------------------------------------
@@ -948,6 +774,43 @@ def test_each_loo_candidate_is_weighted_at_its_own_noise(monkeypatch):
         assert np.all(post.corrections.jw >= 1.0) and post.corrections.jw[2] > 1.0
         for name in ("weights", "jw", "mw"):
             np.testing.assert_array_equal(getattr(post.corrections, name), getattr(want, name))
+
+
+def _brute_force_loo_score(X, y, spec, nv, params):
+    """The LOO score by refitting without each point: sum_i wbar_i * ((y_i - m_w,i) - mu_{-i}(x_i))^2
+    over the kept points, the kept points' corrections held fixed, as the search fits them."""
+    if params is None:
+        X, y, corr = X.reshape(-1, 1), y, None
+    else:
+        X, y, corr, _ = rcgp_data(X, y, spec, nv, params)
+    score = 0.0
+    for i in range(y.shape[0]):
+        rest = np.arange(y.shape[0]) != i
+        post = gp_fit(X[rest], y[rest], spec, nv, None if corr is None else corr[rest])
+        mw, wbar = (0.0, 1.0) if corr is None else (corr.mw[i], corr.weights[i] / plateau_cap(nv))
+        score += wbar * ((y[i] - mw) - post.predict_mean(X[i:i + 1])[0]) ** 2
+    return score
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), robust=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_loo_picks_the_brute_force_argmin(seed, n, robust):
+    # the rank-one identity's score, read from the factor, against n refits without one point each
+    space = {"lengthscale": [0.1, 0.4], "noise_var": [0.05, 0.5]}
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, size=n)
+    y = np.sin(6.0 * X) + 0.3 * rng.standard_normal(n)
+    params = None
+    if robust:  # one or two outliers the plateau downweights, and the search drops or keeps
+        out = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+        y[out] += rng.uniform(3.0, 8.0, size=out.shape[0]) * rng.choice([-1.0, 1.0], size=out.shape[0])
+        params = PimqParams(ZERO_CENTER, 1.5, 1.0)
+    candidates = [(ls, nv) for ls in space["lengthscale"] for nv in space["noise_var"]]
+    scores = [_brute_force_loo_score(X, y, KernelSpec("rbf", ls, 1.0), nv, params) for ls, nv in candidates]
+    spec, nv = fit_hyperparameters_loo((X, y), params, space)
+    picked = candidates.index((spec.lengthscale[0], nv))
+    # the argmin, or a candidate within round-off of it
+    assert scores[picked] <= min(scores) * (1.0 + 1e-8)
 
 
 def test_loo_validation():

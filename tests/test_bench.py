@@ -441,6 +441,17 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"hyperfit": {"every": 3, "search_space": {"lengthscale": [[0.1, 0.2]], "noise_var": [0.1]}}},
         # a kernel of another dimension than the objective, which BoState checks
         {"kernel": {"lengthscale": [0.15, 0.15]}},
+        # a NaN fails every range check, and a negative or infinite b_f is rejected when the run is built
+        {"schedule": {"b_f": math.nan}},
+        {"schedule": {"b_f": -1.0}},
+        {"schedule": {"b_f": math.inf}},
+        {"schedule": {"case": "rkhs", "b_f": math.nan}},
+        {"pimq": {"half_width": math.nan}},
+        {"schedule": {"case": "compact_convex", "compact_convex": {"a": math.nan, "b": 1.0, "r": 1.0}}},
+        {"schedule": {"case": "compact_convex", "compact_convex": {"a": 1.0, "b": math.nan, "r": 1.0}}},
+        {"objective": {"name": "forrester", "noise_var": math.nan}},
+        {"objective": {"name": "forrester", "noise_var": math.inf}},
+        {"schedule": {"case": "compact_convex", "compact_convex": {"a": 1.0, "b": 1.0, "r": math.inf}}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -454,7 +465,9 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "float-grid-size", "fractional-hyperfit-every", "fractional-count", "enabled",
          "integer-seeds", "string-algorithms", "list-policy", "repeated-seeds", "repeated-algorithms",
          "word-in-search-grid", "negative-search-grid", "search-space-family", "search-space-dimension",
-         "kernel-dimension"],
+         "kernel-dimension", "nan-b-f", "negative-b-f", "infinite-b-f", "nan-rkhs-b-f", "nan-half-width",
+         "nan-compact-convex-a", "nan-compact-convex-b", "nan-noise-var", "infinite-noise-var",
+         "infinite-compact-convex-r"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"

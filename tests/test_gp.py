@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from conftest import assert_same_posterior
 from robustbo.gp import gp_fit
@@ -108,7 +108,7 @@ def test_identity_corrections_run_the_plain_fit(rng, rbf):
         assert np.array_equal(getattr(plain.corrections, name), getattr(want, name))
     assert np.all(plain.corrections.weights == build_corrections(PimqParams(0.0, 1.0, 1.0), 0.3, X, 0.0 * y).weights)
     assert np.all(plain.corrections.weights == math.sqrt(0.3 / 2.0))
-    assert np.array_equal(plain.chol[0], ident.chol[0])
+    assert np.array_equal(plain.L, ident.L)
     assert np.array_equal(plain.alpha, ident.alpha)
 
 
@@ -154,6 +154,45 @@ def test_extend_matches_the_refit(seed, n0, k, lengthscale, noise_var, on_grid):
     got = _extended(X, y, spec, noise_var, n0, grid)
     want = gp_fit(X, y, spec, noise_var, grid=grid)
     assert_same_posterior(got, want, rng.uniform(0, 1, size=17))
+
+
+def _assert_alpha_is_cho_solve(post):
+    """alpha's slow twin: scipy's cho_solve on (L, lower), two solves from y - m_w, to 1e-10 relative."""
+    want = cho_solve((post.L, True), post.y - post.corrections.mw)
+    assert np.linalg.norm(post.alpha - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 10),
+    t=st.integers(1, 4),
+    family=st.sampled_from(["rbf", "matern52"]),
+    robust=st.booleans(),
+    on_grid=st.booleans(),
+    jittered=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_alpha_is_the_cholesky_solve(seed, n, t, family, robust, on_grid, jittered):
+    # alpha = L^-T w, one back-substitution on the kept w, against the full solve
+    # with the factor: after gp_fit, after extend by t rows, and on every head
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(family, rng.uniform(0.05, 0.5), rng.uniform(0.5, 2.0))
+    X, y = rng.uniform(0, 1, size=(n + t, 1)), rng.normal(0, 1.0, size=n + t)
+    noise_var = 0.3
+    if jittered:  # three observations of one point with almost no noise: the factor needs jitter
+        n, noise_var = n + 3, 1e-20
+        X, y = np.vstack([np.repeat(X[:1], 3, axis=0), X]), np.concatenate([rng.normal(0, 1.0, size=3), y])
+    corr = WeightCorrections.in_plateau(n + t, noise_var)
+    if robust:
+        jw = np.where(rng.random(n + t) < 0.4, rng.uniform(1.0, 50.0, n + t), 1.0)
+        corr = WeightCorrections(np.sqrt(noise_var / 2.0 / jw), jw, np.where(jw != 1.0, rng.normal(size=n + t), 0.0))
+    post = gp_fit(X[:n], y[:n], spec, noise_var, corr[:n], GRID if on_grid else None)
+    assert (post.jitter > 0) == jittered
+    _assert_alpha_is_cho_solve(post)
+    extended = post.extend(X[n:], y[n:], corr[n:])
+    assert (extended is None) == jittered  # a jittered factor is refit, never bordered
+    for k in range(n + t + 1) if extended is not None else ():
+        _assert_alpha_is_cho_solve(extended.head(k))
 
 
 def test_grid_predictions_are_predict_on_the_grid(rng, rbf):
@@ -208,7 +247,7 @@ def test_extend_rejects_non_finite_targets_like_the_fit(rbf):
 
 
 def _fields(post):
-    return (post.X, post.y, post.corrections.weights, post.corrections.jw, post.corrections.mw, post.chol[0],
+    return (post.X, post.y, post.corrections.weights, post.corrections.jw, post.corrections.mw, post.L,
             post.w, post.alpha, post.grid.V, post.grid.mean, post.grid.var)
 
 
@@ -232,7 +271,7 @@ def test_extend_without_corrections_is_extend_with_in_plateau_ones(rng, rbf):
 def _one_row_border(post, x, y, jw=1.0, mw=0.0):
     """A single new row bordered onto post: l = L^-1 k(X, x), d = sqrt(kappa + nv*jw - l.l),
     the new entry of w and row of V divided by d.  Returns (L, w, V, grid mean, grid variance)."""
-    L, n, spec = post.chol[0], post.X.shape[0], post.spec
+    L, n, spec = post.L, post.X.shape[0], post.spec
     l = solve_triangular(L, cross_matrix(spec, post.X, x)[:, 0], lower=True, check_finite=False)
     d = math.sqrt(spec.outputscale + post.noise_var * jw - l @ l)
     L1 = np.zeros((n + 1, n + 1))
@@ -259,7 +298,7 @@ def test_a_one_row_border_is_the_one_row_formula_bit_for_bit(n, robust, rng):
         post = gp_fit(X[:n], y[:n], spec, 0.3, None if corr is None else corr[:n], GRID)
         got = post.extend(X[n:], y[n:], None if corr is None else corr[n:])
         want = _one_row_border(post, X[n], y[n], *((corr.jw[n], corr.mw[n]) if robust else ()))
-        for a, b in zip((got.chol[0], got.w, got.grid.V, got.grid.mean, got.grid.var), want):
+        for a, b in zip((got.L, got.w, got.grid.V, got.grid.mean, got.grid.var), want):
             assert np.array_equal(a, b)
 
 

@@ -22,13 +22,23 @@ def _imports(source: str):
             yield alias.asname or alias.name.split(".")[0], node.lineno, kept
 
 
+def _read_names(source: str) -> set[str]:
+    return {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+
+
 def unused_imports(source: str) -> list[str]:
     """The names an import binds and the module never reads.  __init__'s
     imports are its public surface, so the caller skips it; an import whose
     statement carries "# noqa: F401" is kept on purpose."""
     imported = {name: line for name, line, kept in _imports(source) if not kept}
-    read = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    read = _read_names(source)
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def read_kept_imports(source: str) -> list[str]:
+    """The names bound by a "# noqa: F401" import that the module reads all the same."""
+    read = _read_names(source)
+    return [f"line {line}: {name}" for name, line, kept in _imports(source) if kept and name in read]
 
 
 def kept_imports(source: str) -> list[str]:
@@ -41,12 +51,20 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_no_kept_import_is_read(module):
+    # "# noqa: F401" exempts a binding only the tracer reads; a name the module reads goes in a checked import
+    assert read_kept_imports((SRC / module).read_text()) == []
+
+
 def test_the_check_sees_an_unused_import():
     source = "import math\nfrom dataclasses import dataclass, field\n\n\n@dataclass\nclass A:\n    x = math.pi\n"
     assert unused_imports(source) == ["line 2: field"]
     assert unused_imports("from dataclasses import field  # noqa: F401\n") == []
     assert kept_imports(source) == []
     assert kept_imports("import math\nfrom dataclasses import field  # noqa: F401\n") == ["field"]
+    assert read_kept_imports(source) == []
+    assert read_kept_imports("from math import pi, tau  # noqa: F401\n\nx = 2 * pi\n") == ["line 1: pi"]
 
 
 def test_every_kept_import_is_a_binding_the_tracer_wraps():

@@ -4,8 +4,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_posterior, make_inplateau_dataset
+from oracles import deviation_schur
 from robustbo.gp import GpPosterior, gp_fit
-from robustbo.rcgp import deviation_schur, rcgp_data, rcgp_fit
+from robustbo.rcgp import rcgp_data, rcgp_fit
 from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections
 
 GRID = np.linspace(0.0, 1.0, 101)
