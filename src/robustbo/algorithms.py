@@ -174,8 +174,6 @@ class BoState:
     X: list = field(default_factory=list)
     y_obs: list = field(default_factory=list)
     records: list = field(default_factory=list)  # one StepRecord per step: clean value, corruption flag
-    t: int = 0
-    _plan: Optional[Plan] = field(default=None, repr=False)
     _seed_std: tuple = field(default=(0.0, 1.0), repr=False)  # "initial"'s location/scale
     # The last model of each plan role and the data indices of its rows, for the next plan; see _fit.
     _fits: dict = field(default_factory=dict, init=False, repr=False)
@@ -218,11 +216,14 @@ class BoState:
         # conditioned than median/MAD on a handful of points.
         self._seed_std = standardize_targets(self.y_obs, "zscore")
 
+    @property
+    def t(self) -> int:
+        """The number of steps taken: one record each."""
+        return len(self.records)
+
     def _append(self, x, y: float) -> None:
-        # The only place the data change, so the only place the plan goes stale.
         self.X.append(np.atleast_1d(np.asarray(x, dtype=float)))
         self.y_obs.append(y)
-        self._plan = None
 
     def _data(self):
         n = len(self.X)
@@ -235,10 +236,8 @@ class BoState:
         return self._seed_std if self.standardize == "initial" else standardize_targets(y_raw, self.standardize)
 
     def plan(self) -> Plan:
-        """The upcoming step's data, schedule, fitted model(s) and beta, cached until the data change."""
-        if self._plan is None:
-            self._plan = _PLAN_BUILDERS[self.algorithm](self, self._step_inputs())
-        return self._plan
+        """The upcoming step's data, schedule, fitted model(s) and beta: a function of the settings and the data."""
+        return _PLAN_BUILDERS[self.algorithm](self, self._step_inputs())
 
     def _step_inputs(self) -> Plan:
         """The data-and-schedule part of every plan: standardize, refit hyperparameters, schedule."""
@@ -254,31 +253,30 @@ class BoState:
         nv = self.objective.noise_var / scale2 if self.fitted_noise_var is None else self.fitted_noise_var
         if nv <= 0:
             nv = 1e-12  # noiseless objectives still need a proper Gram regularizer
-        sigma = math.sqrt(nv)
 
         if self.hyperfit_space is not None and len(ys) >= 3 and (t - 1) % self.hyperfit_every == 0:
-            wp = None
-            if self.algorithm != "gp_ucb":
-                n_t = noise_bound(self.case, sigma, self.horizon, self.delta / 2.0)
-                wp = PimqParams(ZERO_CENTER, self._plateau_width(ys, n_t), self.pimq_c)
-            self.spec, self.fitted_noise_var = fit_hyperparameters_loo((X, ys), wp, self.hyperfit_space)
+            plateau = None if self.algorithm == "gp_ucb" else lambda spec, nv: self._zero_plateau(ys, spec, nv)
+            self.spec, self.fitted_noise_var = fit_hyperparameters_loo((X, ys), plateau, self.hyperfit_space)
             nv = self.fitted_noise_var
-            sigma = math.sqrt(nv)
 
         gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) else 0.0
         return Plan(t, loc, scale, X, ys, nv, gamma_t, bp=beta_prime(self.case, t, self.delta / 2.0, gamma_t),
-                    n_t=noise_bound(self.case, sigma, self.horizon, self.delta / 2.0))
+                    n_t=noise_bound(self.case, math.sqrt(nv), self.horizon, self.delta / 2.0))
 
-    def _plateau_width(self, ys: np.ndarray, n_t: float) -> float:
-        """Half-width of the zero-centred plateau (fc's model, a2's anchor, the LOO weights)."""
+    def _zero_plateau(self, ys: np.ndarray, spec: KernelSpec, nv: float) -> PimqParams:
+        """The zero-centred plateau of a fit with kernel spec and noise variance
+        nv: fc's model, a2's anchor and each robust LOO candidate."""
         if self.pimq_policy == "heuristic" and len(ys):
             # 95% quantile of |y - median| on standardized targets, taken at the
             # next-lowest order statistic so a sub-5% corrupted fraction cannot
             # inflate it.
-            return float(np.quantile(np.abs(ys - np.median(ys)), self.heuristic_quantile, method="lower"))
-        if self.pimq_policy == "manual":
-            return self.pimq_half_width
-        return anchor_width(self.b_f, self.spec.outputscale, n_t)
+            width = float(np.quantile(np.abs(ys - np.median(ys)), self.heuristic_quantile, method="lower"))
+        elif self.pimq_policy == "manual":
+            width = self.pimq_half_width
+        else:
+            n_t = noise_bound(self.case, math.sqrt(nv), self.horizon, self.delta / 2.0)  # Plan.n_t at nv
+            width = anchor_width(self.b_f, spec.outputscale, n_t)
+        return PimqParams(ZERO_CENTER, width, self.pimq_c)
 
     def _effective_tc(self, tc: int) -> int:
         return 0 if self.tc_mode == "force_zero" else tc
@@ -354,7 +352,7 @@ def _plan_gp_ucb(state: BoState, s: Plan) -> Plan:
 
 def _zero_centered_fit(state: BoState, s: Plan, role: str):
     """fc's model, also a2's anchor: (params, model, tc estimate, c_w)."""
-    params = PimqParams(ZERO_CENTER, state._plateau_width(s.ys, s.n_t), state.pimq_c)
+    params = state._zero_plateau(s.ys, state.spec, s.nv)
     model = _fit(state, role, s, params)
     tc = estimate_tc(s.ys, params.half_width)
     # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
@@ -413,7 +411,6 @@ def step(state: BoState) -> tuple[np.ndarray, float]:
     y_observed, flag = corrupt(state.policy, state.budget, x, y_clean, plan.t)
     state._append(x, y_observed)
     state.records.append(StepRecord(plan.t, np.atleast_1d(x), y_clean, y_observed, flag, plan.beta, plan.tc))
-    state.t = plan.t
     return x, y_observed
 
 
@@ -423,17 +420,18 @@ def run_loop(state: BoState, n_iterations: int) -> list[StepRecord]:
     return state.records
 
 
-def fit_hyperparameters_loo(data, weight_params, search_space: dict):
+def fit_hyperparameters_loo(data, plateau, search_space: dict):
     """Pick kernel hyperparameters and noise by weighted leave-one-out error.
 
     Minimizes sum_i wbar_i * (y_i - mu_{-i}(x_i))^2 over the Cartesian grid
     in search_space, with leave-one-out means from the rank-one identity on
-    the regularized Gram matrix.  Each candidate is a step's own fit: gp_fit
-    with uniform weights when weight_params is None (the plain GP), otherwise
-    rcgp_fit with those P-IMQ parameters, scored on its kept points and their
-    weights; so an extreme point, infinite and NaN ones included, neither
-    counts in the score nor contaminates its neighbors' held-out predictions.
-    A candidate's weights and their cap are read at its own noise variance.
+    the regularized Gram matrix, and wbar_i the kept point's weight over the
+    cap.  Each candidate is a step's own fit: gp_fit when plateau is None
+    (the plain GP, every wbar_i 1), otherwise rcgp_fit with the P-IMQ
+    parameters plateau(spec, noise_var) gives for the candidate's own kernel
+    and noise variance, scored on its kept points and their weights; so an
+    extreme point, infinite and NaN ones included, neither counts in the
+    score nor contaminates its neighbors' held-out predictions.
     """
     X, y = data
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -448,14 +446,14 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
     for ls, os_, nv in product(ls_grid, os_grid, nv_grid):
         try:
             spec = KernelSpec(family, ls, os_)
-            post = gp_fit(X, y, spec, nv) if weight_params is None else rcgp_fit(X, y, spec, nv, weight_params)
+            post = gp_fit(X, y, spec, nv) if plateau is None else rcgp_fit(X, y, spec, nv, plateau(spec, nv))
         except (ValueError, FactorizationError):
             continue
         Linv = solve_triangular(post.L, np.eye(post.y.shape[0]), lower=True, check_finite=False)
         Ainv_diag = np.sum(Linv * Linv, axis=0)  # [A^-1]_ii, the squared norm of column i of L^-1
         if np.any(Ainv_diag <= 1e-12):
             continue
-        wbar = 1.0 if weight_params is None else post.corrections.weights / plateau_cap(nv)
+        wbar = post.corrections.weights / plateau_cap(nv)
         objective = float(np.sum(wbar * (post.alpha / Ainv_diag)**2))
         if best is None or objective < best[0]:
             best = (objective, post.spec, float(nv))
@@ -466,7 +464,7 @@ def fit_hyperparameters_loo(data, weight_params, search_space: dict):
 
 def _search_grids(search_space, dim: int) -> tuple:
     """The kernel family and the lengthscale, outputscale and noise_var grids
-    of a search space, each a nonempty list of positive numbers (a
+    of a search space, each a nonempty list of positive finite numbers (a
     lengthscale may also be a list of per-dimension lists, each of length
     dim), checked before any fit reads them: a value no candidate can fit
     with is a ValueError here, not a refit without a viable candidate."""
@@ -475,8 +473,9 @@ def _search_grids(search_space, dim: int) -> tuple:
     grids = (search_space.get("lengthscale"), search_space.get("outputscale", [1.0]), search_space.get("noise_var"))
     for name, grid, ndims in zip(("lengthscale", "outputscale", "noise_var"), grids, ((1, 2), (1,), (1,))):
         values = np.asarray(grid)  # a ragged nesting raises ValueError here
-        if values.ndim not in ndims or values.size == 0 or values.dtype.kind not in "iuf" or not np.all(values > 0):
-            raise ValueError(f"search_space {name} must be a nonempty list of positive numbers, got {grid!r}")
+        if (values.ndim not in ndims or values.size == 0 or values.dtype.kind not in "iuf"
+                or not np.all((values > 0) & (values < np.inf))):
+            raise ValueError(f"search_space {name} must be a nonempty list of positive finite numbers, got {grid!r}")
     if (np.shape(grids[0])[1] if np.ndim(grids[0]) == 2 else 1) != dim:  # a scalar lengthscale is 1-D
         raise ValueError(f"search_space lengthscale entries must have the kernel's dimension {dim}, got {grids[0]!r}")
     family = search_space.get("family", "rbf")

@@ -209,7 +209,7 @@ def gp_fit(X, y, spec: KernelSpec, noise_var: float,
     if y.shape[0]:
         A = gram_matrix(spec, X)
         A[np.diag_indices_from(A)] += noise_var * jw
-        (L, _), jitter = jittered_cho_factor(A, spec.outputscale)
+        L, jitter = jittered_cho_factor(A, spec.outputscale)
     w = solve_triangular(L, y - mw, lower=True, check_finite=False)
     post = GpPosterior(X, y, spec, float(noise_var), corrections, L, w, jitter)
     if grid is None:

@@ -43,10 +43,10 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}")
         ls = np.atleast_1d(np.asarray(self.lengthscale, dtype=float))
-        if ls.ndim != 1 or not np.all(ls > 0):
-            raise ValueError("lengthscale must be positive (elementwise)")
-        if not self.outputscale > 0:
-            raise ValueError("outputscale must be positive")
+        if ls.ndim != 1 or not np.all((ls > 0) & (ls < np.inf)):  # a NaN fails too
+            raise ValueError("lengthscale must be positive and finite (elementwise)")
+        if not 0 < self.outputscale < np.inf:
+            raise ValueError(f"outputscale must be positive and finite, got {self.outputscale!r}")
         object.__setattr__(self, "lengthscale", ls)
         object.__setattr__(self, "outputscale", float(self.outputscale))
 
@@ -115,7 +115,8 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
 
 
 def jittered_cho_factor(A: np.ndarray, outputscale: float):
-    """Cholesky with escalating diagonal jitter: ((c, lower), jitter added).
+    """Cholesky with escalating diagonal jitter: (L, jitter added), L the lower
+    factor of A + jitter*I (its upper triangle keeps A's entries).
 
     Starts at zero jitter, then 1e-10 escalating x10 up to 1e-6 * outputscale.
     Raises FactorizationError once the cap is exceeded.
@@ -126,7 +127,7 @@ def jittered_cho_factor(A: np.ndarray, outputscale: float):
     while True:
         try:
             M = A if jitter == 0.0 else A + jitter * np.eye(n)
-            return cho_factor(M, lower=True), jitter
+            return cho_factor(M, lower=True)[0], jitter
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
             if jitter > cap:
@@ -149,8 +150,8 @@ def info_gain(spec: KernelSpec, X, noise_var: float) -> float:
         return 0.0
     K = gram_matrix(spec, X)
     M = np.eye(K.shape[0]) + K / noise_var
-    (chol, _), _ = jittered_cho_factor(M, 1.0 + spec.outputscale / noise_var)
-    return float(np.sum(np.log(np.diag(chol))))
+    L, _ = jittered_cho_factor(M, 1.0 + spec.outputscale / noise_var)
+    return float(np.sum(np.log(np.diag(L))))
 
 
 def solve_cho(chol, b: np.ndarray) -> np.ndarray:

@@ -36,8 +36,8 @@ def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: 
         return dev if Xq.shape[0] > 1 else float(dev[0])
     S = cov_uc(Xc, Xc) + noise_var * np.diag(corr_c.jw)
     S = 0.5 * (S + S.T)
-    chol_s, _ = jittered_cho_factor(S, spec.outputscale + noise_var * float(np.max(corr_c.jw)))
+    L_s, _ = jittered_cho_factor(S, spec.outputscale + noise_var * float(np.max(corr_c.jw)))
     mu_uc_c, _ = uc.predict(Xc)
-    rhs = cho_solve(chol_s, yc - corr_c.mw - mu_uc_c)
+    rhs = cho_solve((L_s, True), yc - corr_c.mw - mu_uc_c)
     dev = cov_uc(Xc, Xq).T @ rhs
     return dev if Xq.shape[0] > 1 else float(dev[0])

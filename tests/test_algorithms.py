@@ -17,7 +17,7 @@ from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec, info_gain
 from robustbo.objectives import make_objective
 from robustbo.rcgp import rcgp_data, rcgp_fit
-from robustbo.schedules import FiniteDomain, Rkhs, beta_prime, noise_bound
+from robustbo.schedules import FiniteDomain, Rkhs, anchor_width, beta_prime, noise_bound
 from robustbo.search import DomainSpec, maximize_acquisition
 from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections, plateau_cap
 
@@ -140,6 +140,15 @@ def test_step_appends_data_and_advances():
     assert state.objective.in_domain(x)
 
 
+def test_the_step_count_is_the_record_count():
+    # a dataclasses.replace clone shares the run's lists, so the original counts the clone's steps too
+    state = make_state("gp_ucb")
+    state.add_initial(seed_points())
+    clone = dataclasses.replace(state)
+    run_loop(clone, 3)
+    assert state.t == clone.t == len(state.records) == 3
+
+
 @pytest.mark.parametrize(
     "option, value",
     [
@@ -227,7 +236,7 @@ def test_a2_wrench_center_is_anchor_mean():
     plan = state.plan()  # its wrench bordered since the first plan
     assert np.any(plan.model.corrections.jw != 1.0)
     # a copy starts without a previous model, so its wrench is a refit: bit for bit
-    refit = dataclasses.replace(state, _plan=None).plan()
+    refit = dataclasses.replace(state).plan()
     grid = state.domain.grid
     for live, p in ((False, refit), (True, plan)):
         X, ys, nv = standardized_data(state, p)
@@ -261,7 +270,7 @@ def test_a2_anchor_is_the_fc_model():
     anchor = state.plan().anchor  # extended step by step since the first plan
     assert np.count_nonzero(anchor.corrections.jw != 1.0) >= 2
     # copies start without a previous model, so both refit on the same data: bit for bit
-    refit = {alg: dataclasses.replace(state, algorithm=alg, _plan=None).plan() for alg in ("a2", "fc")}
+    refit = {alg: dataclasses.replace(state, algorithm=alg).plan() for alg in ("a2", "fc")}
     grid = state.domain.grid
     for got, want in zip(refit["a2"].anchor.predict(grid), refit["fc"].model.predict(grid)):
         np.testing.assert_array_equal(got, want)
@@ -272,7 +281,7 @@ def test_a2_anchor_is_the_fc_model():
 def test_only_the_acquisition_model_keeps_grid_predictions():
     # a2's anchor is asked only at the data, so neither its borders nor its refit keep the grid
     state = corrupted_a2_state()
-    for plan in (state.plan(), dataclasses.replace(state, _plan=None).plan()):
+    for plan in (state.plan(), dataclasses.replace(state).plan()):
         assert plan.anchor.grid is None and plan.model.grid.points is state.domain.grid
 
 
@@ -434,16 +443,14 @@ def test_fc_matches_baseline_on_clean_data_under_a_moving_heuristic_width(monkey
     # the heuristic width moves every step, but with the whole range as the
     # quantile no clean point leaves the plateau: fc extends like gp_ucb and
     # stays equal to it query for query
-    queries, widths = {}, []
-    width = BoState._plateau_width
-    monkeypatch.setattr(BoState, "_plateau_width", lambda self, ys, n_t: widths.append(width(self, ys, n_t)) or widths[-1])
+    queries = {}
     for algorithm in ("gp_ucb", "fc"):
         state = make_state(algorithm, seed=3, pimq_policy="heuristic", heuristic_quantile=1.0)
         state.add_initial(seed_points())
         plans = []
         per_plan = plan_events(state, 10, monkeypatch, plans)
         queries[algorithm] = [r.x[0] for r in state.records]
-    assert len(set(widths)) > 1
+    assert len({state._zero_plateau(plan.ys, state.spec, plan.nv).half_width for plan in plans}) > 1  # fc's
     assert all(np.all(plan.model.corrections.jw == 1.0) for plan in plans)
     assert per_plan == [["gp_fit"]] + [["extend"]] * 9
     assert queries["gp_ucb"] == queries["fc"]
@@ -476,10 +483,9 @@ def test_a_moving_heuristic_width_reborders_a_downweighted_fit(monkeypatch):
     # model keeps its rows before the first of them and borders the rest
     state = make_state("fc", seed=1, policy=EagerBudget(40.0), budget_count=3, pimq_policy="heuristic")
     state.add_initial(seed_points(6))
-    widths, plans = [], []
-    width = BoState._plateau_width
-    monkeypatch.setattr(BoState, "_plateau_width", lambda self, ys, n_t: widths.append(width(self, ys, n_t)) or widths[-1])
+    plans = []
     per_plan = plan_events(state, 10, monkeypatch, plans)
+    widths = [state._zero_plateau(plan.ys, state.spec, plan.nv).half_width for plan in plans]
     moved = 0
     for t in range(1, 10):
         if widths[t] != widths[t - 1] and np.any(plans[t - 1].model.corrections.jw != 1.0):
@@ -637,18 +643,22 @@ def test_step_searches_through_the_algorithms_binding(monkeypatch):
     calls, search_fn = [], algorithms.maximize_acquisition
     monkeypatch.setattr(algorithms, "maximize_acquisition",
                         lambda domain, acquisition: calls.append((domain, acquisition)) or search_fn(domain, acquisition))
-    plans = []
-    for _ in range(2):
-        plans.append(state.plan())
-        step(state)
+    run_loop(state, 2)
     assert len(calls) == 2 and all(domain is state.domain for domain, _ in calls)
-    assert [acquisition for _, acquisition in calls] == [plan.ucb for plan in plans]
+    # each search scans the acquisition of its own step's plan
+    for t, (_, acquisition) in enumerate(calls, start=1):
+        assert acquisition.__func__ is algorithms.Plan.ucb and acquisition.__self__.t == t
 
 
 # -- hyperparameter fitting -------------------------------------------------
 
 
 SPACE = {"lengthscale": [0.05, 0.2, 1.0], "outputscale": [1.0], "noise_var": [0.01]}
+
+
+def fixed_plateau(half_width):
+    """A LOO plateau that gives every candidate the same zero-centred P-IMQ parameters."""
+    return lambda spec, nv: PimqParams(ZERO_CENTER, half_width, 1.0)
 
 
 def _gp_sample(rng, lengthscale, n=40):
@@ -677,8 +687,7 @@ def test_loo_weighted_ignores_extreme_outlier():
         X, y = _gp_sample(rng, 0.2)
         y = y.copy()
         y[0] += 1e3
-        params = PimqParams(ZERO_CENTER, 3.0, 1.0)
-        spec, _ = fit_hyperparameters_loo((X, y), params, SPACE)
+        spec, _ = fit_hyperparameters_loo((X, y), fixed_plateau(3.0), SPACE)
         hits += spec.lengthscale[0] == 0.2
     assert hits >= 11
 
@@ -688,9 +697,9 @@ def test_loo_search_drops_saturated_outliers(value):
     # each candidate is rcgp_fit, which drops a negligible-weight point, so the
     # pick cannot tell a 1e6 outlier from a larger, infinite or NaN one
     X, y = _gp_sample(np.random.default_rng(3), 0.2)
-    params = PimqParams(ZERO_CENTER, 3.0, 1.0)
     space = {**SPACE, "noise_var": [0.01, 0.05]}
-    picks = [fit_hyperparameters_loo((X, np.concatenate(([v], y[1:]))), params, space) for v in (1e6, value)]
+    picks = [fit_hyperparameters_loo((X, np.concatenate(([v], y[1:]))), fixed_plateau(3.0), space)
+             for v in (1e6, value)]
     assert picks[0] == picks[1]
 
 
@@ -725,26 +734,70 @@ def test_hyperfit_noise_variance_kept_between_refits():
     assert abs(nv - fitted) <= np.spacing(fitted)  # kept in raw units, so equal up to one rounding
 
 
-@pytest.mark.parametrize("policy", ["manual", "heuristic"])
+@pytest.mark.parametrize("policy", ["manual", "heuristic", "schedule"])
 def test_hyperfit_weights_use_the_fc_plateau_width(policy, monkeypatch):
-    from robustbo import algorithms
-
-    widths = []
+    # each candidate is weighted on the plateau fc would fit with that candidate's kernel and noise
+    seen = []  # (candidate spec, candidate noise variance, its plateau's half-width)
     loo = algorithms.fit_hyperparameters_loo
 
-    def spy(data, wp, space):
-        widths.append(wp.half_width)
-        return loo(data, wp, space)
+    def spy(data, plateau, space):
+        def recorded(spec, nv):
+            params = plateau(spec, nv)
+            seen.append((spec, nv, params.half_width))
+            return params
+
+        return loo(data, recorded, space)
 
     monkeypatch.setattr(algorithms, "fit_hyperparameters_loo", spy)
-    state = make_state("fc", hyperfit_every=1, hyperfit_space=SPACE,
-                       pimq_policy=policy, pimq_half_width=0.7)
+    space = {"lengthscale": [0.05, 0.2], "outputscale": [0.5, 2.0], "noise_var": [0.01, 0.3]}
+    state = make_state("fc", hyperfit_every=1, hyperfit_space=space, pimq_policy=policy, pimq_half_width=0.7)
     state.add_initial(seed_points())
     _, ys, _ = standardized_data(state, state.plan())  # step 1 refits
+    assert len(seen) == 8
+    widths = [width for _, _, width in seen]
     if policy == "manual":
-        assert widths == [0.7]
+        assert widths == [0.7] * 8
+    elif policy == "heuristic":
+        assert widths == [float(np.quantile(np.abs(ys - np.median(ys)), 0.95, method="lower"))] * 8
     else:
-        assert widths == [float(np.quantile(np.abs(ys - np.median(ys)), 0.95, method="lower"))]
+        n_t = lambda nv: noise_bound(state.case, math.sqrt(nv), state.horizon, state.delta / 2.0)
+        assert widths == [anchor_width(state.b_f, spec.outputscale, n_t(nv)) for spec, nv, _ in seen]
+        assert len(set(widths)) == 4
+
+
+@pytest.mark.parametrize("algorithm", ["fc", "a2"])
+def test_a_refit_does_not_depend_on_the_noise_before_it(algorithm):
+    # under the schedule policy the plateau width reads the noise; each LOO
+    # candidate reads its own, so two states that differ only in the previous
+    # refit's noise variance pick the same kernel and noise
+    space = {"lengthscale": [0.1, 0.3], "outputscale": [0.5, 1.0], "noise_var": [0.05, 0.5]}
+    picks = []
+    for before in (1e-4, 10.0):
+        state = make_state(algorithm, standardize="none", b_f=1.0, hyperfit_every=1, hyperfit_space=space)
+        for x, y in zip(np.linspace(0.05, 0.95, 10), [0.3, -0.5, 2.5, 0.2, -0.4, 0.8, -2.5, 0.1, 0.6, -0.2]):
+            state._append(x, y)
+        state.fitted_noise_var = before
+        state.plan()  # step 1 refits
+        picks.append((state.spec.lengthscale[0], state.spec.outputscale, state.fitted_noise_var))
+    assert picks[0] == picks[1]
+
+
+@pytest.mark.parametrize("algorithm", ["gp_ucb", "fc", "a2"])
+def test_a_plan_asked_twice_is_equal_on_a_refit_step(algorithm):
+    # a plan is a function of the settings and the data, so nothing caches it
+    space = {"lengthscale": [0.1, 0.2], "outputscale": [0.5, 1.0], "noise_var": [0.05, 0.5]}
+    state = make_state(algorithm, seed=2, policy=EagerBudget(40.0), budget_count=3, hyperfit_every=3,
+                       hyperfit_space=space)
+    state.add_initial(seed_points())
+    run_loop(state, 3)
+    first = state.plan()  # step 4 refits
+    spec = state.spec
+    second = state.plan()  # and refits again, to the same pick
+    assert (state.spec.lengthscale, state.spec.outputscale) == (spec.lengthscale, spec.outputscale)
+    assert (first.t, first.nv, first.beta, first.tc) == (second.t, second.nv, second.beta, second.tc)
+    grid = state.domain.grid
+    for got, want in zip(second.model.predict(grid), first.model.predict(grid)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_each_loo_candidate_is_weighted_at_its_own_noise(monkeypatch):
@@ -800,14 +853,18 @@ def test_loo_picks_the_brute_force_argmin(seed, n, robust):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, size=n)
     y = np.sin(6.0 * X) + 0.3 * rng.standard_normal(n)
-    params = None
+    plateau = None
     if robust:  # one or two outliers the plateau downweights, and the search drops or keeps
         out = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
         y[out] += rng.uniform(3.0, 8.0, size=out.shape[0]) * rng.choice([-1.0, 1.0], size=out.shape[0])
-        params = PimqParams(ZERO_CENTER, 1.5, 1.0)
+        # each candidate's own width, as under the schedule policy, which reads its noise
+        plateau = lambda spec, nv: PimqParams(ZERO_CENTER, 1.2 + 2.0 * nv, 1.0)
     candidates = [(ls, nv) for ls in space["lengthscale"] for nv in space["noise_var"]]
-    scores = [_brute_force_loo_score(X, y, KernelSpec("rbf", ls, 1.0), nv, params) for ls, nv in candidates]
-    spec, nv = fit_hyperparameters_loo((X, y), params, space)
+    scores = []
+    for ls, nv in candidates:
+        spec = KernelSpec("rbf", ls, 1.0)
+        scores.append(_brute_force_loo_score(X, y, spec, nv, None if plateau is None else plateau(spec, nv)))
+    spec, nv = fit_hyperparameters_loo((X, y), plateau, space)
     picked = candidates.index((spec.lengthscale[0], nv))
     # the argmin, or a candidate within round-off of it
     assert scores[picked] <= min(scores) * (1.0 + 1e-8)
@@ -818,6 +875,6 @@ def test_loo_validation():
         fit_hyperparameters_loo(([0.1, 0.2], [1.0, 2.0]), None, SPACE)
     with pytest.raises(ValueError):
         fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), None, {"lengthscale": []})
-    for params in (None, PimqParams(ZERO_CENTER, 3.0, 1.0)):
+    for plateau in (None, fixed_plateau(3.0)):
         with pytest.raises(ValueError, match="equal length"):  # named, not "no viable candidate"
-            fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0, 4.0]), params, SPACE)
+            fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0, 4.0]), plateau, SPACE)

@@ -353,7 +353,8 @@ def test_hyperfit_runs_when_the_scale_squared_overflows(tmp_path, monkeypatch):
     for algorithm in ("fc", "a2"):  # the refits run at t = 4, 7 and 10
         nv = [fitted[algorithm, t] for t in range(4, 11)]
         assert set(nv) <= {0.01, 0.1} and nv == [nv[0]] * 3 + [nv[3]] * 3 + [nv[6]]
-    assert fitted["fc", 6] == 0.01
+    # the t = 4 refit weights each candidate on its own plateau, 2 + sqrt(candidate noise) wide
+    assert fitted["fc", 6] == 0.1
 
 
 def _reject_constant(token):
@@ -452,6 +453,11 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"objective": {"name": "forrester", "noise_var": math.nan}},
         {"objective": {"name": "forrester", "noise_var": math.inf}},
         {"schedule": {"case": "compact_convex", "compact_convex": {"a": 1.0, "b": 1.0, "r": math.inf}}},
+        # an infinite kernel value, in the kernel or in a search grid, and an infinite search noise
+        {"kernel": {"outputscale": math.inf}},
+        {"kernel": {"lengthscale": math.inf}},
+        {"hyperfit": {"search_space": {"lengthscale": [0.1], "noise_var": [math.inf]}}},
+        {"hyperfit": {"search_space": {"lengthscale": [0.1], "outputscale": [math.inf], "noise_var": [0.1]}}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -467,7 +473,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "word-in-search-grid", "negative-search-grid", "search-space-family", "search-space-dimension",
          "kernel-dimension", "nan-b-f", "negative-b-f", "infinite-b-f", "nan-rkhs-b-f", "nan-half-width",
          "nan-compact-convex-a", "nan-compact-convex-b", "nan-noise-var", "infinite-noise-var",
-         "infinite-compact-convex-r"],
+         "infinite-compact-convex-r", "infinite-outputscale", "infinite-lengthscale", "infinite-search-noise-var",
+         "infinite-search-outputscale"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"

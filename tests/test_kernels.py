@@ -24,6 +24,11 @@ def test_spec_validation():
         KernelSpec("rbf", -1.0)
     with pytest.raises(ValueError):
         KernelSpec("rbf", 1.0, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec("rbf", 1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec("rbf", [1.0, bad])
     with pytest.raises(ValueError):
         KernelSpec("cubic", 1.0)
 
@@ -89,7 +94,11 @@ def test_gram_factorizes_with_bounded_jitter(rng):
     for _ in range(20):
         spec = KernelSpec("rbf", rng.uniform(0.05, 1.0), rng.uniform(0.5, 2.0))
         X = rng.uniform(0, 1, size=rng.integers(2, 25))
-        jittered_cho_factor(gram_matrix(spec, X), spec.outputscale)
+        A = gram_matrix(spec, X)
+        L, jitter = jittered_cho_factor(A, spec.outputscale)
+        assert 0.0 <= jitter <= 1e-6 * spec.outputscale
+        L = np.tril(L)  # the upper triangle keeps A's entries
+        np.testing.assert_allclose(L @ L.T, A + jitter * np.eye(len(X)), rtol=0, atol=1e-12)
 
 
 def test_jitter_gives_up_on_indefinite_matrix():
