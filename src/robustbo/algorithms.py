@@ -37,7 +37,7 @@ from .schedules import (
 )
 # step calls maximize_acquisition through this module's binding, which perfbench's tracer wraps.
 from .search import DomainSpec, maximize_acquisition
-from .weights import ZERO_CENTER, PimqParams, WeightCorrections, c1_bound, cw_from_c1, plateau_cap
+from .weights import ZERO_CENTER, PimqParams, c1_bound, cw_from_c1, plateau_cap
 from .weights import build_corrections  # noqa: F401
 
 __all__ = [
@@ -128,7 +128,7 @@ class Plan:
     gamma_t: float  # information gain; 0.0 outside the rkhs case
     bp: float  # beta' at step t
     n_t: float  # noise bound over the horizon
-    # BoState._step_inputs leaves these to the algorithm's builder; BoState.plan() returns only complete plans.
+    # BoState._step_inputs leaves these to BoState.plan(), which returns only complete plans.
     model: Optional[GpPosterior] = None
     beta: float = math.nan
     tc: int = 0
@@ -236,8 +236,22 @@ class BoState:
         return self._seed_std if self.standardize == "initial" else standardize_targets(y_raw, self.standardize)
 
     def plan(self) -> Plan:
-        """The upcoming step's data, schedule, fitted model(s) and beta: a function of the settings and the data."""
-        return _PLAN_BUILDERS[self.algorithm](self, self._step_inputs())
+        """The upcoming step's data, schedule, fitted model(s) and beta: a function of the settings and the data.
+
+        The zero-centred model comes first, a2's anchor.  gp_ucb's has no plateau: its beta is beta', its tc 0.
+        """
+        s = self._step_inputs()
+        params = self._zero_plateau(s.ys, self.spec, s.nv)
+        model = _fit(self, "anchor" if self.algorithm == "a2" else "model", s, params)
+        if params is None:
+            return dataclasses.replace(s, model=model, beta=s.bp)
+        tc = estimate_tc(s.ys, params.half_width)
+        # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
+        sup_delta = math.sqrt(self.spec.outputscale) * (math.sqrt(s.bp) + self.b_f)
+        c_w = cw_from_c1(c1_bound(params, s.nv, sup_delta), s.nv)
+        if self.algorithm == "a2":
+            return _wrench(self, s, model, params, tc, c_w)
+        return dataclasses.replace(s, model=model, beta=robust_beta(s.bp, c_w, self._effective_tc(tc)), tc=tc)
 
     def _step_inputs(self) -> Plan:
         """The data-and-schedule part of every plan: standardize, refit hyperparameters, schedule."""
@@ -255,17 +269,20 @@ class BoState:
             nv = 1e-12  # noiseless objectives still need a proper Gram regularizer
 
         if self.hyperfit_space is not None and len(ys) >= 3 and (t - 1) % self.hyperfit_every == 0:
-            plateau = None if self.algorithm == "gp_ucb" else lambda spec, nv: self._zero_plateau(ys, spec, nv)
-            self.spec, self.fitted_noise_var = fit_hyperparameters_loo((X, ys), plateau, self.hyperfit_space)
+            self.spec, self.fitted_noise_var = fit_hyperparameters_loo(
+                (X, ys), lambda spec, nv: self._zero_plateau(ys, spec, nv), self.hyperfit_space)
             nv = self.fitted_noise_var
 
         gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) else 0.0
         return Plan(t, loc, scale, X, ys, nv, gamma_t, bp=beta_prime(self.case, t, self.delta / 2.0, gamma_t),
                     n_t=noise_bound(self.case, math.sqrt(nv), self.horizon, self.delta / 2.0))
 
-    def _zero_plateau(self, ys: np.ndarray, spec: KernelSpec, nv: float) -> PimqParams:
+    def _zero_plateau(self, ys: np.ndarray, spec: KernelSpec, nv: float) -> Optional[PimqParams]:
         """The zero-centred plateau of a fit with kernel spec and noise variance
-        nv: fc's model, a2's anchor and each robust LOO candidate."""
+        nv: the plan's first model (fc's, a2's anchor) and each LOO candidate.
+        None for gp_ucb, which has no plateau."""
+        if self.algorithm == "gp_ucb":
+            return None
         if self.pimq_policy == "heuristic" and len(ys):
             # 95% quantile of |y - median| on standardized targets, taken at the
             # next-lowest order statistic so a sub-5% corrupted fraction cannot
@@ -282,10 +299,10 @@ class BoState:
         return 0 if self.tc_mode == "force_zero" else tc
 
 
-def _fit(state: BoState, role: str, s: Plan, params=None) -> GpPosterior:
-    """The plain (params None: every point, in-plateau) or robust posterior on
-    the step's data, and on the grid for the "model" role, the only one the
-    acquisition scans.
+def _fit(state: BoState, role: str, s: Plan, params: Optional[PimqParams]) -> GpPosterior:
+    """The posterior on rcgp_data's data for the plateau params (None: the
+    plain GP), on the grid for the "model" role, the only one the acquisition
+    scans, and off it for the "anchor" role.
 
     The rule reads the data.  A row of the previous plan's model for the
     same role is unchanged when its point is still kept with the same
@@ -300,18 +317,13 @@ def _fit(state: BoState, role: str, s: Plan, params=None) -> GpPosterior:
     a changed first row, no kept point and a border the factor cannot take
     refit with gp_fit on the kept data.
     """
-    if params is None:
-        X, y, corr, kept = s.X, s.ys, WeightCorrections.in_plateau(len(s.ys), s.nv), np.arange(len(s.ys))
-    else:
-        X, y, corr, kept = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
-    grid = state.domain.grid if role == "model" else None
+    X, y, corr, kept = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
     prev, rows = state._fits.get(role, (None, None))
     model = None
-    if (prev is not None and y.shape[0] and prev.spec is state.spec and prev.noise_var == s.nv
-            and (None if prev.grid is None else prev.grid.points) is grid):
+    if prev is not None and y.shape[0] and prev.spec is state.spec and prev.noise_var == s.nv:
         model, rows = _bordered(prev, rows, X, y, corr, kept, s.ys.shape[0])
     if model is None:
-        model, rows = gp_fit(X, y, state.spec, s.nv, corr, grid), kept
+        model, rows = gp_fit(X, y, state.spec, s.nv, corr, state.domain.grid if role == "model" else None), kept
     state._fits[role] = (model, rows)
     return model
 
@@ -346,30 +358,11 @@ def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
     return model, np.concatenate([rows[:k], kept[order]])
 
 
-def _plan_gp_ucb(state: BoState, s: Plan) -> Plan:
-    return dataclasses.replace(s, model=_fit(state, "model", s), beta=s.bp)
-
-
-def _zero_centered_fit(state: BoState, s: Plan, role: str):
-    """fc's model, also a2's anchor: (params, model, tc estimate, c_w)."""
-    params = state._zero_plateau(s.ys, state.spec, s.nv)
-    model = _fit(state, role, s, params)
-    tc = estimate_tc(s.ys, params.half_width)
-    # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
-    sup_delta = math.sqrt(state.spec.outputscale) * (math.sqrt(s.bp) + state.b_f)
-    c_w = cw_from_c1(c1_bound(params, s.nv, sup_delta), s.nv)
-    return params, model, tc, c_w
-
-
-def _plan_fc(state: BoState, s: Plan) -> Plan:
-    _, model, tc, c_w = _zero_centered_fit(state, s, "model")
-    return dataclasses.replace(s, model=model, beta=robust_beta(s.bp, c_w, state._effective_tc(tc)), tc=tc)
-
-
-def _plan_a2(state: BoState, s: Plan) -> Plan:
-    """The anchor first, then the wrench, whose plateau center (and adaptive
-    width) is one anchor predict at the data, shared by the fit and tc."""
-    anchor_params, anchor, tc_anchor, c_w_a = _zero_centered_fit(state, s, "anchor")
+def _wrench(state: BoState, s: Plan, anchor: GpPosterior, anchor_params: PimqParams, tc_anchor: int,
+            c_w_a: float) -> Plan:
+    """a2's plan from its anchor and the anchor's plateau, tc and c_w: the
+    wrench, whose plateau center (and adaptive width) is one anchor predict at
+    the data, shared by the fit and tc."""
     tc_eff = state._effective_tc(tc_anchor)
     kappa = state.spec.outputscale
     if state.pimq_policy in ("heuristic", "manual"):
@@ -391,9 +384,6 @@ def _plan_a2(state: BoState, s: Plan) -> Plan:
     sup_delta_w = c_w_a * math.sqrt(tc_eff) * math.sqrt(kappa)
     c_w_w = cw_from_c1(c1_bound(dataclasses.replace(wrench_params, half_width=width_bound), s.nv, sup_delta_w), s.nv)
     return dataclasses.replace(s, model=wrench, beta=robust_beta(s.bp, c_w_w, tc_eff), tc=tc, anchor=anchor)
-
-
-_PLAN_BUILDERS = {"gp_ucb": _plan_gp_ucb, "fc": _plan_fc, "a2": _plan_a2}
 
 
 def step(state: BoState) -> tuple[np.ndarray, float]:
@@ -426,12 +416,13 @@ def fit_hyperparameters_loo(data, plateau, search_space: dict):
     Minimizes sum_i wbar_i * (y_i - mu_{-i}(x_i))^2 over the Cartesian grid
     in search_space, with leave-one-out means from the rank-one identity on
     the regularized Gram matrix, and wbar_i the kept point's weight over the
-    cap.  Each candidate is a step's own fit: gp_fit when plateau is None
-    (the plain GP, every wbar_i 1), otherwise rcgp_fit with the P-IMQ
+    cap.  Each candidate is a step's own fit: rcgp_fit with the P-IMQ
     parameters plateau(spec, noise_var) gives for the candidate's own kernel
-    and noise variance, scored on its kept points and their weights; so an
-    extreme point, infinite and NaN ones included, neither counts in the
-    score nor contaminates its neighbors' held-out predictions.
+    and noise variance, scored on its kept points and their weights.  A
+    plateau that gives None is the plain GP's (every point kept, every wbar_i
+    1); with a plateau an extreme point, infinite and NaN ones included,
+    neither counts in the score nor contaminates its neighbors' held-out
+    predictions.
     """
     X, y = data
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -446,7 +437,7 @@ def fit_hyperparameters_loo(data, plateau, search_space: dict):
     for ls, os_, nv in product(ls_grid, os_grid, nv_grid):
         try:
             spec = KernelSpec(family, ls, os_)
-            post = gp_fit(X, y, spec, nv) if plateau is None else rcgp_fit(X, y, spec, nv, plateau(spec, nv))
+            post = rcgp_fit(X, y, spec, nv, plateau(spec, nv))
         except (ValueError, FactorizationError):
             continue
         Linv = solve_triangular(post.L, np.eye(post.y.shape[0]), lower=True, check_finite=False)

@@ -212,12 +212,9 @@ def optimum_on_grid(objective: Objective, extra_grid: Optional[np.ndarray] = Non
     """Brute-force (x*, f*) over a dense grid, unioned with extra_grid so the
     reference optimum is never worse than any acquisition candidate."""
     d = objective.dim
-    if d == 1:
-        pts = np.linspace(objective.bounds[0, 0], objective.bounds[0, 1], resolution).reshape(-1, 1)
-    else:
-        per_dim = max(2, int(round(resolution ** (1.0 / d))))
-        axes = [np.linspace(lo, hi, per_dim) for lo, hi in objective.bounds]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    per_dim = max(2, int(round(resolution ** (1.0 / d))))
+    axes = [np.linspace(lo, hi, per_dim) for lo, hi in objective.bounds]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     if extra_grid is not None:
         pts = np.vstack([pts, np.atleast_2d(extra_grid)])
     vals = np.array([objective.evaluate(p) for p in pts])
@@ -330,14 +327,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         domain = DomainSpec.from_bounds(objective.bounds, cfg.grid_size)
         x_star, f_star = optimum_on_grid(objective, domain.grid)
         states = {(a, s): _build_state(cfg, a, s, objective, domain, x_star) for s in cfg.seeds for a in cfg.algorithms}
+        # scrambled; an n_initial the Sobol draw cannot give is a config error too
+        designs = {s: sobol_points(objective.bounds, cfg.n_initial, _rng(s, STREAM_INITIAL)) for s in cfg.seeds}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     results, failures = {}, {}
     for seed in cfg.seeds:
-        X0 = sobol_points(objective.bounds, cfg.n_initial, _rng(seed, STREAM_INITIAL))  # scrambled
         for algorithm in cfg.algorithms:
             state = states.pop((algorithm, seed))  # a finished cell's models and caches go with it
-            state.add_initial(X0)
+            state.add_initial(designs[seed])
             try:
                 run_loop(state, cfg.n_iterations)
             except (FactorizationError, ValueError, ArithmeticError) as exc:
@@ -414,14 +412,23 @@ def write_aggregate(path: Path, rows: list[dict]) -> None:
 
 
 def read_traces(directory) -> dict:
-    """Load previously written traces back into the aggregate() input shape; a misnamed one is a ConfigError."""
+    """Load previously written traces back into the aggregate() input shape.
+
+    A misnamed trace file, and one without rows, without a cum_regret column
+    or with a cell that is not a number, is a ConfigError naming the file.
+    """
     results = {}
     for path in sorted(Path(directory).glob("*_seed*.csv")):
         algorithm, _, seed_part = path.stem.rpartition("_seed")
         if not seed_part.isdecimal():
             raise ConfigError(f"trace file {path} is not named <algorithm>_seed<integer>.csv")
         with open(path, newline="") as fh:
-            rows = [{k: _parse(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+            try:  # a short row's missing cells are None, a long row's extra ones a list: a TypeError
+                rows = [{k: _parse(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"trace file {path} has a cell that is not a number: {exc}") from exc
+        if not rows or "cum_regret" not in rows[0]:
+            raise ConfigError(f"trace file {path} has no rows or no cum_regret column")
         results[(algorithm, int(seed_part))] = rows
     if not results:
         raise ConfigError(f"no trace files found in {directory}")

@@ -27,12 +27,13 @@ class FactorizationError(RuntimeError):
     """Cholesky factorization failed even after jitter escalation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpec:
     """A stationary kernel: family, per-dimension lengthscale, outputscale.
 
     k(x, x) == outputscale for every x, so the kernel bound is simply the
-    outputscale.
+    outputscale.  Two specs are equal, and hash alike, when their family,
+    lengthscale values and outputscale are.
     """
 
     family: str
@@ -42,13 +43,23 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}")
-        ls = np.atleast_1d(np.asarray(self.lengthscale, dtype=float))
+        ls = np.array(self.lengthscale, dtype=float, ndmin=1)  # a copy, read-only below: the hash reads it
         if ls.ndim != 1 or not np.all((ls > 0) & (ls < np.inf)):  # a NaN fails too
             raise ValueError("lengthscale must be positive and finite (elementwise)")
         if not 0 < self.outputscale < np.inf:
             raise ValueError(f"outputscale must be positive and finite, got {self.outputscale!r}")
+        ls.flags.writeable = False
         object.__setattr__(self, "lengthscale", ls)
         object.__setattr__(self, "outputscale", float(self.outputscale))
+
+    def _key(self) -> tuple:
+        return self.family, tuple(self.lengthscale.tolist()), self.outputscale
+
+    def __eq__(self, other):
+        return isinstance(other, KernelSpec) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def dim(self) -> int:

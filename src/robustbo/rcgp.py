@@ -3,10 +3,13 @@
 The robust posterior is :func:`robustbo.gp.gp_fit` with the P-IMQ
 corrections: K + noise_var*J_w and targets shifted by m_w.  When every
 residual sits inside the weight plateau, the corrections are the plain GP's
-(WeightCorrections.in_plateau), so the two fits are equal in every field.
+(WeightCorrections.in_plateau), so the two fits are equal in every field;
+without a plateau (params None) the robust fit is the plain GP.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -14,7 +17,7 @@ from .gp import GpPosterior, gp_fit
 from .kernels import KernelSpec, _as_points
 # Tracer-only: unused here; perfbench's tracer wraps these bindings of this module.
 from .kernels import cross_matrix, gram_matrix, jittered_cho_factor, solve_cho  # noqa: F401
-from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, build_corrections, plateau_cap
+from .weights import NEGLIGIBLE_WEIGHT_RATIO, PimqParams, WeightCorrections, build_corrections, plateau_cap
 
 __all__ = ["rcgp_fit", "rcgp_data"]
 
@@ -22,23 +25,26 @@ __all__ = ["rcgp_fit", "rcgp_data"]
 RcgpPosterior = GpPosterior
 
 
-def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: PimqParams):
+def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: Optional[PimqParams] = None):
     """The data rcgp_fit factors: the kept points, their targets and their
-    corrections, and the indices of the kept points in X.  A point is dropped
-    when its weight is below NEGLIGIBLE_WEIGHT_RATIO of the cap,
-    plateau_cap(noise_var)."""
+    corrections, and the indices of the kept points in X.  Without a plateau
+    (params None: the plain GP) every point is kept, in-plateau.  Otherwise a
+    point is dropped when its weight is below NEGLIGIBLE_WEIGHT_RATIO of the
+    cap, plateau_cap(noise_var)."""
     y = np.asarray(y, dtype=float).reshape(-1)
     X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
+    if params is None:
+        return X, y, WeightCorrections.in_plateau(y.shape[0], noise_var), np.arange(y.shape[0])
     corr = build_corrections(params, noise_var, X, y)
     kept = np.flatnonzero(corr.weights > NEGLIGIBLE_WEIGHT_RATIO * plateau_cap(noise_var))
     return X[kept], y[kept], corr[kept], kept
 
 
-def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: PimqParams, grid=None) -> GpPosterior:
+def rcgp_fit(X, y, spec: KernelSpec, noise_var: float, params: Optional[PimqParams], grid=None) -> GpPosterior:
     """Fit the robust posterior: P-IMQ corrections, drop the rejected points, then gp_fit.
 
-    The result always carries a WeightCorrections, empty when no point is
-    kept.  grid is passed on to gp_fit.
+    params None is the plain GP.  The result always carries a WeightCorrections,
+    empty when no point is kept.  grid is passed on to gp_fit.
     """
     X, y, corr, _ = rcgp_data(X, y, spec, noise_var, params)
     return gp_fit(X, y, spec, noise_var, corr, grid)

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import warnings
 from pathlib import Path
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ci_variants
 from conftest import make_state
 from robustbo import algorithms, bench, gp, rcgp
 from robustbo.adversary import EagerBudget
@@ -576,11 +576,11 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
     cfg = dataclasses.replace(cfg, algorithms=(algorithm,), seeds=(0, 1))
     borders = []
     events = spy_fits(monkeypatch, borders)
-    # per refit: its plateau center's ndim, or None for the plain GP, which calls no rcgp_data
+    # per refit: its plateau center's ndim, or None for the plain GP, which has no plateau
     centers, refits = [], []
     data, fit = algorithms.rcgp_data, algorithms.gp_fit
     monkeypatch.setattr(algorithms, "rcgp_data", lambda X, y, spec, nv, params: (
-        centers.append(np.ndim(params.center)) or data(X, y, spec, nv, params)))
+        centers.append(None if params is None else np.ndim(params.center)) or data(X, y, spec, nv, params)))
 
     def refit(*args):
         refits.append(centers[-1] if centers else None)
@@ -604,29 +604,11 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
         assert all(t == 1 for t, _ in borders)
 
 
-def _ci_variant(name):
-    """The config of CI's CLI run of that name, built from a shipped config as CI builds it."""
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    if name == "forrester_corrupted_small":
-        return json.loads((configs / f"{name}.json").read_text())
-    if name == "branin_small":
-        c = json.loads((configs / "forrester_corrupted_small.json").read_text())
-        c["objective"]["name"] = "branin"
-        c["kernel"].update(family="matern52", lengthscale=[3.0, 3.0])
-        c["adversary"].update(near_thresh=1, far_thresh=5, low_value=-300, high_value=300)
-        return dict(c, name=name, n_iterations=5)
-    c = json.loads((configs / "forrester_clean.json").read_text())
-    c["objective"] = {"name": "sinusoid", "noise_var": 0.01}
-    c["kernel"]["lengthscale"] = 0.1
-    c["schedule"].update(case="rkhs", b_f=2.0, tc_mode="estimate", a2_width_mode="adaptive")
-    c["pimq"] = {"policy": "schedule", "shape_c": 1.0}
-    return dict(c, name=name, n_iterations=10, grid_size=201)
-
-
 @pytest.mark.parametrize("name", ["forrester_corrupted_small", "branin_small", "rkhs_adaptive"])
 def test_refitting_on_every_step_gives_the_same_rows(name, monkeypatch):
     # the incremental path (head and extend) is a fast path: its slow twin refits with gp_fit on every step
-    cfg = bench.ExperimentConfig.from_dict(dict(_ci_variant(name), seeds=[0]))
+    config = ci_variants.shipped(name) if name == "forrester_corrupted_small" else ci_variants.VARIANTS[name]()
+    cfg = bench.ExperimentConfig.from_dict(dict(config, seeds=[0]))
     bordered, border = [], algorithms._bordered
     monkeypatch.setattr(algorithms, "_bordered", lambda *args: bordered.append(1) or border(*args))
     fast = bench.run_experiment(cfg)
@@ -656,6 +638,11 @@ def test_step_searches_through_the_algorithms_binding(monkeypatch):
 SPACE = {"lengthscale": [0.05, 0.2, 1.0], "outputscale": [1.0], "noise_var": [0.01]}
 
 
+def no_plateau(spec, nv):
+    """The plain GP's LOO plateau: none, for every candidate."""
+    return None
+
+
 def fixed_plateau(half_width):
     """A LOO plateau that gives every candidate the same zero-centred P-IMQ parameters."""
     return lambda spec, nv: PimqParams(ZERO_CENTER, half_width, 1.0)
@@ -675,7 +662,7 @@ def test_loo_recovers_generating_lengthscale():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         X, y = _gp_sample(rng, 0.2)
-        spec, _ = fit_hyperparameters_loo((X, y), None, SPACE)
+        spec, _ = fit_hyperparameters_loo((X, y), no_plateau, SPACE)
         hits += spec.lengthscale[0] == 0.2
     assert hits >= 11
 
@@ -731,7 +718,7 @@ def test_hyperfit_noise_variance_kept_between_refits():
     assert fitted in space["noise_var"] and fitted != state.objective.noise_var / state.plan().scale**2
     step(state)
     nv = state.plan().model.noise_var  # step 5 does not refit
-    assert abs(nv - fitted) <= np.spacing(fitted)  # kept in raw units, so equal up to one rounding
+    assert nv == fitted  # kept in standardized units, as fitted
 
 
 @pytest.mark.parametrize("policy", ["manual", "heuristic", "schedule"])
@@ -853,7 +840,7 @@ def test_loo_picks_the_brute_force_argmin(seed, n, robust):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, size=n)
     y = np.sin(6.0 * X) + 0.3 * rng.standard_normal(n)
-    plateau = None
+    plateau = no_plateau
     if robust:  # one or two outliers the plateau downweights, and the search drops or keeps
         out = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
         y[out] += rng.uniform(3.0, 8.0, size=out.shape[0]) * rng.choice([-1.0, 1.0], size=out.shape[0])
@@ -863,7 +850,7 @@ def test_loo_picks_the_brute_force_argmin(seed, n, robust):
     scores = []
     for ls, nv in candidates:
         spec = KernelSpec("rbf", ls, 1.0)
-        scores.append(_brute_force_loo_score(X, y, spec, nv, None if plateau is None else plateau(spec, nv)))
+        scores.append(_brute_force_loo_score(X, y, spec, nv, plateau(spec, nv)))
     spec, nv = fit_hyperparameters_loo((X, y), plateau, space)
     picked = candidates.index((spec.lengthscale[0], nv))
     # the argmin, or a candidate within round-off of it
@@ -872,9 +859,9 @@ def test_loo_picks_the_brute_force_argmin(seed, n, robust):
 
 def test_loo_validation():
     with pytest.raises(ValueError):
-        fit_hyperparameters_loo(([0.1, 0.2], [1.0, 2.0]), None, SPACE)
+        fit_hyperparameters_loo(([0.1, 0.2], [1.0, 2.0]), no_plateau, SPACE)
     with pytest.raises(ValueError):
-        fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), None, {"lengthscale": []})
-    for plateau in (None, fixed_plateau(3.0)):
+        fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), no_plateau, {"lengthscale": []})
+    for plateau in (no_plateau, fixed_plateau(3.0)):
         with pytest.raises(ValueError, match="equal length"):  # named, not "no viable candidate"
             fit_hyperparameters_loo(([0.1, 0.2, 0.3], [1.0, 2.0, 3.0, 4.0]), plateau, SPACE)

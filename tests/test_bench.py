@@ -185,6 +185,28 @@ def test_a_trace_file_without_an_integer_seed_exits_config_error(tmp_path, capsy
     assert "gp_ucb_seed0 (copy).csv" in capsys.readouterr().err
 
 
+def _bad_traces(good: str) -> dict:
+    """Each kind of trace file read_traces refuses, as text, made from a good trace's text."""
+    header, first, *rest = good.splitlines(keepends=True)
+    cells = first.split(",")
+    return {
+        "header-only": header,
+        "zero-bytes": "",
+        "non-numeric": header + ",".join([cells[0], "abc", *cells[2:]]) + "".join(rest),
+        "no-cum-regret": header.replace("cum_regret", "cumulative") + first + "".join(rest),
+    }
+
+
+@pytest.mark.parametrize("kind", ["header-only", "zero-bytes", "non-numeric", "no-cum-regret"])
+def test_a_trace_file_aggregate_cannot_read_exits_config_error(kind, tmp_path, capsys):
+    # next to a good gp_ucb trace: a header-only fc trace must not leave aggregate.csv silently without fc
+    run_experiment(ExperimentConfig.from_dict(small_config(n_iterations=2)), tmp_path)
+    (tmp_path / "fc_seed0.csv").write_text(_bad_traces((tmp_path / "gp_ucb_seed0.csv").read_text())[kind])
+    assert main(["aggregate", "--in", str(tmp_path)]) == EXIT_CONFIG
+    assert "fc_seed0.csv" in capsys.readouterr().err
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
 def test_aggregate_single_seed_flags_se():
     cfg = ExperimentConfig.from_dict(small_config())
     rows = aggregate(run_experiment(cfg))
@@ -458,6 +480,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"kernel": {"lengthscale": math.inf}},
         {"hyperfit": {"search_space": {"lengthscale": [0.1], "noise_var": [math.inf]}}},
         {"hyperfit": {"search_space": {"lengthscale": [0.1], "outputscale": [math.inf], "noise_var": [0.1]}}},
+        # more initial points than the Sobol draw gives (2**30): refused before any draw
+        {"n_initial": 2**31},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -474,7 +498,7 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "kernel-dimension", "nan-b-f", "negative-b-f", "infinite-b-f", "nan-rkhs-b-f", "nan-half-width",
          "nan-compact-convex-a", "nan-compact-convex-b", "nan-noise-var", "infinite-noise-var",
          "infinite-compact-convex-r", "infinite-outputscale", "infinite-lengthscale", "infinite-search-noise-var",
-         "infinite-search-outputscale"],
+         "infinite-search-outputscale", "n-initial-beyond-sobol"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"

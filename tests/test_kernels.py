@@ -33,6 +33,24 @@ def test_spec_validation():
         KernelSpec("cubic", 1.0)
 
 
+def test_specs_compare_and_hash_by_value():
+    # a multi-dimensional lengthscale compares as values, not as an ambiguous array truth value
+    assert KernelSpec("rbf", [1.0, 2.0]) == KernelSpec("rbf", [1.0, 2.0])
+    assert KernelSpec("rbf", 0.1) == KernelSpec("rbf", [0.1], 1)
+    assert hash(KernelSpec("rbf", 0.1)) == hash(KernelSpec("rbf", [0.1], 1))
+    for other in (KernelSpec("rbf", [1.0, 3.0]), KernelSpec("matern52", [1.0, 2.0]),
+                  KernelSpec("rbf", [1.0, 2.0], 2.0), KernelSpec("rbf", 1.0)):
+        assert KernelSpec("rbf", [1.0, 2.0]) != other
+    assert len({KernelSpec("rbf", 0.1), KernelSpec("rbf", [0.1]), KernelSpec("matern52", 0.1)}) == 2
+    # the value a hash was taken on cannot change: the spec keeps a read-only copy of the lengthscale
+    given = np.array([1.0, 2.0])
+    spec = KernelSpec("rbf", given)
+    given[0] = 3.0
+    assert spec == KernelSpec("rbf", [1.0, 2.0])
+    with pytest.raises(ValueError):
+        spec.lengthscale[0] = 3.0
+
+
 def test_rbf_diagonal_is_outputscale():
     spec = KernelSpec("rbf", 1.0, 1.0)
     assert k(spec, 0.3, 0.3) == 1.0
