@@ -18,13 +18,12 @@ from .schedules import (
     Rkhs,
     anchor_width,
     beta_prime,
-    estimate_tc,
     noise_bound,
     robust_beta,
     wrench_width_adaptive,
     wrench_width_fixed,
 )
 from .search import DomainSpec, maximize_acquisition
-from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1
+from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1, estimate_tc
 
 __version__ = "0.1.0"

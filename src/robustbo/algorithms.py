@@ -29,7 +29,6 @@ from .schedules import (
     Rkhs,
     anchor_width,
     beta_prime,
-    estimate_tc,
     noise_bound,
     robust_beta,
     wrench_width_adaptive,
@@ -37,7 +36,7 @@ from .schedules import (
 )
 # step calls maximize_acquisition through this module's binding, which perfbench's tracer wraps.
 from .search import DomainSpec, maximize_acquisition
-from .weights import ZERO_CENTER, PimqParams, c1_bound, cw_from_c1, plateau_cap
+from .weights import ZERO_CENTER, PimqParams, c1_bound, cw_from_c1, estimate_tc, plateau_cap
 from .weights import build_corrections  # noqa: F401
 
 __all__ = [
@@ -245,10 +244,10 @@ class BoState:
         model = _fit(self, "anchor" if self.algorithm == "a2" else "model", s, params)
         if params is None:
             return dataclasses.replace(s, model=model, beta=s.bp)
-        tc = estimate_tc(s.ys, params.half_width)
+        tc = estimate_tc(params, s.ys)
         # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
         sup_delta = math.sqrt(self.spec.outputscale) * (math.sqrt(s.bp) + self.b_f)
-        c_w = cw_from_c1(c1_bound(params, s.nv, sup_delta), s.nv)
+        c_w = cw_from_c1(c1_bound(params.half_width, params.shape_c, s.nv, sup_delta), s.nv)
         if self.algorithm == "a2":
             return _wrench(self, s, model, params, tc, c_w)
         return dataclasses.replace(s, model=model, beta=robust_beta(s.bp, c_w, self._effective_tc(tc)), tc=tc)
@@ -313,27 +312,19 @@ def _fit(state: BoState, role: str, s: Plan, params: Optional[PimqParams]) -> Gp
     wrench downweights) sink to the end, and the next step re-borders only
     them.  The usual step, one new point after an unchanged model, is one
     extend on head(n), the model itself.  A moved standardization changes
-    every old target, a hyperparameter refit the kernel object; those steps,
-    a changed first row, no kept point and a border the factor cannot take
-    refit with gp_fit on the kept data.
+    every old target, a hyperparameter refit may pick another kernel or
+    noise; those steps, a changed first row, no kept point and a border the
+    factor cannot take refit with gp_fit on the kept data.
     """
     X, y, corr, kept = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
     prev, rows = state._fits.get(role, (None, None))
     model = None
-    if prev is not None and y.shape[0] and prev.spec is state.spec and prev.noise_var == s.nv:
+    if prev is not None and y.shape[0] and prev.spec == state.spec and prev.noise_var == s.nv:
         model, rows = _bordered(prev, rows, X, y, corr, kept, s.ys.shape[0])
     if model is None:
         model, rows = gp_fit(X, y, state.spec, s.nv, corr, state.domain.grid if role == "model" else None), kept
     state._fits[role] = (model, rows)
     return model
-
-
-def _unchanged(post: GpPosterior, y, corr) -> np.ndarray:
-    """Per row of post: whether y and corr, aligned with its rows, are its target and corrections, bit for bit."""
-    same = post.y == y
-    for f in ("weights", "jw", "mw"):
-        same &= getattr(post.corrections, f) == getattr(corr, f)
-    return same
 
 
 def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
@@ -346,7 +337,7 @@ def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
     at[kept] = np.arange(kept.shape[0])
     at = at[rows]  # each previous row's position in the kept data; -1 once dropped
     pos = np.maximum(at, 0)
-    same = (at >= 0) & _unchanged(prev, y[pos], corr[pos])
+    same = (at >= 0) & (prev.y == y[pos]) & prev.corrections.same(corr[pos])
     k = m if same.all() else int(np.argmin(same))
     head = prev.head(k) if k else None
     if head is None:
@@ -362,7 +353,7 @@ def _wrench(state: BoState, s: Plan, anchor: GpPosterior, anchor_params: PimqPar
             c_w_a: float) -> Plan:
     """a2's plan from its anchor and the anchor's plateau, tc and c_w: the
     wrench, whose plateau center (and adaptive width) is one anchor predict at
-    the data, shared by the fit and tc."""
+    the data; its fit, tc and C1 read the one PimqParams."""
     tc_eff = state._effective_tc(tc_anchor)
     kappa = state.spec.outputscale
     if state.pimq_policy in ("heuristic", "manual"):
@@ -377,12 +368,12 @@ def _wrench(state: BoState, s: Plan, anchor: GpPosterior, anchor_params: PimqPar
         center, width = anchor.predict_mean(s.X), width_bound
     wrench_params = PimqParams(center, width, state.pimq_c)
     wrench = _fit(state, "model", s, wrench_params)
-    tc = estimate_tc(s.ys - center, width)
+    tc = estimate_tc(wrench_params, s.ys)
     tc_eff = state._effective_tc(tc)
     # C1 for the wrench uses the scalar width bound and the anchor's
     # certified deviation as the center gap.
     sup_delta_w = c_w_a * math.sqrt(tc_eff) * math.sqrt(kappa)
-    c_w_w = cw_from_c1(c1_bound(dataclasses.replace(wrench_params, half_width=width_bound), s.nv, sup_delta_w), s.nv)
+    c_w_w = cw_from_c1(c1_bound(width_bound, wrench_params.shape_c, s.nv, sup_delta_w), s.nv)
     return dataclasses.replace(s, model=wrench, beta=robust_beta(s.bp, c_w_w, tc_eff), tc=tc, anchor=anchor)
 
 

@@ -43,7 +43,7 @@ __all__ = [
 STREAM_INITIAL = 0
 STREAM_NOISE = 1
 
-# The adversary keys each policy requires.
+# The adversary keys each policy reads, all of them required.
 _POLICY_KEYS = {
     "none": set(),
     "greedy_clairvoyant": {"near_thresh", "far_thresh", "low_value", "high_value", "budget"},
@@ -165,10 +165,14 @@ class ExperimentConfig:
         if sched["case"] == "compact_convex":
             sched["compact_convex"] = _section(sched.get("compact_convex", {}), "schedule.compact_convex",
                                                {"a", "b", "r"})
+        elif "compact_convex" in sched:
+            raise ConfigError(f"schedule.compact_convex is read only by the compact_convex case, not {sched['case']!r}")
         adv = _section(top["adversary"], "adversary", {"policy"})
-        if adv["policy"] not in _POLICY_KEYS:
+        keys = _POLICY_KEYS.get(adv["policy"])
+        if keys is None:
             raise ConfigError(f"unknown adversary policy {adv['policy']!r}")
-        _section(adv, "adversary", _POLICY_KEYS[adv["policy"]])
+        if set(adv) != {"policy"} | keys:
+            raise ConfigError(f"the {adv['policy']!r} adversary takes policy and {sorted(keys)}, got {sorted(adv)}")
         if adv["policy"] != "none":
             adv["budget"] = _section(adv["budget"] or {}, "adversary.budget", {"mode"})
         grid_size = top.get("grid_size", 1001)

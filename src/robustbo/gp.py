@@ -180,10 +180,8 @@ class GpPosterior:
                 S[i + 1:, i + 1:] -= np.outer(c, c)
         if grid is not None:  # a variance is negative only through round-off
             grid = GridPredictions(grid.points, np.concatenate((grid.V, V2)), mean, np.maximum(var, 0.0))
-        corrections = WeightCorrections(*(np.concatenate((getattr(self.corrections, f), getattr(corrections, f)))
-                                          for f in ("weights", "jw", "mw")))
         return GpPosterior(np.concatenate((self.X, X2)), np.concatenate((self.y, y2)), spec, self.noise_var,
-                           corrections, L1, np.concatenate((self.w, w2)), 0.0, grid)
+                           self.corrections + corrections, L1, np.concatenate((self.w, w2)), 0.0, grid)
 
 
 def gp_fit(X, y, spec: KernelSpec, noise_var: float,

@@ -33,9 +33,11 @@ def rcgp_data(X, y, spec: KernelSpec, noise_var: float, params: Optional[PimqPar
     cap, plateau_cap(noise_var)."""
     y = np.asarray(y, dtype=float).reshape(-1)
     X = _as_points(X, spec.dim) if y.shape[0] else np.empty((0, spec.dim))
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("X and y must have equal length")
     if params is None:
         return X, y, WeightCorrections.in_plateau(y.shape[0], noise_var), np.arange(y.shape[0])
-    corr = build_corrections(params, noise_var, X, y)
+    corr = build_corrections(params, noise_var, y)
     kept = np.flatnonzero(corr.weights > NEGLIGIBLE_WEIGHT_RATIO * plateau_cap(noise_var))
     return X[kept], y[kept], corr[kept], kept
 

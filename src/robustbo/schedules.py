@@ -1,5 +1,4 @@
-"""Confidence-width schedules: beta sequences, noise bounds, plateau widths,
-and the running corruption-count estimator.
+"""Confidence-width schedules: beta sequences, noise bounds and plateau widths.
 
 Three assumption regimes are supported, mirroring the classic GP-UCB cases:
 a finite domain, a compact convex domain with smoothness constants, and an
@@ -25,7 +24,6 @@ __all__ = [
     "wrench_width_fixed",
     "wrench_width_adaptive",
     "robust_beta",
-    "estimate_tc",
 ]
 
 
@@ -127,13 +125,4 @@ def robust_beta(beta_prime_val: float, c_w: float, tc_estimate: int) -> float:
     if tc_estimate == 0 or c_w == 0.0:
         return beta_prime_val
     return (math.sqrt(beta_prime_val) + c_w * math.sqrt(tc_estimate)) ** 2
-
-
-def estimate_tc(residuals, widths) -> int:
-    """Count of observations whose residual magnitude exceeds its plateau width (NaN counts)."""
-    r = np.abs(np.asarray(residuals, dtype=float))
-    w = np.asarray(widths, dtype=float)
-    if w.ndim and r.shape != w.shape:  # a scalar width broadcasts
-        raise ValueError("residuals and widths must have equal length")
-    return int(np.count_nonzero(~(r <= w)))
 

@@ -23,6 +23,7 @@ __all__ = [
     "plateau_cap",
     "NEGLIGIBLE_WEIGHT_RATIO",
     "build_corrections",
+    "estimate_tc",
     "c1_bound",
     "cw_from_c1",
 ]
@@ -68,9 +69,9 @@ def plateau_cap(noise_var: float) -> float:
 class WeightCorrections:
     """Per-point weights and the induced diagonal/vector posterior corrections."""
 
-    weights: np.ndarray
-    jw: np.ndarray  # diagonal of J_w; entry 1 iff the point is in-plateau
-    mw: np.ndarray  # mean correction; entry 0 iff the point is in-plateau
+    weights: np.ndarray  # the cap in-plateau, and can round to it just past the edge
+    jw: np.ndarray  # diagonal of J_w; 1 in-plateau, and can round to 1 just past the edge
+    mw: np.ndarray  # mean correction; 0 in-plateau (membership is estimate_tc's test alone)
 
     @staticmethod
     def in_plateau(n: int, noise_var: float) -> "WeightCorrections":
@@ -81,29 +82,48 @@ class WeightCorrections:
         """The corrections of the indexed points (a slice or a mask)."""
         return WeightCorrections(self.weights[index], self.jw[index], self.mw[index])
 
+    def __add__(self, other: "WeightCorrections") -> "WeightCorrections":
+        """The corrections of self's points followed by other's."""
+        return WeightCorrections(np.concatenate((self.weights, other.weights)),
+                                 np.concatenate((self.jw, other.jw)), np.concatenate((self.mw, other.mw)))
 
-def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorrections:
-    """Weights, J_w diagonal noise_var/(2 w^2), and m_w vector for a dataset.
+    def same(self, other: "WeightCorrections") -> np.ndarray:
+        """Per point: whether other's weight, jw and mw, aligned with self's points, equal self's."""
+        return (self.weights == other.weights) & (self.jw == other.jw) & (self.mw == other.mw)
 
-    The one implementation of the P-IMQ formula.  X is only checked against
-    y's length; the plateau is read from params, the cap from noise_var (> 0).
-    In-plateau entries are forced to exactly (plateau_cap(noise_var), 1, 0)
-    so the robust update is bit-identical to the standard GP there.
+
+def _excess(params: PimqParams, y):
+    """The residuals y - g, their excess |y - g| - L over the plateau edge, and
+    the plateau test: a point is outside unless its excess is <= 0, so a NaN
+    (a NaN observation, or inf - inf at an infinite width) counts as outside."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    g, L = np.asarray(params.center, dtype=float), np.asarray(params.half_width, dtype=float)
+    if any(v.ndim and v.shape != y.shape for v in (g, L)):
+        raise ValueError("y and any per-point center or half_width must have equal length")
+    with np.errstate(invalid="ignore"):
+        resid = y - g
+        z = np.abs(resid) - L
+    return resid, z, ~(z <= 0)
+
+
+def estimate_tc(params: PimqParams, y) -> int:
+    """The number of observations y outside the plateau of params: the points the fit downweights."""
+    return int(np.count_nonzero(_excess(params, y)[2]))
+
+
+def build_corrections(params: PimqParams, noise_var: float, y) -> WeightCorrections:
+    """Weights, J_w diagonal noise_var/(2 w^2), and m_w vector for observations y.
+
+    The one implementation of the P-IMQ formula.  The plateau is read from
+    params, the cap from noise_var (> 0).  In-plateau entries are exactly
+    (plateau_cap(noise_var), 1, 0) so the robust update is bit-identical to
+    the standard GP there.
     """
     if not noise_var > 0:
         raise ValueError("noise_var must be positive")
     cap = plateau_cap(noise_var)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    g, L = np.asarray(params.center, dtype=float), np.asarray(params.half_width, dtype=float)
-    n_x = np.shape(X)[0] if np.ndim(X) else 1
-    if n_x != y.shape[0] or any(v.ndim and v.shape != y.shape for v in (g, L)):
-        raise ValueError("X, y and any per-point center or half_width must have equal length")
-    resid = y - g
-    z = np.abs(resid) - L  # residual excess over the plateau edge
-    w = np.full(z.shape, cap)
-    jw = np.ones(z.shape)
-    mw = np.zeros(z.shape)
-    outside = ~(z <= 0)  # a NaN observation counts as outside
+    resid, z, outside = _excess(params, y)
+    corr = WeightCorrections.in_plateau(z.shape[0], noise_var)  # the outside points' entries follow
     if np.any(outside):
         c2 = params.shape_c**2
         zo = np.where(np.isnan(z[outside]), np.inf, z[outside])
@@ -112,26 +132,22 @@ def build_corrections(params: PimqParams, noise_var: float, X, y) -> WeightCorre
         # zo * zo and the inf/inf of m_w are expected; finite q keeps its bits.
         with np.errstate(over="ignore", invalid="ignore"):
             q = 1.0 + zo * zo / c2  # (cap / w)^2
-            w[outside] = cap / np.sqrt(q)
-            jw[outside] = noise_var / (2.0 * cap**2) * q
-            mw[outside] = -2.0 * noise_var * (zo * np.sign(resid[outside]) / c2) / q
-    return WeightCorrections(w, jw, mw)
+            corr.weights[outside] = cap / np.sqrt(q)
+            corr.jw[outside] = noise_var / (2.0 * cap**2) * q
+            corr.mw[outside] = -2.0 * noise_var * (zo * np.sign(resid[outside]) / c2) / q
+    return corr
 
 
-def c1_bound(params: PimqParams, noise_var: float, sup_delta: float) -> float:
-    """Closed-form upper bound on the weighted-influence constant.
-
-    sup_delta bounds the gap between the center and the clean posterior mean
-    over the domain.  Requires a scalar plateau width.
-    """
+def c1_bound(half_width: float, shape_c: float, noise_var: float, sup_delta: float) -> float:
+    """Closed-form upper bound on the weighted-influence constant of a P-IMQ weight of scalar
+    half_width and shape shape_c; sup_delta bounds the gap between the center and the clean
+    posterior mean over the domain."""
     if sup_delta < 0:
         raise ValueError("sup_delta must be nonnegative")
-    L = params.half_width
-    if np.ndim(L) != 0:
+    if np.ndim(half_width) != 0:
         raise ValueError("c1_bound requires a scalar plateau width")
-    c = params.shape_c
-    c_m = 4.0 * noise_var / (3.0 * math.sqrt(3.0) * c)
-    return plateau_cap(noise_var) * (math.sqrt(L * L + c * c) + sup_delta + c_m)
+    c_m = 4.0 * noise_var / (3.0 * math.sqrt(3.0) * shape_c)
+    return plateau_cap(noise_var) * (math.sqrt(half_width * half_width + shape_c * shape_c) + sup_delta + c_m)
 
 
 def cw_from_c1(c1: float, noise_var: float) -> float:

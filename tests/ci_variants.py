@@ -62,7 +62,19 @@ def rkhs_adaptive() -> dict:
     return c
 
 
-VARIANTS = {f.__name__: f for f in (float_limit, branin_small, hyperfit_limit, hyperfit_schedule, rkhs_adaptive)}
+def heuristic_eager() -> dict:
+    """The heuristic plateau, the estimated tc and the eager adversary, whose outliers the fits downweight."""
+    c = shipped("forrester_corrupted_small")
+    c["pimq"] = {"policy": "heuristic", "shape_c": 1.0}
+    c["schedule"]["tc_mode"] = "estimate"
+    c["adversary"] = {"policy": "eager_budget", "corruption_value": 40.0,
+                      "budget": {"mode": "fixed_count", "count": 6}}
+    c.update(name="heuristic_eager")
+    return c
+
+
+VARIANTS = {f.__name__: f for f in (float_limit, branin_small, hyperfit_limit, hyperfit_schedule, rkhs_adaptive,
+                                    heuristic_eager)}
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ def test_criterion_04_deviation_bound():
         probe = np.concatenate([GRID, corrupt[0]])
         mu_probe, _ = uc.predict(probe)
         sup_delta = float(np.max(np.abs(mu_probe)))  # zero center vs clean mean
-        c_w = cw_from_c1(c1_bound(params, nv, sup_delta), nv)
+        c_w = cw_from_c1(c1_bound(params.half_width, params.shape_c, nv, sup_delta), nv)
         mu_uc, var_uc = uc.predict(GRID)
         bound = c_w * np.sqrt(len(corrupt[1])) * np.sqrt(var_uc) + 1e-9
         violations += int(np.any(np.abs(full_mean - mu_uc) > bound))
@@ -145,10 +145,10 @@ def test_criterion_05_mean_shift_gradient_check():
         h = 1e-6
 
         def log_w2(val):
-            return 2.0 * np.log(build_corrections(params, 1.0, 0.0, [val]).weights[0])
+            return 2.0 * np.log(build_corrections(params, 1.0, [val]).weights[0])
 
         fd = nv * (log_w2(y + h) - log_w2(y - h)) / (2.0 * h)
-        analytic = build_corrections(params, nv, 0.0, [y]).mw[0]
+        analytic = build_corrections(params, nv, [y]).mw[0]
         worst = max(worst, abs(fd - analytic) / max(abs(analytic), 1e-12))
     report(5, "mean-shift term matches the weight-gradient definition",
            worst < 1e-5, f"max rel err {worst:.2e} over 1000 draws")
@@ -167,10 +167,10 @@ def test_criterion_06_influence_constant_domination():
         n = int(rng.integers(2, 10))
         uc = gp_fit(rng.uniform(0, 1, size=n), rng.normal(0, 0.5, size=n), spec, nv)
         mu_uc, _ = uc.predict(GRID)
-        corr = build_corrections(params, nv, np.zeros(ys.shape), ys)
+        corr = build_corrections(params, nv, ys)
         w, mw = corr.weights, corr.mw
         influence = np.abs(w[:, None] * (ys[:, None] - mw[:, None] - mu_uc[None, :]))
-        bound = c1_bound(params, nv, float(np.max(np.abs(mu_uc))))
+        bound = c1_bound(params.half_width, params.shape_c, nv, float(np.max(np.abs(mu_uc))))
         failures += int(np.max(influence) > bound + 1e-9)
     report(6, "measured influence never exceeds its closed-form constant",
            failures == 0, f"{failures} failing instances of 50")

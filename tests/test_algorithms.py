@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ci_variants
-from conftest import make_state
+from conftest import assert_same_posterior, make_state
 from robustbo import algorithms, bench, gp, rcgp
 from robustbo.adversary import EagerBudget
 from robustbo.algorithms import BoState, fit_hyperparameters_loo, run_loop, standardize_targets, step
@@ -17,13 +17,25 @@ from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec, info_gain
 from robustbo.objectives import make_objective
 from robustbo.rcgp import rcgp_data, rcgp_fit
-from robustbo.schedules import FiniteDomain, Rkhs, anchor_width, beta_prime, noise_bound
-from robustbo.search import DomainSpec, maximize_acquisition
-from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections, plateau_cap
+from robustbo.schedules import (FiniteDomain, Rkhs, anchor_width, beta_prime, noise_bound, wrench_width_adaptive,
+                                wrench_width_fixed)
+from robustbo.search import DomainSpec, maximize_acquisition, sobol_points
+from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections, estimate_tc, plateau_cap
 
 
 def seed_points(n=4):
     return np.linspace(0.05, 0.95, n).reshape(-1, 1)
+
+
+def same_model(got, want):
+    """got is want field for field (a2's anchor keeps no grid predictions)."""
+    assert (got.spec, got.noise_var, got.jitter) == (want.spec, want.noise_var, want.jitter)
+    for a, b in ((got.X, want.X), (got.y, want.y), (got.L, want.L), (got.w, want.w),
+                 (got.corrections.weights, want.corrections.weights), (got.corrections.jw, want.corrections.jw),
+                 (got.corrections.mw, want.corrections.mw)):
+        assert np.array_equal(a, b)
+    if got.grid is not None:
+        assert np.array_equal(got.grid.mean, want.grid.mean) and np.array_equal(got.grid.var, want.grid.var)
 
 
 # -- standardization --------------------------------------------------------
@@ -199,12 +211,7 @@ def test_fc_matches_baseline_on_clean_data():
         models[algorithm] = state.plan().model
     assert queries["gp_ucb"] == queries["fc"]
     # the plain GP is the all-in-plateau robust fit: the two models are equal field for field
-    def fields(m):
-        c = m.corrections
-        return m.X, m.y, c.weights, c.jw, c.mw, m.L, m.w, m.grid.mean, m.grid.var
-
-    for a, b in zip(fields(models["gp_ucb"]), fields(models["fc"])):
-        assert np.array_equal(a, b)
+    same_model(models["fc"], models["gp_ucb"])
 
 
 def test_a2_models_coincide_before_any_data():
@@ -276,6 +283,92 @@ def test_a2_anchor_is_the_fc_model():
         np.testing.assert_array_equal(got, want)
     for got, want in zip(anchor.predict(grid), refit["fc"].model.predict(grid)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+# -- the clean-data contract ------------------------------------------------
+
+
+def _contract_cell(raw: dict, algorithm: str, seed: int):
+    """One (algorithm, seed) cell of the config raw, as run_experiment builds it but on a small
+    search domain; returns the state and its run's plans, one per step."""
+    cfg = bench.ExperimentConfig.from_dict(raw)
+    objective = make_objective(cfg.objective, cfg.noise_var)
+    bounds = np.atleast_2d(objective.bounds)
+    domain = DomainSpec.from_bounds(bounds, cfg.grid_size) if bounds.shape[0] == 1 else \
+        DomainSpec(bounds, None, n_starts=8, coord_grid=9)
+    state = bench._build_state(cfg, algorithm, seed, objective, domain, None)
+    state.add_initial(sobol_points(bounds, cfg.n_initial, bench._rng(seed, bench.STREAM_INITIAL)))
+    plans, plan = [], state.plan
+    state.plan = lambda: plans.append(plan()) or plans[-1]  # step's one plan per step
+    run_loop(state, cfg.n_iterations)
+    return state, plans
+
+
+@given(
+    objective=st.sampled_from(["forrester", "sinusoid", "branin"]),
+    family=st.sampled_from(["rbf", "matern52"]),
+    standardize=st.sampled_from(["robust", "zscore", "none", "initial"]),
+    policy=st.sampled_from(["schedule", "heuristic", "manual"]),
+    case=st.sampled_from(["finite_domain", "compact_convex", "rkhs"]),
+    adaptive=st.booleans(),
+    tc_mode=st.sampled_from(["estimate", "force_zero"]),
+    corruption=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+    n_initial=st.sampled_from([0, 1, 5]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_fc_and_a2_are_gp_ucb_until_a_point_leaves_the_plateau(objective, family, standardize, policy, case,
+                                                                adaptive, tc_mode, corruption, n_initial, seed):
+    # Up to the first plan with a point outside its plateau, fc's and a2's queries are gp_ucb's and their
+    # models are gp_ucb's, field for field: all n points kept, every jw 1 and mw 0, tc 0, beta beta'.  The
+    # plateaus are rebuilt here from the settings and gp_ucb's plan, not read from fc's or a2's, and
+    # "outside" is weights.estimate_tc's test; a2 is checked while both its anchor's plateau (fc's) and
+    # its wrench's hold every point, fc while its own does.
+    dim = 2 if objective == "branin" else 1
+    raw = {
+        "objective": {"name": objective, "noise_var": 0.1},
+        "algorithms": ["gp_ucb", "fc", "a2"],
+        "kernel": {"family": family, "lengthscale": [0.2 * (15.0 if dim == 2 else 1.0)] * dim},
+        "schedule": {"case": case, "delta": 0.1, "b_f": 2.0, "tc_mode": tc_mode,
+                     "a2_width_mode": "adaptive" if adaptive and policy == "schedule" else "fixed"},
+        "pimq": {"policy": policy, "shape_c": 1.0, "half_width": 1.96},
+        "adversary": {"policy": "none"} if corruption is None else {
+            "policy": "eager_budget", "corruption_value": corruption, "budget": {"mode": "fixed_count", "count": 2}},
+        "standardize": standardize, "n_initial": n_initial, "n_iterations": 6, "seeds": [seed], "grid_size": 101,
+    }
+    if case == "compact_convex":
+        raw["schedule"]["compact_convex"] = {"a": 1.0, "b": 1.0, "r": 1.0}
+    runs = {a: _contract_cell(raw, a, seed) for a in ("gp_ucb", "fc", "a2")}
+    state = runs["gp_ucb"][0]
+    checked = {"fc": True, "a2": True}  # fc is checked until the loop stops
+    for t, g in enumerate(runs["gp_ucb"][1]):
+        assert g.model.y.shape == g.ys.shape and g.tc == 0 and g.beta == g.bp
+        kappa = state.spec.outputscale
+        if policy == "heuristic" and len(g.ys):
+            width = float(np.quantile(np.abs(g.ys - np.median(g.ys)), 0.95, method="lower"))
+        elif policy == "manual":
+            width = 1.96
+        else:
+            width = anchor_width(2.0, kappa, g.n_t)
+        if estimate_tc(PimqParams(ZERO_CENTER, width, 1.0), g.ys):
+            break
+        if state.a2_width_mode == "adaptive":
+            center, var = g.model.predict(g.X)
+            wrench = PimqParams(center, wrench_width_adaptive(g.bp, np.sqrt(var), g.n_t), 1.0)
+        else:
+            if policy == "schedule":  # at tc 0 the width's beta is beta' at the horizon
+                width = wrench_width_fixed(beta_prime(state.case, state.horizon, 0.05, g.gamma_t), kappa, g.n_t)
+            wrench = PimqParams(g.model.predict_mean(g.X), width, 1.0)
+        checked["a2"] &= estimate_tc(wrench, g.ys) == 0
+        for algorithm in ("fc", "a2"):
+            if checked[algorithm]:
+                s, plans = runs[algorithm]
+                p = plans[t]
+                assert np.array_equal(s.records[t].x, state.records[t].x)
+                assert (p.t, p.tc, p.beta) == (g.t, 0, g.beta) and np.array_equal(p.ys, g.ys)
+                same_model(p.model, g.model)
+                if algorithm == "a2":
+                    same_model(p.anchor, g.model)
 
 
 def test_only_the_acquisition_model_keeps_grid_predictions():
@@ -543,12 +636,20 @@ def test_a_running_standardization_refits(monkeypatch):
 
 
 def test_a_hyperparameter_refit_refits(monkeypatch):
+    # a refit step refactors exactly when its pick differs from the model's kernel and noise; one
+    # that repeats them extends the model like any other step
     space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
     state = make_state("fc", seed=4, pimq_policy="manual", hyperfit_every=3, hyperfit_space=space)
     state.add_initial(seed_points())
-    per_plan = plan_events(state, 8, monkeypatch)  # the LOO search's candidates are recorded as rcgp_fit
-    assert ["gp_fit" in events for events in per_plan] == [(t - 1) % 3 == 0 for t in range(1, 9)]
-    assert ["extend" in events for events in per_plan] == [(t - 1) % 3 != 0 for t in range(1, 9)]
+    plans = []
+    per_plan = plan_events(state, 12, monkeypatch, plans)  # the LOO search's candidates are recorded as rcgp_fit
+    picks = [(plan.model.spec, plan.model.noise_var) for plan in plans]
+    changed = [True] + [a != b for a, b in zip(picks, picks[1:])]
+    refit_steps = [(t - 1) % 3 == 0 for t in range(1, 13)]
+    assert all(r for r, c in zip(refit_steps, changed) if c)  # only a refit step changes the pick
+    assert changed[3] and not changed[6] and changed[9]  # this run repeats one refit's pick
+    assert ["gp_fit" in events for events in per_plan] == changed
+    assert ["extend" in events for events in per_plan] == [not c for c in changed]
 
 
 def test_a_jittered_factor_refits(monkeypatch):
@@ -604,10 +705,13 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
         assert all(t == 1 for t, _ in borders)
 
 
-@pytest.mark.parametrize("name", ["forrester_corrupted_small", "branin_small", "rkhs_adaptive"])
+@pytest.mark.parametrize("name", ["forrester_corrupted_small", "branin_small", "rkhs_adaptive", "hyperfit_limit",
+                                  "hyperfit_schedule", "heuristic_eager"])
 def test_refitting_on_every_step_gives_the_same_rows(name, monkeypatch):
     # the incremental path (head and extend) is a fast path: its slow twin refits with gp_fit on every step
     config = ci_variants.shipped(name) if name == "forrester_corrupted_small" else ci_variants.VARIANTS[name]()
+    if name == "hyperfit_limit":  # its ±1e300 outliers overflow the plain GP's cell, as CI asserts
+        config["algorithms"] = ["fc", "a2"]
     cfg = bench.ExperimentConfig.from_dict(dict(config, seeds=[0]))
     bordered, border = [], algorithms._bordered
     monkeypatch.setattr(algorithms, "_bordered", lambda *args: bordered.append(1) or border(*args))
@@ -692,7 +796,7 @@ def test_loo_search_drops_saturated_outliers(value):
 
 def test_hyperfit_loop_refits_and_keeps_fc_equal_to_gp_ucb():
     space = {"lengthscale": [0.05, 0.3], "outputscale": [1.0], "noise_var": [0.02, 0.5]}
-    queries = {}
+    queries, models = {}, {}
     for algorithm in ("gp_ucb", "fc"):
         state = make_state(algorithm, seed=4, hyperfit_every=3, hyperfit_space=space)
         state.add_initial(seed_points())
@@ -701,12 +805,15 @@ def test_hyperfit_loop_refits_and_keeps_fc_equal_to_gp_ucb():
         plan = state.plan()  # step 7 refits, since (7 - 1) % hyperfit_every == 0
         assert state.spec.lengthscale[0] in space["lengthscale"]
         assert plan.model.noise_var in space["noise_var"]
+        # the model is bordered across refits that repeat a pick, so it matches a fresh fit up to round-off
         X, ys, _ = standardized_data(state, plan)
-        plain = gp_fit(X, ys, state.spec, plan.model.noise_var)
-        for got, want in zip(plan.model.predict(state.domain.grid), plain.predict(state.domain.grid)):
-            np.testing.assert_array_equal(got, want)
-    # clean data sit inside the plateau, so the weighted refit picks the same kernel
+        assert_same_posterior(plan.model, gp_fit(X, ys, state.spec, plan.model.noise_var, grid=state.domain.grid),
+                              state.domain.grid)
+        models[algorithm] = plan.model
+    # clean data sit inside the plateau, so the weighted refit picks the same kernel, and fc's model is
+    # gp_ucb's, field for field
     assert queries["gp_ucb"] == queries["fc"]
+    same_model(models["fc"], models["gp_ucb"])
 
 
 def test_hyperfit_noise_variance_kept_between_refits():
@@ -810,7 +917,7 @@ def test_each_loo_candidate_is_weighted_at_its_own_noise(monkeypatch):
     assert len(fits) == 4 and {nv for _, _, nv, _, _ in fits} == set(space["noise_var"])
     for X, y, nv, params, post in fits:
         kept = rcgp_data(X, y, post.spec, nv, params)[3]
-        want = build_corrections(params, nv, X, y)[kept]
+        want = build_corrections(params, nv, y)[kept]
         assert np.all(post.corrections.jw >= 1.0) and post.corrections.jw[2] > 1.0
         for name in ("weights", "jw", "mw"):
             np.testing.assert_array_equal(getattr(post.corrections, name), getattr(want, name))

@@ -482,6 +482,11 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"hyperfit": {"search_space": {"lengthscale": [0.1], "outputscale": [math.inf], "noise_var": [0.1]}}},
         # more initial points than the Sobol draw gives (2**30): refused before any draw
         {"n_initial": 2**31},
+        # a key the chosen adversary policy or schedule case never reads
+        {"adversary": {"policy": "greedy_clairvoyant", "near_thresh": 0.1, "far_thresh": 0.4, "low_value": -10.0,
+                       "high_value": 25.0, "corruption_value": 40.0, "budget": {"mode": "fixed_count", "count": 2}}},
+        {"adversary": {"policy": "none", "budget": {"mode": "bogus"}}},
+        {"schedule": {"compact_convex": {"a": "x", "zzz": 1}}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -498,7 +503,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "kernel-dimension", "nan-b-f", "negative-b-f", "infinite-b-f", "nan-rkhs-b-f", "nan-half-width",
          "nan-compact-convex-a", "nan-compact-convex-b", "nan-noise-var", "infinite-noise-var",
          "infinite-compact-convex-r", "infinite-outputscale", "infinite-lengthscale", "infinite-search-noise-var",
-         "infinite-search-outputscale", "n-initial-beyond-sobol"],
+         "infinite-search-outputscale", "n-initial-beyond-sobol", "greedy-corruption-value", "none-budget",
+         "finite-domain-compact-convex"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"

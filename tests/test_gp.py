@@ -106,7 +106,7 @@ def test_identity_corrections_run_the_plain_fit(rng, rbf):
     want = WeightCorrections.in_plateau(9, 0.3)
     for name in ("weights", "jw", "mw"):
         assert np.array_equal(getattr(plain.corrections, name), getattr(want, name))
-    assert np.all(plain.corrections.weights == build_corrections(PimqParams(0.0, 1.0, 1.0), 0.3, X, 0.0 * y).weights)
+    assert np.all(plain.corrections.weights == build_corrections(PimqParams(0.0, 1.0, 1.0), 0.3, 0.0 * y).weights)
     assert np.all(plain.corrections.weights == math.sqrt(0.3 / 2.0))
     assert np.array_equal(plain.L, ident.L)
     assert np.array_equal(plain.alpha, ident.alpha)

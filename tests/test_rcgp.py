@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -48,7 +50,7 @@ def test_robust_fit_is_gp_fit_on_the_kept_points(rng, rbf):
     params = PimqParams(ZERO_CENTER, 1.0, 1.0)
     robust = rcgp_fit(X, y, rbf, 0.25, params)
     assert isinstance(robust, GpPosterior) and robust.X.shape == (6, 1)
-    expected = gp_fit(X[:6], y[:6], rbf, 0.25, build_corrections(params, 0.25, X[:6], y[:6]))
+    expected = gp_fit(X[:6], y[:6], rbf, 0.25, build_corrections(params, 0.25, y[:6]))
     for a, b in zip(robust.predict(GRID), expected.predict(GRID)):
         assert np.array_equal(a, b)
 
@@ -198,3 +200,6 @@ def test_rcgp_data_is_what_rcgp_fit_factors(rbf):
     assert np.array_equal(Xk, post.X) and np.array_equal(yk, [0.2, -0.1, 6.0])
     assert np.array_equal(kept, [0, 2, 3])
     assert np.array_equal(corr.jw, post.corrections.jw) and corr.jw[-1] > 1.0  # 6.0 is downweighted, kept
+    for Xbad, plateau in product((X[:3], np.append(X, 0.7)), (params, None)):  # rejected before X[kept]
+        with pytest.raises(ValueError, match="equal length"):
+            rcgp_data(Xbad, y, rbf, 0.25, plateau)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from robustbo.schedules import (
     Rkhs,
     anchor_width,
     beta_prime,
-    estimate_tc,
     noise_bound,
     robust_beta,
     wrench_width_adaptive,
@@ -88,30 +86,6 @@ def test_robust_beta_value():
 def test_robust_beta_monotone_in_corruption_count(tc1, tc2, cw):
     lo, hi = sorted([tc1, tc2])
     assert robust_beta(3.0, cw, hi) >= robust_beta(3.0, cw, lo) - 1e-12
-
-
-def test_estimate_tc():
-    assert estimate_tc([0.5, 3.0, -2.5], 2.0) == 2
-    assert estimate_tc([], []) == 0
-    assert estimate_tc([0.1, -0.3], [2.0, 2.0]) == 0
-    with pytest.raises(ValueError):
-        estimate_tc([1.0, 2.0], [1.0])
-
-
-@given(
-    residuals=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
-    width=st.one_of(st.floats(0.0, 1e308), st.just(math.inf)),
-    per_point=st.booleans(),
-)
-@settings(max_examples=200, deadline=None)
-def test_estimate_tc_counts_nan_and_stays_finite(residuals, width, per_point):
-    # a NaN residual is never inside the plateau, so it counts like an infinite outlier
-    widths = [width] * len(residuals) if per_point else width
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tc = estimate_tc(residuals, widths)
-    assert isinstance(tc, int) and 0 <= tc <= len(residuals)
-    assert tc == sum(1 for r in residuals if math.isnan(r) or abs(r) > width)
 
 
 def test_anchor_width_contains_clean_residuals(rng):
