@@ -8,7 +8,6 @@ standardized space, and the caller accounts regret in raw space.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -127,11 +126,10 @@ class Plan:
     gamma_t: float  # information gain; 0.0 outside the rkhs case
     bp: float  # beta' at step t
     n_t: float  # noise bound over the horizon
-    # BoState._step_inputs leaves these to BoState.plan(), which returns only complete plans.
-    model: Optional[GpPosterior] = None
-    beta: float = math.nan
-    tc: int = 0
-    anchor: Optional[GpPosterior] = None
+    model: GpPosterior
+    beta: float
+    tc: int
+    anchor: Optional[GpPosterior]
 
     def ucb(self, Xq: np.ndarray) -> np.ndarray:
         """The upper-confidence acquisition mean + sqrt(beta)*std of model at the points Xq."""
@@ -224,39 +222,19 @@ class BoState:
         self.X.append(np.atleast_1d(np.asarray(x, dtype=float)))
         self.y_obs.append(y)
 
-    def _data(self):
-        n = len(self.X)
-        X = np.array(self.X, dtype=float).reshape(n, self.objective.dim)
-        return X, np.asarray(self.y_obs, dtype=float)
-
     # -- per-step model preparation ---------------------------------------
-
-    def _location_scale(self, y_raw: np.ndarray) -> tuple[float, float]:
-        return self._seed_std if self.standardize == "initial" else standardize_targets(y_raw, self.standardize)
 
     def plan(self) -> Plan:
         """The upcoming step's data, schedule, fitted model(s) and beta: a function of the settings and the data.
 
-        The zero-centred model comes first, a2's anchor.  gp_ucb's has no plateau: its beta is beta', its tc 0.
+        One pass: standardize, refit the hyperparameters, the schedule, then the
+        zero-centred fit (a2's anchor) with its tc, c_w and beta, and for a2 the
+        wrench.  gp_ucb's fit has no plateau: its beta is beta', its tc 0.
         """
-        s = self._step_inputs()
-        params = self._zero_plateau(s.ys, self.spec, s.nv)
-        model = _fit(self, "anchor" if self.algorithm == "a2" else "model", s, params)
-        if params is None:
-            return dataclasses.replace(s, model=model, beta=s.bp)
-        tc = estimate_tc(params, s.ys)
-        # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
-        sup_delta = math.sqrt(self.spec.outputscale) * (math.sqrt(s.bp) + self.b_f)
-        c_w = cw_from_c1(c1_bound(params.half_width, params.shape_c, s.nv, sup_delta), s.nv)
-        if self.algorithm == "a2":
-            return _wrench(self, s, model, params, tc, c_w)
-        return dataclasses.replace(s, model=model, beta=robust_beta(s.bp, c_w, self._effective_tc(tc)), tc=tc)
-
-    def _step_inputs(self) -> Plan:
-        """The data-and-schedule part of every plan: standardize, refit hyperparameters, schedule."""
         t = self.t + 1
-        X, y_raw = self._data()
-        loc, scale = self._location_scale(y_raw)
+        X = np.array(self.X, dtype=float).reshape(len(self.X), self.objective.dim)
+        y_raw = np.asarray(self.y_obs, dtype=float)
+        loc, scale = self._seed_std if self.standardize == "initial" else standardize_targets(y_raw, self.standardize)
         with np.errstate(over="ignore"):  # a gap beyond the float range is the infinite-outlier limit: ±inf
             ys = (y_raw - loc) / scale
         try:
@@ -273,8 +251,44 @@ class BoState:
             nv = self.fitted_noise_var
 
         gamma_t = info_gain(self.spec, X, nv) if isinstance(self.case, Rkhs) else 0.0
-        return Plan(t, loc, scale, X, ys, nv, gamma_t, bp=beta_prime(self.case, t, self.delta / 2.0, gamma_t),
-                    n_t=noise_bound(self.case, math.sqrt(nv), self.horizon, self.delta / 2.0))
+        bp = beta_prime(self.case, t, self.delta / 2.0, gamma_t)
+        n_t = noise_bound(self.case, math.sqrt(nv), self.horizon, self.delta / 2.0)
+
+        params = self._zero_plateau(ys, self.spec, nv)
+        model = _fit(self, "anchor" if self.algorithm == "a2" else "model", X, ys, nv, params)
+        beta, tc, anchor = bp, 0, None  # gp_ucb's
+        if params is not None:
+            tc = estimate_tc(params, ys)
+            tc_eff = 0 if self.tc_mode == "force_zero" else tc
+            # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
+            sup_delta = math.sqrt(self.spec.outputscale) * (math.sqrt(bp) + self.b_f)
+            c_w = cw_from_c1(c1_bound(params.half_width, params.shape_c, nv, sup_delta), nv)
+        if self.algorithm == "fc":
+            beta = robust_beta(bp, c_w, tc_eff)
+        elif self.algorithm == "a2":
+            # The wrench: its plateau center (and adaptive width) is one anchor
+            # predict at the data; its fit, tc and C1 read the one PimqParams.
+            anchor, kappa = model, self.spec.outputscale
+            if self.pimq_policy in ("heuristic", "manual"):
+                width_bound = params.half_width
+            else:
+                bp_end = beta_prime(self.case, self.horizon, self.delta / 2.0, gamma_t)
+                width_bound = wrench_width_fixed(robust_beta(bp_end, c_w, tc_eff), kappa, n_t)  # scalar, for C1
+            if self.a2_width_mode == "adaptive":  # __post_init__ allows it only under the schedule policy
+                center, var = anchor.predict(X)  # the adaptive width is the only reader of the variance
+                width = wrench_width_adaptive(robust_beta(bp, c_w, tc_eff), np.sqrt(var), n_t)
+            else:
+                center, width = anchor.predict_mean(X), width_bound
+            params = PimqParams(center, width, self.pimq_c)
+            model = _fit(self, "model", X, ys, nv, params)
+            tc = estimate_tc(params, ys)
+            tc_eff = 0 if self.tc_mode == "force_zero" else tc
+            # The wrench's C1 takes the scalar width bound, and as the center gap the anchor's
+            # certified deviation at the wrench's own tc.
+            sup_delta_w = c_w * math.sqrt(tc_eff) * math.sqrt(kappa)
+            c_w_w = cw_from_c1(c1_bound(width_bound, params.shape_c, nv, sup_delta_w), nv)
+            beta = robust_beta(bp, c_w_w, tc_eff)
+        return Plan(t, loc, scale, X, ys, nv, gamma_t, bp, n_t, model, beta, tc, anchor)
 
     def _zero_plateau(self, ys: np.ndarray, spec: KernelSpec, nv: float) -> Optional[PimqParams]:
         """The zero-centred plateau of a fit with kernel spec and noise variance
@@ -294,14 +308,13 @@ class BoState:
             width = anchor_width(self.b_f, spec.outputscale, n_t)
         return PimqParams(ZERO_CENTER, width, self.pimq_c)
 
-    def _effective_tc(self, tc: int) -> int:
-        return 0 if self.tc_mode == "force_zero" else tc
 
-
-def _fit(state: BoState, role: str, s: Plan, params: Optional[PimqParams]) -> GpPosterior:
-    """The posterior on rcgp_data's data for the plateau params (None: the
-    plain GP), on the grid for the "model" role, the only one the acquisition
-    scans, and off it for the "anchor" role.
+def _fit(state: BoState, role: str, X: np.ndarray, ys: np.ndarray, nv: float,
+         params: Optional[PimqParams]) -> GpPosterior:
+    """The posterior on rcgp_data's data (standardized targets ys at X, noise
+    variance nv) for the plateau params (None: the plain GP), on the grid for
+    the "model" role, the only one the acquisition scans, and off it for the
+    "anchor" role.
 
     The rule reads the data.  A row of the previous plan's model for the
     same role is unchanged when its point is still kept with the same
@@ -316,13 +329,13 @@ def _fit(state: BoState, role: str, s: Plan, params: Optional[PimqParams]) -> Gp
     noise; those steps, a changed first row, no kept point and a border the
     factor cannot take refit with gp_fit on the kept data.
     """
-    X, y, corr, kept = rcgp_data(s.X, s.ys, state.spec, s.nv, params)
+    X, y, corr, kept = rcgp_data(X, ys, state.spec, nv, params)
     prev, rows = state._fits.get(role, (None, None))
     model = None
-    if prev is not None and y.shape[0] and prev.spec == state.spec and prev.noise_var == s.nv:
-        model, rows = _bordered(prev, rows, X, y, corr, kept, s.ys.shape[0])
+    if prev is not None and y.shape[0] and prev.spec == state.spec and prev.noise_var == nv:
+        model, rows = _bordered(prev, rows, X, y, corr, kept, ys.shape[0])
     if model is None:
-        model, rows = gp_fit(X, y, state.spec, s.nv, corr, state.domain.grid if role == "model" else None), kept
+        model, rows = gp_fit(X, y, state.spec, nv, corr, state.domain.grid if role == "model" else None), kept
     state._fits[role] = (model, rows)
     return model
 
@@ -347,34 +360,6 @@ def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):
     order = np.concatenate([at[k:][same[k:]], np.flatnonzero(fresh)])  # the kept data's rows to border
     model = head.extend(X[order], y[order], corr[order]) if order.shape[0] else head
     return model, np.concatenate([rows[:k], kept[order]])
-
-
-def _wrench(state: BoState, s: Plan, anchor: GpPosterior, anchor_params: PimqParams, tc_anchor: int,
-            c_w_a: float) -> Plan:
-    """a2's plan from its anchor and the anchor's plateau, tc and c_w: the
-    wrench, whose plateau center (and adaptive width) is one anchor predict at
-    the data; its fit, tc and C1 read the one PimqParams."""
-    tc_eff = state._effective_tc(tc_anchor)
-    kappa = state.spec.outputscale
-    if state.pimq_policy in ("heuristic", "manual"):
-        width_bound = anchor_params.half_width
-    else:
-        bp_end = beta_prime(state.case, state.horizon, state.delta / 2.0, s.gamma_t)
-        width_bound = wrench_width_fixed(robust_beta(bp_end, c_w_a, tc_eff), kappa, s.n_t)  # scalar, for C1
-    if state.a2_width_mode == "adaptive":  # BoState allows it only under the schedule policy
-        center, var = anchor.predict(s.X)  # the adaptive width is the only reader of the variance
-        width = wrench_width_adaptive(robust_beta(s.bp, c_w_a, tc_eff), np.sqrt(var), s.n_t)
-    else:
-        center, width = anchor.predict_mean(s.X), width_bound
-    wrench_params = PimqParams(center, width, state.pimq_c)
-    wrench = _fit(state, "model", s, wrench_params)
-    tc = estimate_tc(wrench_params, s.ys)
-    tc_eff = state._effective_tc(tc)
-    # C1 for the wrench uses the scalar width bound and the anchor's
-    # certified deviation as the center gap.
-    sup_delta_w = c_w_a * math.sqrt(tc_eff) * math.sqrt(kappa)
-    c_w_w = cw_from_c1(c1_bound(width_bound, wrench_params.shape_c, s.nv, sup_delta_w), s.nv)
-    return dataclasses.replace(s, model=wrench, beta=robust_beta(s.bp, c_w_w, tc_eff), tc=tc, anchor=anchor)
 
 
 def step(state: BoState) -> tuple[np.ndarray, float]:

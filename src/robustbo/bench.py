@@ -51,10 +51,10 @@ _POLICY_KEYS = {
 }
 
 # {config section: {key: kind}} of every key a config may hold; "config" is the
-# top level.  from_dict converts each value to its kind (float or int) once;
+# top level.  from_dict converts each value to its kind (float, int or str) once;
 # a kind of None passes the value through as is.
 _KEYS = {
-    "config": {"name": None, "objective": None, "algorithms": None, "kernel": None, "schedule": None,
+    "config": {"name": str, "objective": None, "algorithms": None, "kernel": None, "schedule": None,
                "pimq": None, "adversary": None, "standardize": None, "n_initial": int, "n_iterations": int,
                "seeds": None, "grid_size": int, "hyperfit": None},
     "objective": {"name": None, "noise_var": float},
@@ -147,6 +147,8 @@ class ExperimentConfig:
     hyperfit: dict
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:  # the default output directory
+            raise ConfigError(f"name must be one directory name, without '/' or '\\', got {self.name!r}")
         # Checked here, not in from_dict, so that a dataclasses.replace (the CLI's --seeds) is checked too.
         for name in ("algorithms", "seeds"):
             values = getattr(self, name)
@@ -179,7 +181,7 @@ class ExperimentConfig:
         if top["n_initial"] < 0 or top["n_iterations"] < 1 or grid_size < 1:
             raise ConfigError("n_initial must be >= 0, n_iterations >= 1 and grid_size >= 1")
         return ExperimentConfig(
-            name=str(top.get("name", "experiment")),
+            name=top.get("name", "experiment"),
             objective=str(obj["name"]),
             noise_var=obj["noise_var"],
             algorithms=_list(top["algorithms"], str, "config.algorithms"),

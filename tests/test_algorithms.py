@@ -17,10 +17,11 @@ from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec, info_gain
 from robustbo.objectives import make_objective
 from robustbo.rcgp import rcgp_data, rcgp_fit
-from robustbo.schedules import (FiniteDomain, Rkhs, anchor_width, beta_prime, noise_bound, wrench_width_adaptive,
-                                wrench_width_fixed)
+from robustbo.schedules import (FiniteDomain, Rkhs, anchor_width, beta_prime, noise_bound, robust_beta,
+                                wrench_width_adaptive, wrench_width_fixed)
 from robustbo.search import DomainSpec, maximize_acquisition, sobol_points
-from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections, estimate_tc, plateau_cap
+from robustbo.weights import (ZERO_CENTER, PimqParams, build_corrections, c1_bound, cw_from_c1, estimate_tc,
+                              plateau_cap)
 
 
 def seed_points(n=4):
@@ -283,6 +284,28 @@ def test_a2_anchor_is_the_fc_model():
         np.testing.assert_array_equal(got, want)
     for got, want in zip(anchor.predict(grid), refit["fc"].model.predict(grid)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_the_wrench_certificate_reads_the_wrench_tc():
+    # a2's beta is the wrench's: (sqrt(beta') + c_w_w sqrt(tc))^2 at the wrench's own tc, whose C1 gap is the
+    # anchor's certified deviation c_w_a sqrt(tc) sqrt(kappa), also at the wrench's tc
+    state = make_state("a2", policy=EagerBudget(40.0), budget_count=6, pimq_policy="heuristic", tc_mode="estimate")
+    state.add_initial(seed_points())
+    kappa = state.spec.outputscale
+    differ = 0
+    for _ in range(8):
+        plan = state.plan()
+        params = state._zero_plateau(plan.ys, state.spec, plan.nv)
+        sup_delta = math.sqrt(kappa) * (math.sqrt(plan.bp) + state.b_f)
+        c_w_a = cw_from_c1(c1_bound(params.half_width, params.shape_c, plan.nv, sup_delta), plan.nv)
+        wrench = PimqParams(plan.anchor.predict_mean(plan.X), params.half_width, state.pimq_c)
+        tc_w = estimate_tc(wrench, plan.ys)
+        c_w_w = cw_from_c1(c1_bound(params.half_width, params.shape_c, plan.nv,
+                                    c_w_a * math.sqrt(tc_w) * math.sqrt(kappa)), plan.nv)
+        assert plan.tc == tc_w and plan.beta == robust_beta(plan.bp, c_w_w, tc_w)
+        differ += plan.tc > 0 and estimate_tc(params, plan.ys) != plan.tc  # the anchor's tc gives another beta
+        step(state)
+    assert differ
 
 
 # -- the clean-data contract ------------------------------------------------
@@ -607,9 +630,9 @@ def test_a_plan_with_no_kept_point_refits_the_prior(monkeypatch):
     state = make_state("fc", pimq_policy="manual")
     state.add_initial(seed_points())
     s = state.plan()
-    assert algorithms._fit(state, "model", s, PimqParams(ZERO_CENTER, 2.0, 1.0)).y.shape == (4,)
+    assert algorithms._fit(state, "model", s.X, s.ys, s.nv, PimqParams(ZERO_CENTER, 2.0, 1.0)).y.shape == (4,)
     events = spy_fits(monkeypatch)
-    model = algorithms._fit(state, "model", s, PimqParams(1e9, 2.0, 1.0))
+    model = algorithms._fit(state, "model", s.X, s.ys, s.nv, PimqParams(1e9, 2.0, 1.0))
     assert events == ["gp_fit"] and model.y.shape == (0,)
     assert np.array_equal(model.grid.mean, np.zeros(201)) and np.array_equal(model.grid.var, np.ones(201))
 

@@ -487,6 +487,14 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
                        "high_value": 25.0, "corruption_value": 40.0, "budget": {"mode": "fixed_count", "count": 2}}},
         {"adversary": {"policy": "none", "budget": {"mode": "bogus"}}},
         {"schedule": {"compact_convex": {"a": "x", "zzz": 1}}},
+        # a name that is not one new directory under the output root
+        {"name": ["a", "b"]},
+        {"name": 7},
+        {"name": ""},
+        {"name": "."},
+        {"name": ".."},
+        {"name": "a/b"},
+        {"name": "a\\b"},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -504,7 +512,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "nan-compact-convex-a", "nan-compact-convex-b", "nan-noise-var", "infinite-noise-var",
          "infinite-compact-convex-r", "infinite-outputscale", "infinite-lengthscale", "infinite-search-noise-var",
          "infinite-search-outputscale", "n-initial-beyond-sobol", "greedy-corruption-value", "none-budget",
-         "finite-domain-compact-convex"],
+         "finite-domain-compact-convex", "list-name", "integer-name", "empty-name", "dot-name", "dot-dot-name",
+         "slash-name", "backslash-name"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"
