@@ -12,17 +12,7 @@ from .gp import GpPosterior, gp_fit
 from .kernels import FactorizationError, KernelSpec, cross_matrix, gram_matrix, info_gain
 from .objectives import Objective, forrester, make_objective, observe
 from .rcgp import rcgp_fit
-from .schedules import (
-    CompactConvex,
-    FiniteDomain,
-    Rkhs,
-    anchor_width,
-    beta_prime,
-    noise_bound,
-    robust_beta,
-    wrench_width_adaptive,
-    wrench_width_fixed,
-)
+from .schedules import CompactConvex, FiniteDomain, Rkhs, beta_prime, noise_bound, plateau_width, robust_beta
 from .search import DomainSpec, maximize_acquisition
 from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1, estimate_tc
 

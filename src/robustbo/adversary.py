@@ -45,11 +45,11 @@ class CorruptionBudget:
 
     def __post_init__(self):
         if self.mode == "fixed_count":
-            if self.count is None or self.count < 0:
-                raise ValueError("fixed_count budget requires a nonnegative count")
+            if self.count is None or self.count < 0 or self.alpha is not None:
+                raise ValueError(f"fixed_count budget requires a nonnegative count and no alpha, got {self!r}")
         elif self.mode == "time_budget":
-            if self.alpha is None:
-                raise ValueError("time_budget requires alpha")
+            if self.alpha is None or self.count is not None:  # the count is ceil(horizon**alpha)
+                raise ValueError(f"time_budget requires alpha and no count, got {self!r}")
             self.count = budget_from_horizon(self.horizon, self.alpha)
         else:
             raise ValueError(f"unknown budget mode {self.mode!r}")

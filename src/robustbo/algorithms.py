@@ -23,16 +23,7 @@ from .kernels import FactorizationError, KernelSpec, info_gain
 from .kernels import gram_matrix, jittered_cho_factor, solve_cho  # noqa: F401
 from .objectives import Objective, observe
 from .rcgp import rcgp_data, rcgp_fit
-from .schedules import (
-    AssumptionCase,
-    Rkhs,
-    anchor_width,
-    beta_prime,
-    noise_bound,
-    robust_beta,
-    wrench_width_adaptive,
-    wrench_width_fixed,
-)
+from .schedules import AssumptionCase, CompactConvex, Rkhs, beta_prime, noise_bound, plateau_width, robust_beta
 # step calls maximize_acquisition through this module's binding, which perfbench's tracer wraps.
 from .search import DomainSpec, maximize_acquisition
 from .weights import ZERO_CENTER, PimqParams, c1_bound, cw_from_c1, estimate_tc, plateau_cap
@@ -191,14 +182,17 @@ class BoState:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not 0.0 <= self.b_f < math.inf:
             raise ValueError(f"b_f must be finite and >= 0, got {self.b_f!r}")
-        PimqParams(ZERO_CENTER, self.pimq_half_width, self.pimq_c)  # checks shape_c and the manual width
+        if not 0.0 <= self.pimq_half_width < math.inf:  # an infinite width makes C1, and so beta, infinite
+            raise ValueError(f"pimq_half_width must be finite and >= 0, got {self.pimq_half_width!r}")
+        PimqParams(ZERO_CENTER, self.pimq_half_width, self.pimq_c)  # checks shape_c
         if not 0.0 <= self.heuristic_quantile <= 1.0:
             raise ValueError(f"heuristic_quantile must lie in [0, 1], got {self.heuristic_quantile!r}")
         if self.hyperfit_every < 1:
             raise ValueError(f"hyperfit_every must be >= 1, got {self.hyperfit_every!r}")
-        if not self.spec.dim == self.domain.dim == self.objective.dim:
-            raise ValueError(f"kernel lengthscale dimension {self.spec.dim}, domain dimension {self.domain.dim} "
-                             f"and objective dimension {self.objective.dim} must be equal")
+        case_d = self.case.d if isinstance(self.case, CompactConvex) else self.objective.dim  # the others have none
+        if not self.spec.dim == self.domain.dim == case_d == self.objective.dim:
+            raise ValueError(f"kernel lengthscale dimension {self.spec.dim}, domain dimension {self.domain.dim}, "
+                             f"case dimension {case_d} and objective dimension {self.objective.dim} must be equal")
         if self.hyperfit_space is not None:
             _search_grids(self.hyperfit_space, self.spec.dim)
 
@@ -273,10 +267,10 @@ class BoState:
                 width_bound = params.half_width
             else:
                 bp_end = beta_prime(self.case, self.horizon, self.delta / 2.0, gamma_t)
-                width_bound = wrench_width_fixed(robust_beta(bp_end, c_w, tc_eff), kappa, n_t)  # scalar, for C1
+                width_bound = plateau_width(math.sqrt(robust_beta(bp_end, c_w, tc_eff)), math.sqrt(kappa), n_t)
             if self.a2_width_mode == "adaptive":  # __post_init__ allows it only under the schedule policy
                 center, var = anchor.predict(X)  # the adaptive width is the only reader of the variance
-                width = wrench_width_adaptive(robust_beta(bp, c_w, tc_eff), np.sqrt(var), n_t)
+                width = plateau_width(math.sqrt(robust_beta(bp, c_w, tc_eff)), np.sqrt(var), n_t)
             else:
                 center, width = anchor.predict_mean(X), width_bound
             params = PimqParams(center, width, self.pimq_c)
@@ -305,7 +299,7 @@ class BoState:
             width = self.pimq_half_width
         else:
             n_t = noise_bound(self.case, math.sqrt(nv), self.horizon, self.delta / 2.0)  # Plan.n_t at nv
-            width = anchor_width(self.b_f, spec.outputscale, n_t)
+            width = plateau_width(self.b_f, math.sqrt(spec.outputscale), n_t)
         return PimqParams(ZERO_CENTER, width, self.pimq_c)
 
 

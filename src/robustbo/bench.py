@@ -80,6 +80,9 @@ _STATE_OPTIONS = {
     ("hyperfit", "search_space"): "hyperfit_space",
 }
 
+# {pimq key: the one policy that reads it}.
+_PIMQ_POLICY_KEYS = {"half_width": "manual", "heuristic_quantile": "heuristic"}
+
 # metadata.json is strict JSON: a non-finite config float is echoed as a string float() reads back.
 _NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
@@ -260,7 +263,7 @@ def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
         if key in given:
             options[name] = given[key]
     policy, budget = _build_adversary(cfg, x_star)
-    return BoState(
+    state = BoState(
         algorithm=algorithm,
         objective=objective,
         policy=policy,
@@ -274,6 +277,10 @@ def _build_state(cfg: ExperimentConfig, algorithm: str, seed: int,
         noise_rng=_rng(seed, STREAM_NOISE),
         **options,
     )
+    for key, reader in _PIMQ_POLICY_KEYS.items():  # read off the state: BoState's default policy when left out
+        if key in cfg.pimq and state.pimq_policy != reader:
+            raise ConfigError(f"pimq.{key} is read only by the {reader!r} policy, not {state.pimq_policy!r}")
+    return state
 
 
 def _trace_rows(state: BoState, f_star: float) -> list[dict]:

@@ -20,9 +20,7 @@ __all__ = [
     "AssumptionCase",
     "beta_prime",
     "noise_bound",
-    "anchor_width",
-    "wrench_width_fixed",
-    "wrench_width_adaptive",
+    "plateau_width",
     "robust_beta",
 ]
 
@@ -95,22 +93,14 @@ def noise_bound(case: AssumptionCase, sigma_noise: float, horizon: int, delta: f
     return sigma_noise * math.sqrt(2.0 * math.log(horizon / delta))
 
 
-def anchor_width(b_f: float, kappa: float, n_t_val: float) -> float:
-    """Fixed plateau half-width: objective bound plus the noise bound."""
-    return b_f * math.sqrt(kappa) + n_t_val
-
-
-def wrench_width_fixed(beta_anchor: float, kappa: float, n_t_val: float) -> float:
-    """Adaptive-model half-width with the variance term at its prior maximum."""
-    return math.sqrt(beta_anchor) * math.sqrt(kappa) + n_t_val
-
-
-def wrench_width_adaptive(beta_anchor: float, sigma_proxy_at_x, n_t_val: float):
-    """Per-point adaptive-model half-width using a posterior-std proxy."""
-    proxy = np.asarray(sigma_proxy_at_x, dtype=float)
-    if np.any(proxy < 0):
-        raise ValueError("sigma proxy must be nonnegative")
-    out = math.sqrt(beta_anchor) * proxy + n_t_val
+def plateau_width(multiplier: float, std, n_t: float):
+    """P-IMQ plateau half-width multiplier * std + n_t: the anchor's b_f * sqrt(kappa) + n_t,
+    and the wrench's sqrt(beta) * std + n_t at the prior std sqrt(kappa) or per point at
+    the anchor's posterior std (an array in, an array out)."""
+    std = np.asarray(std, dtype=float)
+    if np.any(std < 0):
+        raise ValueError("std must be nonnegative")
+    out = multiplier * std + n_t
     return float(out) if out.ndim == 0 else out
 
 

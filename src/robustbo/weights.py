@@ -53,11 +53,12 @@ class PimqParams:
     shape_c: float
 
     def __post_init__(self):
-        if not self.shape_c > 0:
-            raise ValueError("shape_c must be positive")
+        c = float(self.shape_c)
+        if not (c > 0 and 0 < c * c < math.inf):  # build_corrections divides by the square; ** raises on overflow
+            raise ValueError(f"shape_c must be positive with a nonzero finite square, got {self.shape_c!r}")
         if not np.all(np.asarray(self.half_width) >= 0):  # a NaN width fails too
             raise ValueError("half_width must be nonnegative")
-        object.__setattr__(self, "shape_c", float(self.shape_c))
+        object.__setattr__(self, "shape_c", c)
 
 
 def plateau_cap(noise_var: float) -> float:

@@ -29,6 +29,11 @@ def test_budget_modes():
         CorruptionBudget("fixed_count", 10)
     with pytest.raises(ValueError):
         CorruptionBudget("whenever", 10, count=1)
+    # a value the mode never reads: time_budget's count is ceil(T**alpha)
+    with pytest.raises(ValueError, match="no count"):
+        CorruptionBudget("time_budget", 100, count=3, alpha=1.0 / 3.0)
+    with pytest.raises(ValueError, match="no alpha"):
+        CorruptionBudget("fixed_count", 10, count=2, alpha=0.5)
 
 
 def test_none_policy_passthrough():

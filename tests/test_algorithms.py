@@ -17,8 +17,7 @@ from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec, info_gain
 from robustbo.objectives import make_objective
 from robustbo.rcgp import rcgp_data, rcgp_fit
-from robustbo.schedules import (FiniteDomain, Rkhs, anchor_width, beta_prime, noise_bound, robust_beta,
-                                wrench_width_adaptive, wrench_width_fixed)
+from robustbo.schedules import CompactConvex, FiniteDomain, Rkhs, beta_prime, noise_bound, plateau_width, robust_beta
 from robustbo.search import DomainSpec, maximize_acquisition, sobol_points
 from robustbo.weights import (ZERO_CENTER, PimqParams, build_corrections, c1_bound, cw_from_c1, estimate_tc,
                               plateau_cap)
@@ -354,7 +353,7 @@ def test_fc_and_a2_are_gp_ucb_until_a_point_leaves_the_plateau(objective, family
         "kernel": {"family": family, "lengthscale": [0.2 * (15.0 if dim == 2 else 1.0)] * dim},
         "schedule": {"case": case, "delta": 0.1, "b_f": 2.0, "tc_mode": tc_mode,
                      "a2_width_mode": "adaptive" if adaptive and policy == "schedule" else "fixed"},
-        "pimq": {"policy": policy, "shape_c": 1.0, "half_width": 1.96},
+        "pimq": {"policy": policy, "shape_c": 1.0, **({"half_width": 1.96} if policy == "manual" else {})},
         "adversary": {"policy": "none"} if corruption is None else {
             "policy": "eager_budget", "corruption_value": corruption, "budget": {"mode": "fixed_count", "count": 2}},
         "standardize": standardize, "n_initial": n_initial, "n_iterations": 6, "seeds": [seed], "grid_size": 101,
@@ -372,15 +371,16 @@ def test_fc_and_a2_are_gp_ucb_until_a_point_leaves_the_plateau(objective, family
         elif policy == "manual":
             width = 1.96
         else:
-            width = anchor_width(2.0, kappa, g.n_t)
+            width = plateau_width(2.0, math.sqrt(kappa), g.n_t)
         if estimate_tc(PimqParams(ZERO_CENTER, width, 1.0), g.ys):
             break
         if state.a2_width_mode == "adaptive":
             center, var = g.model.predict(g.X)
-            wrench = PimqParams(center, wrench_width_adaptive(g.bp, np.sqrt(var), g.n_t), 1.0)
+            wrench = PimqParams(center, plateau_width(math.sqrt(g.bp), np.sqrt(var), g.n_t), 1.0)
         else:
             if policy == "schedule":  # at tc 0 the width's beta is beta' at the horizon
-                width = wrench_width_fixed(beta_prime(state.case, state.horizon, 0.05, g.gamma_t), kappa, g.n_t)
+                bp_end = beta_prime(state.case, state.horizon, 0.05, g.gamma_t)
+                width = plateau_width(math.sqrt(bp_end), math.sqrt(kappa), g.n_t)
             wrench = PimqParams(g.model.predict_mean(g.X), width, 1.0)
         checked["a2"] &= estimate_tc(wrench, g.ys) == 0
         for algorithm in ("fc", "a2"):
@@ -417,7 +417,8 @@ def test_step_number_prefixes_a_factorization_failure(monkeypatch):
     {"spec": KernelSpec("rbf", [0.15, 0.15])},
     {"domain": DomainSpec.from_bounds([[0.0, 1.0], [0.0, 1.0]])},
     {"hyperfit_space": {"lengthscale": [[0.1, 0.2]], "noise_var": [0.1]}},
-], ids=["kernel", "domain", "search-space"])
+    {"case": CompactConvex(1.0, 1.0, 1.0, 5)},
+], ids=["kernel", "domain", "search-space", "compact-convex"])
 def test_a_dimension_other_than_the_objectives_is_rejected_at_construction(over):
     # not in the first step's fit, or in every hyperparameter refit as "no viable candidate"
     with pytest.raises(ValueError, match="dimension"):
@@ -878,7 +879,7 @@ def test_hyperfit_weights_use_the_fc_plateau_width(policy, monkeypatch):
         assert widths == [float(np.quantile(np.abs(ys - np.median(ys)), 0.95, method="lower"))] * 8
     else:
         n_t = lambda nv: noise_bound(state.case, math.sqrt(nv), state.horizon, state.delta / 2.0)
-        assert widths == [anchor_width(state.b_f, spec.outputscale, n_t(nv)) for spec, nv, _ in seen]
+        assert widths == [plateau_width(state.b_f, math.sqrt(spec.outputscale), n_t(nv)) for spec, nv, _ in seen]
         assert len(set(widths)) == 4
 
 

@@ -435,8 +435,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"adversary": {"policy": "eager_budget", "corruption_value": -50.0, "budget": {"mode": "fixed_count", "count": [2]}}},
         # option values BoState checks when the run is built, not at the first fit or refit
         {"pimq": {"shape_c": 0}},
-        {"pimq": {"half_width": -1}},
-        {"pimq": {"heuristic_quantile": 1.5}},
+        {"pimq": {"policy": "manual", "half_width": -1}},
+        {"pimq": {"policy": "heuristic", "heuristic_quantile": 1.5}},
         {"hyperfit": {"every": 0, "search_space": {"lengthscale": [0.1], "noise_var": [0.1]}}},
         {"hyperfit": {"search_space": {"lengthscale": [0.1]}}},
         # a grid of no points, not an empty acquisition domain in every cell
@@ -469,7 +469,7 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"schedule": {"b_f": -1.0}},
         {"schedule": {"b_f": math.inf}},
         {"schedule": {"case": "rkhs", "b_f": math.nan}},
-        {"pimq": {"half_width": math.nan}},
+        {"pimq": {"policy": "manual", "half_width": math.nan}},
         {"schedule": {"case": "compact_convex", "compact_convex": {"a": math.nan, "b": 1.0, "r": 1.0}}},
         {"schedule": {"case": "compact_convex", "compact_convex": {"a": 1.0, "b": math.nan, "r": 1.0}}},
         {"objective": {"name": "forrester", "noise_var": math.nan}},
@@ -487,6 +487,20 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
                        "high_value": 25.0, "corruption_value": 40.0, "budget": {"mode": "fixed_count", "count": 2}}},
         {"adversary": {"policy": "none", "budget": {"mode": "bogus"}}},
         {"schedule": {"compact_convex": {"a": "x", "zzz": 1}}},
+        # a pimq key the chosen policy never reads, the default schedule policy included
+        {"pimq": {"half_width": 1.0}},
+        {"pimq": {"policy": "heuristic", "half_width": 1.0}},
+        {"pimq": {"heuristic_quantile": 0.9}},
+        {"pimq": {"policy": "manual", "half_width": 1.0, "heuristic_quantile": 0.9}},
+        # a budget key the chosen mode never reads: time_budget's count is ceil(T**alpha)
+        {"adversary": {"policy": "eager_budget", "corruption_value": -50.0,
+                       "budget": {"mode": "time_budget", "alpha": 0.5, "count": 2}}},
+        {"adversary": {"policy": "eager_budget", "corruption_value": -50.0,
+                       "budget": {"mode": "fixed_count", "count": 2, "alpha": 0.5}}},
+        # a P-IMQ setting that makes C1, and so beta, infinite, or whose shape squares to 0
+        {"pimq": {"shape_c": math.inf}},
+        {"pimq": {"policy": "manual", "half_width": math.inf}},
+        {"pimq": {"shape_c": 1e-300}},
         # a name that is not one new directory under the output root
         {"name": ["a", "b"]},
         {"name": 7},
@@ -512,7 +526,9 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "nan-compact-convex-a", "nan-compact-convex-b", "nan-noise-var", "infinite-noise-var",
          "infinite-compact-convex-r", "infinite-outputscale", "infinite-lengthscale", "infinite-search-noise-var",
          "infinite-search-outputscale", "n-initial-beyond-sobol", "greedy-corruption-value", "none-budget",
-         "finite-domain-compact-convex", "list-name", "integer-name", "empty-name", "dot-name", "dot-dot-name",
+         "finite-domain-compact-convex", "schedule-half-width", "heuristic-half-width", "schedule-quantile",
+         "manual-quantile", "time-budget-count", "fixed-count-alpha", "infinite-shape-c", "infinite-half-width",
+         "underflowing-shape-c", "list-name", "integer-name", "empty-name", "dot-name", "dot-dot-name",
          "slash-name", "backslash-name"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):

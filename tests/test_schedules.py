@@ -9,12 +9,10 @@ from robustbo.schedules import (
     CompactConvex,
     FiniteDomain,
     Rkhs,
-    anchor_width,
     beta_prime,
     noise_bound,
+    plateau_width,
     robust_beta,
-    wrench_width_adaptive,
-    wrench_width_fixed,
 )
 
 
@@ -55,20 +53,32 @@ def test_noise_bound_monotone_in_horizon():
 
 
 def test_widths():
-    assert anchor_width(1.0, 1.0, 3.899) == pytest.approx(4.899)
-    assert anchor_width(2.0, 4.0, 0.0) == 4.0
-    assert wrench_width_fixed(4.0, 1.0, 1.0) == 3.0
-    assert wrench_width_fixed(0.0, 1.0, 1.5) == 1.5
-    assert wrench_width_adaptive(4.0, 0.5, 1.0) == 2.0
-    assert wrench_width_adaptive(4.0, 0.0, 1.5) == 1.5
+    # the anchor's b_f * sqrt(kappa) + n_t, the wrench's fixed sqrt(beta) * sqrt(kappa) + n_t and its
+    # adaptive sqrt(beta) * std + n_t
+    assert plateau_width(1.0, math.sqrt(1.0), 3.899) == pytest.approx(4.899)
+    assert plateau_width(2.0, math.sqrt(4.0), 0.0) == 4.0
+    assert plateau_width(math.sqrt(4.0), math.sqrt(1.0), 1.0) == 3.0
+    assert plateau_width(math.sqrt(0.0), math.sqrt(1.0), 1.5) == 1.5
+    assert plateau_width(math.sqrt(4.0), 0.5, 1.0) == 2.0
+    assert plateau_width(math.sqrt(4.0), 0.0, 1.5) == 1.5
+    for b, k, n in ((8.0, 1.0, 3.899), (0.7, 0.3, 0.1), (math.sqrt(14.8), 2.5, 1e-3)):
+        width = plateau_width(b, math.sqrt(k), n)
+        assert type(width) is float and width == b * math.sqrt(k) + n
+    with pytest.raises(ValueError, match="nonnegative"):
+        plateau_width(1.0, -0.1, 1.0)
 
 
 def test_adaptive_width_vectorized_and_dominated():
     proxies = np.array([0.2, 0.5, 1.0])
-    out = wrench_width_adaptive(4.0, proxies, 1.0)
+    out = plateau_width(math.sqrt(4.0), proxies, 1.0)
     np.testing.assert_allclose(out, 2.0 * proxies + 1.0)
     # never exceeds the fixed width when the proxy is below the prior std
-    assert np.all(out <= wrench_width_fixed(4.0, 1.0, 1.0) + 1e-12)
+    assert np.all(out <= plateau_width(math.sqrt(4.0), math.sqrt(1.0), 1.0) + 1e-12)
+    # per point, the scalar expression's bits
+    b, stds, n = math.sqrt(14.8), np.sqrt([0.013, 0.5, 0.97]), 0.31
+    out = plateau_width(b, stds, n)
+    assert out.shape == stds.shape and np.array_equal(out, [b * s + n for s in stds.tolist()])
+    assert np.array_equal(out, [plateau_width(b, s, n) for s in stds])
 
 
 def test_robust_beta_zero_corruptions_is_exact():
@@ -93,7 +103,7 @@ def test_anchor_width_contains_clean_residuals(rng):
     # every simulated clean residual against the zero center
     case = FiniteDomain(100)
     b_f, kappa, sigma, T = 2.0, 1.0, 1.0, 200
-    width = anchor_width(b_f, kappa, noise_bound(case, sigma, T, 0.05))
+    width = plateau_width(b_f, math.sqrt(kappa), noise_bound(case, sigma, T, 0.05))
     f = rng.uniform(-b_f * math.sqrt(kappa), b_f * math.sqrt(kappa), size=T)
     noise = np.clip(rng.normal(0, sigma, size=T), -3.5, 3.5)
     assert np.all(np.abs(f + noise) <= width)

@@ -214,6 +214,10 @@ def test_param_validation():
         PimqParams(ZERO_CENTER, -1.0, 1.0)
     with pytest.raises(ValueError):
         PimqParams(ZERO_CENTER, np.array([1.0, -1e-300]), 1.0)
+    for shape_c in (-1.0, math.nan, math.inf, 1e200, 1e-300):  # a square of 0 or inf makes q or C1 inf or NaN
+        with pytest.raises(ValueError, match="shape_c"):
+            PimqParams(ZERO_CENTER, 1.0, shape_c)
+    assert PimqParams(ZERO_CENTER, math.inf, 1e-150).half_width == math.inf  # the plain GP's limit
     for noise_var in (0.0, -1.0, math.nan):  # the cap needs a positive noise variance
         with pytest.raises(ValueError, match="noise_var"):
             build_corrections(PimqParams(ZERO_CENTER, 1.0, 1.0), noise_var, [0.0])
