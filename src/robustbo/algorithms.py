@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -23,7 +22,8 @@ from .kernels import FactorizationError, KernelSpec, info_gain
 from .kernels import gram_matrix, jittered_cho_factor, solve_cho  # noqa: F401
 from .objectives import Objective, observe
 from .rcgp import rcgp_data, rcgp_fit
-from .schedules import AssumptionCase, CompactConvex, Rkhs, beta_prime, noise_bound, plateau_width, robust_beta
+from .schedules import AssumptionCase, CompactConvex, FiniteDomain, Rkhs
+from .schedules import beta_prime, noise_bound, plateau_width, robust_beta
 # step calls maximize_acquisition through this module's binding, which perfbench's tracer wraps.
 from .search import DomainSpec, maximize_acquisition
 from .weights import ZERO_CENTER, PimqParams, c1_bound, cw_from_c1, estimate_tc, plateau_cap
@@ -193,6 +193,13 @@ class BoState:
         if not self.spec.dim == self.domain.dim == case_d == self.objective.dim:
             raise ValueError(f"kernel lengthscale dimension {self.spec.dim}, domain dimension {self.domain.dim}, "
                              f"case dimension {case_d} and objective dimension {self.objective.dim} must be equal")
+        grid_size = None if self.domain.grid is None else len(self.domain.grid)  # |D| is assumed above 1-D
+        if isinstance(self.case, Rkhs) and self.case.b_f != self.b_f:  # beta' would read one, the plateau the other
+            raise ValueError(f"the Rkhs case's b_f {self.case.b_f!r} differs from b_f {self.b_f!r}")
+        if isinstance(self.case, FiniteDomain) and grid_size not in (None, self.case.size):
+            raise ValueError(f"the FiniteDomain size {self.case.size} differs from the grid size {grid_size}")
+        if self.budget.horizon != self.horizon:
+            raise ValueError(f"the budget's horizon {self.budget.horizon} differs from horizon {self.horizon}")
         if self.hyperfit_space is not None:
             _search_grids(self.hyperfit_space, self.spec.dim)
 
@@ -402,11 +409,9 @@ def fit_hyperparameters_loo(data, plateau, search_space: dict):
     if n < 3:
         raise ValueError("leave-one-out fitting needs at least 3 points")
 
-    family, ls_grid, os_grid, nv_grid = _search_grids(search_space, np.shape(X)[1] if np.ndim(X) == 2 else 1)
     best = None
-    for ls, os_, nv in product(ls_grid, os_grid, nv_grid):
+    for spec, nv in _search_grids(search_space, np.shape(X)[1] if np.ndim(X) == 2 else 1):
         try:
-            spec = KernelSpec(family, ls, os_)
             post = rcgp_fit(X, y, spec, nv, plateau(spec, nv))
         except (ValueError, FactorizationError):
             continue
@@ -423,22 +428,23 @@ def fit_hyperparameters_loo(data, plateau, search_space: dict):
     return best[1], best[2]
 
 
-def _search_grids(search_space, dim: int) -> tuple:
-    """The kernel family and the lengthscale, outputscale and noise_var grids
-    of a search space, each a nonempty list of positive finite numbers (a
-    lengthscale may also be a list of per-dimension lists, each of length
-    dim), checked before any fit reads them: a value no candidate can fit
-    with is a ValueError here, not a refit without a viable candidate."""
-    if not isinstance(search_space, dict):
-        raise ValueError("search_space must be a dict of grids")
-    grids = (search_space.get("lengthscale"), search_space.get("outputscale", [1.0]), search_space.get("noise_var"))
-    for name, grid, ndims in zip(("lengthscale", "outputscale", "noise_var"), grids, ((1, 2), (1,), (1,))):
-        values = np.asarray(grid)  # a ragged nesting raises ValueError here
-        if (values.ndim not in ndims or values.size == 0 or values.dtype.kind not in "iuf"
-                or not np.all((values > 0) & (values < np.inf))):
-            raise ValueError(f"search_space {name} must be a nonempty list of positive finite numbers, got {grid!r}")
-    if (np.shape(grids[0])[1] if np.ndim(grids[0]) == 2 else 1) != dim:  # a scalar lengthscale is 1-D
-        raise ValueError(f"search_space lengthscale entries must have the kernel's dimension {dim}, got {grids[0]!r}")
+def _search_grids(search_space, dim: int) -> list:
+    """A search space's candidates [(KernelSpec, noise_var), ...], the lengthscale
+    outermost and the noise variance innermost, checked before any fit reads
+    them, so no refit is left without a viable candidate.  KernelSpec checks the
+    kernel values; a lengthscale entry may be a per-dimension list, of length dim."""
+    grids = {"lengthscale": None, "outputscale": [1.0], "noise_var": None}  # each key's default
+    if not isinstance(search_space, dict) or not set(search_space) <= {"family", *grids}:
+        raise ValueError(f"search_space must be a dict of keys among family, {', '.join(grids)}, got {search_space!r}")
+    for name, default in grids.items():
+        grids[name] = grid = search_space.get(name, default)
+        if not isinstance(grid, (list, tuple)) or not grid:
+            raise ValueError(f"search_space {name} must be a nonempty list, got {grid!r}")
+    nvs = np.asarray(grids["noise_var"])  # a ragged nesting raises ValueError here
+    if nvs.dtype.kind not in "iuf" or nvs.ndim != 1 or not np.all((nvs > 0) & (nvs < np.inf)):
+        raise ValueError(f"search_space noise_var must hold positive finite numbers, got {grids['noise_var']!r}")
     family = search_space.get("family", "rbf")
-    KernelSpec(family, 1.0)  # checks the family
-    return (family, *grids)
+    specs = [KernelSpec(family, ls, os_) for ls in grids["lengthscale"] for os_ in grids["outputscale"]]
+    if any(spec.dim != dim for spec in specs):  # a scalar lengthscale is 1-D
+        raise ValueError(f"search_space lengthscale entries must be of dimension {dim}, got {grids['lengthscale']!r}")
+    return [(spec, nv) for spec in specs for nv in grids["noise_var"]]

@@ -55,7 +55,7 @@ _POLICY_KEYS = {
 # a kind of None passes the value through as is.
 _KEYS = {
     "config": {"name": str, "objective": None, "algorithms": None, "kernel": None, "schedule": None,
-               "pimq": None, "adversary": None, "standardize": None, "n_initial": int, "n_iterations": int,
+               "pimq": None, "adversary": None, "standardize": str, "n_initial": int, "n_iterations": int,
                "seeds": None, "grid_size": int, "hyperfit": None},
     "objective": {"name": None, "noise_var": float},
     "kernel": {"family": None, "lengthscale": None, "outputscale": float},
@@ -96,11 +96,11 @@ _KINDS = {float: "a number", int: "an integer", str: "a string"}
 
 def _convert(kind, value, name: str):
     """kind(value) for the config key name, kind one of _KINDS.  An int or str
-    key takes only its JSON type, so 7.9 is not cut to 7 and true is not 1; any
-    value a key cannot take (null, a list, a word) is a ConfigError, not a
-    TypeError."""
+    key takes only its JSON type, so 7.9 is not cut to 7 and true is not 1, and
+    a float key never a boolean; any value a key cannot take (null, a list, a
+    word) is a ConfigError, not a TypeError."""
     try:
-        if kind is float or type(value) is kind:
+        if (kind is float and not isinstance(value, bool)) or type(value) is kind:
             return kind(value)
     except (TypeError, ValueError):
         pass

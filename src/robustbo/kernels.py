@@ -43,11 +43,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}")
-        ls = np.array(self.lengthscale, dtype=float, ndmin=1)  # a copy, read-only below: the hash reads it
-        if ls.ndim != 1 or not np.all((ls > 0) & (ls < np.inf)):  # a NaN fails too
-            raise ValueError("lengthscale must be positive and finite (elementwise)")
-        if not 0 < self.outputscale < np.inf:
-            raise ValueError(f"outputscale must be positive and finite, got {self.outputscale!r}")
+        ls, os_ = np.array(self.lengthscale, ndmin=1), np.asarray(self.outputscale)  # real numbers: not True or "0.1"
+        if ls.dtype.kind not in "iuf" or ls.ndim != 1 or not np.all((ls > 0) & (ls < np.inf)):  # a NaN fails too
+            raise ValueError(f"lengthscale must be positive and finite numbers, got {self.lengthscale!r}")
+        if os_.dtype.kind not in "iuf" or os_.ndim != 0 or not 0 < os_ < np.inf:
+            raise ValueError(f"outputscale must be a positive and finite number, got {self.outputscale!r}")
+        ls = ls.astype(float, copy=False)  # still np.array's copy, made read-only: the hash reads it
         ls.flags.writeable = False
         object.__setattr__(self, "lengthscale", ls)
         object.__setattr__(self, "outputscale", float(self.outputscale))

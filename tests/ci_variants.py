@@ -51,6 +51,14 @@ def hyperfit_schedule() -> dict:
     return c
 
 
+def branin_hyperfit() -> dict:
+    """branin_small with hyperparameter refits over per-dimension lengthscale candidates."""
+    c = branin_small()
+    c.update(name="branin_hyperfit", hyperfit={"every": 2, "search_space": {
+        "family": "matern52", "lengthscale": [[2.0, 2.0], [3.0, 5.0]], "noise_var": [0.05, 0.5]}})
+    return c
+
+
 def rkhs_adaptive() -> dict:
     """sinusoid_long_rkhs's settings for 10 steps: the rkhs schedule and a2's adaptive wrench width."""
     c = shipped("forrester_clean")
@@ -73,8 +81,8 @@ def heuristic_eager() -> dict:
     return c
 
 
-VARIANTS = {f.__name__: f for f in (float_limit, branin_small, hyperfit_limit, hyperfit_schedule, rkhs_adaptive,
-                                    heuristic_eager)}
+VARIANTS = {f.__name__: f for f in (float_limit, branin_small, hyperfit_limit, hyperfit_schedule, branin_hyperfit,
+                                    rkhs_adaptive, heuristic_eager)}
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import ci_variants
 from conftest import assert_same_posterior, make_state
 from robustbo import algorithms, bench, gp, rcgp
-from robustbo.adversary import EagerBudget
+from robustbo.adversary import CorruptionBudget, EagerBudget
 from robustbo.algorithms import BoState, fit_hyperparameters_loo, run_loop, standardize_targets, step
 from robustbo.gp import gp_fit
 from robustbo.kernels import FactorizationError, KernelSpec, info_gain
@@ -425,6 +425,18 @@ def test_a_dimension_other_than_the_objectives_is_rejected_at_construction(over)
         make_state("gp_ucb", **over)
 
 
+@pytest.mark.parametrize("over", [
+    {"case": Rkhs(2.0)},
+    {"case": FiniteDomain(5)},
+    {"budget": CorruptionBudget("fixed_count", 2, count=0)},
+], ids=["rkhs-b-f", "finite-domain-size", "budget-horizon"])
+def test_a_part_that_restates_a_setting_with_another_value_is_rejected(over):
+    # beta' would read the case's b_f and the plateau the state's, |D| would not be the grid's size, and a
+    # short budget would fail only at the step past its horizon
+    with pytest.raises(ValueError, match="differs"):
+        make_state("fc", **over)
+
+
 def test_delta_outside_unit_interval_rejected():
     for delta in (0.0, 1.0, 2.0):
         with pytest.raises(ValueError, match="delta"):
@@ -730,7 +742,7 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
 
 
 @pytest.mark.parametrize("name", ["forrester_corrupted_small", "branin_small", "rkhs_adaptive", "hyperfit_limit",
-                                  "hyperfit_schedule", "heuristic_eager"])
+                                  "hyperfit_schedule", "branin_hyperfit", "heuristic_eager"])
 def test_refitting_on_every_step_gives_the_same_rows(name, monkeypatch):
     # the incremental path (head and extend) is a fast path: its slow twin refits with gp_fit on every step
     config = ci_variants.shipped(name) if name == "forrester_corrupted_small" else ci_variants.VARIANTS[name]()
@@ -986,6 +998,31 @@ def test_loo_picks_the_brute_force_argmin(seed, n, robust):
     picked = candidates.index((spec.lengthscale[0], nv))
     # the argmin, or a candidate within round-off of it
     assert scores[picked] <= min(scores) * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("value", [True, "0.15", None, math.nan, math.inf, -1.0, 0.0, [[0.1]], 0.15, [0.15]],
+                         ids=["bool", "string", "none", "nan", "inf", "negative", "zero", "nested", "number", "list"])
+def test_kernel_spec_is_the_one_checker_of_a_lengthscale(value):
+    # a lengthscale is refused in a search space exactly when KernelSpec refuses it in the kernel
+    def refuses(build):
+        try:
+            build()
+        except ValueError:
+            return True
+        return False
+
+    in_kernel = refuses(lambda: KernelSpec("rbf", value))
+    assert in_kernel == refuses(lambda: algorithms._search_grids({"lengthscale": [value], "noise_var": [0.1]}, 1))
+    assert in_kernel == (value not in (0.15, [0.15]))
+
+
+def test_search_candidates_are_kernel_specs_in_grid_order():
+    # lengthscale outermost, noise variance innermost: the LOO's strict < keeps the first of tied candidates
+    space = {"family": "matern52", "lengthscale": [0.1, [0.2]], "outputscale": [0.5, 2], "noise_var": [0.05, 1]}
+    candidates = algorithms._search_grids(space, 1)
+    assert candidates == [(KernelSpec("matern52", ls, os_), nv) for ls in (0.1, 0.2) for os_ in (0.5, 2.0)
+                          for nv in (0.05, 1)]
+    assert algorithms._search_grids({"lengthscale": [0.1], "noise_var": [0.1]}, 1) == [(KernelSpec("rbf", 0.1), 0.1)]
 
 
 def test_loo_validation():

@@ -509,6 +509,18 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         {"name": ".."},
         {"name": "a/b"},
         {"name": "a\\b"},
+        # a null standardize, not BoState's default
+        {"standardize": None},
+        # a float key takes no boolean: true and false are not 1.0 and 0.0
+        {"objective": {"name": "forrester", "noise_var": True}},
+        {"adversary": {"policy": "greedy_clairvoyant", "near_thresh": 0.1, "far_thresh": 0.4, "low_value": False,
+                       "high_value": 25.0, "budget": {"mode": "fixed_count", "count": 2}}},
+        # KernelSpec checks a kernel value wherever it appears: a lengthscale takes only numbers
+        {"kernel": {"lengthscale": True}},
+        {"kernel": {"lengthscale": "0.15"}},
+        # a search space takes only its four keys, and a nonempty noise_var list
+        {"hyperfit": {"search_space": {"lengthscale": [0.1], "outputscal": [2.0], "noise_var": [0.1]}}},
+        {"hyperfit": {"search_space": {"lengthscale": [0.1], "noise_var": []}}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -529,7 +541,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "finite-domain-compact-convex", "schedule-half-width", "heuristic-half-width", "schedule-quantile",
          "manual-quantile", "time-budget-count", "fixed-count-alpha", "infinite-shape-c", "infinite-half-width",
          "underflowing-shape-c", "list-name", "integer-name", "empty-name", "dot-name", "dot-dot-name",
-         "slash-name", "backslash-name"],
+         "slash-name", "backslash-name", "null-standardize", "bool-noise-var", "bool-low-value", "bool-lengthscale",
+         "string-lengthscale", "search-space-unknown-key", "empty-search-noise-var"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"

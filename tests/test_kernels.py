@@ -31,6 +31,12 @@ def test_spec_validation():
             KernelSpec("rbf", [1.0, bad])
     with pytest.raises(ValueError):
         KernelSpec("cubic", 1.0)
+    for bad in (True, "0.15", None):  # not a number: not read as 1.0 or 0.15
+        with pytest.raises(ValueError, match="lengthscale"):
+            KernelSpec("rbf", bad)
+        with pytest.raises(ValueError, match="outputscale"):
+            KernelSpec("rbf", 1.0, bad)
+    assert KernelSpec("rbf", [1, 2], 3).lengthscale.dtype == np.float64  # integers are read as floats
 
 
 def test_specs_compare_and_hash_by_value():
