@@ -435,16 +435,22 @@ def _search_grids(search_space, dim: int) -> list:
     kernel values; a lengthscale entry may be a per-dimension list, of length dim."""
     grids = {"lengthscale": None, "outputscale": [1.0], "noise_var": None}  # each key's default
     if not isinstance(search_space, dict) or not set(search_space) <= {"family", *grids}:
-        raise ValueError(f"search_space must be a dict of keys among family, {', '.join(grids)}, got {search_space!r}")
+        raise ValueError(f"hyperfit.search_space must be a dict of keys among family, {', '.join(grids)}, "
+                         f"got {search_space!r}")
     for name, default in grids.items():
         grids[name] = grid = search_space.get(name, default)
         if not isinstance(grid, (list, tuple)) or not grid:
-            raise ValueError(f"search_space {name} must be a nonempty list, got {grid!r}")
+            raise ValueError(f"hyperfit.search_space {name} must be a nonempty list, got {grid!r}")
     nvs = np.asarray(grids["noise_var"])  # a ragged nesting raises ValueError here
     if nvs.dtype.kind not in "iuf" or nvs.ndim != 1 or not np.all((nvs > 0) & (nvs < np.inf)):
-        raise ValueError(f"search_space noise_var must hold positive finite numbers, got {grids['noise_var']!r}")
+        raise ValueError(f"hyperfit.search_space noise_var must hold positive finite numbers, "
+                         f"got {grids['noise_var']!r}")
     family = search_space.get("family", "rbf")
-    specs = [KernelSpec(family, ls, os_) for ls in grids["lengthscale"] for os_ in grids["outputscale"]]
+    try:
+        specs = [KernelSpec(family, ls, os_) for ls in grids["lengthscale"] for os_ in grids["outputscale"]]
+    except ValueError as exc:  # said apart from the same error in the kernel section
+        raise ValueError(f"hyperfit.search_space: {exc}") from exc
     if any(spec.dim != dim for spec in specs):  # a scalar lengthscale is 1-D
-        raise ValueError(f"search_space lengthscale entries must be of dimension {dim}, got {grids['lengthscale']!r}")
+        raise ValueError(f"hyperfit.search_space lengthscale entries must be of dimension {dim}, "
+                         f"got {grids['lengthscale']!r}")
     return [(spec, nv) for spec in specs for nv in grids["noise_var"]]

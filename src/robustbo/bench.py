@@ -180,6 +180,9 @@ class ExperimentConfig:
             raise ConfigError(f"the {adv['policy']!r} adversary takes policy and {sorted(keys)}, got {sorted(adv)}")
         if adv["policy"] != "none":
             adv["budget"] = _section(adv["budget"] or {}, "adversary.budget", {"mode"})
+        hyperfit = _section(top.get("hyperfit", {}), "hyperfit")
+        if "search_space" in hyperfit and hyperfit["search_space"] is None:  # BoState would read it as no refit
+            raise ConfigError("hyperfit.search_space must be an object, got None")
         grid_size = top.get("grid_size", 1001)
         if top["n_initial"] < 0 or top["n_iterations"] < 1 or grid_size < 1:
             raise ConfigError("n_initial must be >= 0, n_iterations >= 1 and grid_size >= 1")
@@ -197,7 +200,7 @@ class ExperimentConfig:
             n_iterations=top["n_iterations"],
             seeds=_list(top["seeds"], int, "config.seeds"),
             grid_size=grid_size,
-            hyperfit=_section(top.get("hyperfit", {}), "hyperfit"),
+            hyperfit=hyperfit,
         )
 
 

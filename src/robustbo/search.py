@@ -108,6 +108,14 @@ class DomainSpec:
         starts.flags.writeable = False
         return starts
 
+    @functools.cached_property
+    def lines(self) -> np.ndarray:
+        """The d > 1 search's (d, coord_grid) candidate values, row j spanning
+        coordinate j's bounds, built once, as every search uses the same ones."""
+        lines = np.array([np.linspace(lo, hi, self.coord_grid) for lo, hi in self.bounds])
+        lines.flags.writeable = False
+        return lines
+
     @staticmethod
     def from_bounds(bounds, grid_size: int = 1001) -> "DomainSpec":
         bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
@@ -122,20 +130,26 @@ def maximize_acquisition(domain: DomainSpec, acquisition: Callable[[np.ndarray],
     grid scan in 1-D, multi-start coordinate refinement otherwise.
     Ties break toward the lowest grid index.
 
-    Above 1-D every Sobol start moves together: each sweep coordinate is one
-    acquisition call over all starts' candidate lines, 2*d + 1 calls per search.
+    Above 1-D the Sobol starts move together: each sweep coordinate is one
+    acquisition call over the candidate lines of the distinct starts only,
+    2*d + 1 calls per search.  Equal starts have equal lines, so they stay
+    equal: after each block only the first copy of each, in start order, goes
+    on, and the first-maximum rule picks the point a block of every start would.
     """
     if domain.grid is not None:
         if domain.grid.shape[0] == 0:
             raise ValueError("empty acquisition domain")
         return domain.grid[int(np.argmax(acquisition(domain.grid)))].copy()
 
-    d, n, k = domain.dim, domain.n_starts, domain.coord_grid
-    x = domain.starts  # (n, d): every start at once
+    d, k = domain.dim, domain.coord_grid
+    x = domain.starts  # (n, d): every start at once; Sobol points are distinct
     for _ in range(2):  # coordinate sweeps
         for j in range(d):
+            n = x.shape[0]
             cand = np.repeat(x, k, axis=0)  # start i's line is rows i*k .. i*k + k-1
-            cand[:, j] = np.tile(np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], k), n)
+            cand.reshape(n, k, d)[:, :, j] = domain.lines[j]
             vals = acquisition(cand).reshape(n, k)
             x = cand.reshape(n, k, d)[np.arange(n), np.argmax(vals, axis=1)]  # first maximum per start
+            rows = x.view(np.dtype((np.void, x.itemsize * d))).ravel()  # each start's bytes as one item
+            x = x[np.sort(np.unique(rows, return_index=True)[1])]  # each first copy, in start order
     return x[int(np.argmax(acquisition(x)))].copy()  # first start on a tie

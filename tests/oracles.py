@@ -41,3 +41,18 @@ def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: 
     rhs = cho_solve((L_s, True), yc - corr_c.mw - mu_uc_c)
     dev = cov_uc(Xc, Xq).T @ rhs
     return dev if Xq.shape[0] > 1 else float(dev[0])
+
+
+def full_block_search(domain, acquisition):
+    """The d > 1 search with every start in every block: 2*d calls of
+    n_starts * coord_grid rows and one of n_starts, repeated starts and all.
+    The library's search drops repeated starts; it must return the same point."""
+    d, n, k = domain.dim, domain.n_starts, domain.coord_grid
+    x = domain.starts
+    for _ in range(2):
+        for j in range(d):
+            cand = np.repeat(x, k, axis=0)
+            cand[:, j] = np.tile(np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], k), n)
+            vals = acquisition(cand).reshape(n, k)
+            x = cand.reshape(n, k, d)[np.arange(n), np.argmax(vals, axis=1)]
+    return x[int(np.argmax(acquisition(x)))].copy()

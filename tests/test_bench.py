@@ -521,6 +521,8 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
         # a search space takes only its four keys, and a nonempty noise_var list
         {"hyperfit": {"search_space": {"lengthscale": [0.1], "outputscal": [2.0], "noise_var": [0.1]}}},
         {"hyperfit": {"search_space": {"lengthscale": [0.1], "noise_var": []}}},
+        # a null search space, which BoState would read as no refit
+        {"hyperfit": {"every": 2, "search_space": None}},
     ],
     ids=["kernel-family", "objective", "noise-var", "delta", "eager-no-value", "greedy-no-far-thresh",
          "no-budget", "fixed-count-no-count", "time-budget-no-alpha", "budget-mode",
@@ -542,7 +544,7 @@ def test_failing_cell_is_recorded_not_fatal(tmp_path):
          "manual-quantile", "time-budget-count", "fixed-count-alpha", "infinite-shape-c", "infinite-half-width",
          "underflowing-shape-c", "list-name", "integer-name", "empty-name", "dot-name", "dot-dot-name",
          "slash-name", "backslash-name", "null-standardize", "bool-noise-var", "bool-low-value", "bool-lengthscale",
-         "string-lengthscale", "search-space-unknown-key", "empty-search-noise-var"],
+         "string-lengthscale", "search-space-unknown-key", "empty-search-noise-var", "null-search-space"],
 )
 def test_bad_config_value_exits_config_error(over, tmp_path):
     path = tmp_path / "cfg.json"
@@ -550,6 +552,20 @@ def test_bad_config_value_exits_config_error(over, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()  # raised before any cell ran: no trace, no metadata
+
+
+def test_a_search_space_error_names_its_section():
+    # KernelSpec refuses the same value in the kernel section and in a search space; the message says which
+    def message(**over):
+        with pytest.raises(ConfigError) as info:
+            run_experiment(ExperimentConfig.from_dict(small_config(algorithms=["gp_ucb", "fc", "a2"], **over)))
+        return str(info.value)
+
+    kernel = message(kernel={"lengthscale": True})
+    assert kernel == "lengthscale must be positive and finite numbers, got True"
+    space = {"lengthscale": [True], "noise_var": [0.1]}
+    assert message(hyperfit={"every": 2, "search_space": space}) == f"hyperfit.search_space: {kernel}"
+    assert message(hyperfit={"every": 2, "search_space": None}) == "hyperfit.search_space must be an object, got None"
 
 
 def test_repeated_cli_seeds_exit_config_error(tmp_path):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+import ci_variants
 from conftest import make_state
-from robustbo import gp, search
+from oracles import full_block_search
+from robustbo import algorithms, bench, gp, search
 from robustbo.adversary import EagerBudget
 from robustbo.algorithms import run_loop, step
 from robustbo.kernels import KernelSpec
@@ -25,14 +27,16 @@ def test_the_search_maximizes_any_acquisition_over_a_domain():
     line = DomainSpec.from_bounds([[0.0, 1.0]], 101)
     assert np.array_equal(maximize_acquisition(line, lambda X: -(X[:, 0] - 0.37) ** 2), line.grid[37])
     # a separable maximum on the coordinate lines: the first sweep reaches it, in 2*d + 1 calls
+    # every start is at the maximum after it, so the last block and call cover one start
     box, calls = DomainSpec.from_bounds([[-1.0, 1.0], [0.0, 2.0]]), []
 
-    def acquisition(X):
-        calls.append(X.shape[0])
+    def separable(X):
         return -((X[:, 0] - 0.25) ** 2 + (X[:, 1] - 1.5) ** 2)
 
-    assert np.array_equal(maximize_acquisition(box, acquisition), [0.25, 1.5])
-    assert calls == [box.n_starts * box.coord_grid] * 4 + [box.n_starts]
+    assert np.array_equal(maximize_acquisition(box, lambda X: calls.append(X.shape[0]) or separable(X)), [0.25, 1.5])
+    x, after = _reference_search(box, separable)
+    assert np.array_equal(x, [0.25, 1.5])
+    assert calls == _distinct_start_rows(box, after) == [2112, 2112, 33, 33, 1]
 
 
 def test_the_search_module_imports_nothing_from_the_library():
@@ -40,30 +44,47 @@ def test_the_search_module_imports_nothing_from_the_library():
     assert not [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
 
 
-def _reference_search(state, domain):
-    """The per-start coordinate search the batched one replaced: each Sobol
-    start refined on its own, the first start kept on equal final values."""
+def _reference_ucb(state):
+    """The upper confidence bound of the state's next plan, from its model's predict."""
     plan = state.plan()
 
     def ucb(X):
         mean, var = plan.model.predict(X)
         return mean + math.sqrt(plan.beta) * np.sqrt(var)
 
-    d = domain.dim
-    starts = qmc.Sobol(d, scramble=False).random(domain.n_starts)
-    starts = qmc.scale(starts, domain.bounds[:, 0], domain.bounds[:, 1])
+    return ucb
+
+
+def _reference_search(domain, acquisition):
+    """The per-start coordinate search the batched one replaced: each Sobol
+    start refined on its own, the first start kept on equal final values.
+    Returns that point and, for each of the 2*d coordinate blocks, every
+    start's point after it."""
+    d, k = domain.dim, domain.coord_grid
+    x = qmc.scale(qmc.Sobol(d, scramble=False).random(domain.n_starts), domain.bounds[:, 0], domain.bounds[:, 1])
+    after = []
+    for _ in range(2):
+        for j in range(d):
+            for i in range(domain.n_starts):
+                cand = np.tile(x[i], (k, 1))
+                cand[:, j] = np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], k)
+                x[i] = cand[int(np.argmax(acquisition(cand)))]
+            after.append(x.copy())
     best_x, best_v = None, -np.inf
-    for x0 in starts:
-        x = x0.copy()
-        for _ in range(2):
-            for j in range(d):
-                cand = np.tile(x, (domain.coord_grid, 1))
-                cand[:, j] = np.linspace(domain.bounds[j, 0], domain.bounds[j, 1], domain.coord_grid)
-                x = cand[int(np.argmax(ucb(cand)))]
-        v = float(ucb(np.atleast_2d(x))[0])
+    for xi in x:
+        v = float(acquisition(np.atleast_2d(xi))[0])
         if v > best_v:
-            best_x, best_v = x, v
-    return best_x
+            best_x, best_v = xi, v
+    return best_x, after
+
+
+def _distinct_start_rows(domain, after):
+    """The row counts of the batched search's 2*d + 1 acquisition calls, from
+    the reference's points: coord_grid rows per distinct start in each block,
+    the first block's starts being the n_starts Sobol points, and one row per
+    distinct start in the last call."""
+    distinct = [domain.n_starts] + [len(np.unique(x, axis=0)) for x in after]
+    return [domain.coord_grid * m for m in distinct[:-1]] + [distinct[-1]]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 9])
@@ -138,20 +159,40 @@ def test_batched_search_matches_the_per_start_loop(case, algorithm, n_starts):
         assert [r.corrupted for r in state.records[-3:]] == [True, True, False]
         assert np.any(state.plan().model.corrections.jw != 1.0)
     x = maximize_acquisition(state.domain, state.plan().ucb)
-    assert np.array_equal(x, _reference_search(state, state.domain))
+    assert np.array_equal(x, _reference_search(state.domain, _reference_ucb(state))[0])
+    assert np.array_equal(x, full_block_search(state.domain, state.plan().ucb))  # the slow twin
     assert state.objective.in_domain(x)
+
+
+@pytest.mark.parametrize("name", ["branin_small", "branin_hyperfit"])
+def test_the_search_writes_the_traces_of_its_full_block_twin(name, tmp_path, monkeypatch):
+    # dropping repeated starts is a fast path: its slow twin predicts every start in every block
+    cfg = bench.ExperimentConfig.from_dict(dict(ci_variants.VARIANTS[name](), seeds=[0]))
+    assert cfg.algorithms == ("gp_ucb", "fc", "a2")
+    bench.run_experiment(cfg, tmp_path / "fast")
+    calls = []
+    monkeypatch.setattr(algorithms, "maximize_acquisition",  # the binding each step searches through
+                        lambda domain, acquisition: calls.append(1) or full_block_search(domain, acquisition))
+    bench.run_experiment(cfg, tmp_path / "full")
+    assert len(calls) == len(cfg.algorithms) * cfg.n_iterations
+    traces = sorted(path.name for path in (tmp_path / "fast").glob("*.csv"))
+    assert traces == sorted(path.name for path in (tmp_path / "full").glob("*.csv")) and len(traces) == 3
+    for trace in traces:
+        assert (tmp_path / "fast" / trace).read_bytes() == (tmp_path / "full" / trace).read_bytes(), trace
 
 
 @pytest.mark.parametrize("case", ["branin2d", "sphere3d"])
 def test_batched_search_predicts_once_per_sweep_coordinate(case, monkeypatch):
     state = make_search_state(case, "fc", steps=2)
     state.plan()  # the fit is not part of the search
+    want = _distinct_start_rows(state.domain, _reference_search(state.domain, _reference_ucb(state))[1])
     sizes = []
     predict = gp.GpPosterior.predict
     monkeypatch.setattr(gp.GpPosterior, "predict", lambda self, Xq: sizes.append(len(Xq)) or predict(self, Xq))
     maximize_acquisition(state.domain, state.plan().ucb)
-    d, block = state.domain.dim, state.domain.n_starts * state.domain.coord_grid
-    assert sizes == [block] * (2 * d) + [state.domain.n_starts]
+    # 2*d + 1 predicts, each over the distinct starts alone
+    assert len(sizes) == 2 * state.domain.dim + 1 and sizes == want
+    assert sizes[0] == state.domain.n_starts * state.domain.coord_grid and sizes[-1] < state.domain.n_starts
 
 
 def test_batched_search_on_the_prior_keeps_the_first_start():
@@ -159,7 +200,7 @@ def test_batched_search_on_the_prior_keeps_the_first_start():
     # index, so every start ends at the lower corner and the first one is kept.
     state = make_search_state("sphere3d", "gp_ucb", with_data=False, standardize="none")
     x = maximize_acquisition(state.domain, state.plan().ucb)
-    assert np.array_equal(x, _reference_search(state, state.domain))
+    assert np.array_equal(x, _reference_search(state.domain, _reference_ucb(state))[0])
     assert np.array_equal(x, state.domain.bounds[:, 0])
 
 
@@ -173,7 +214,7 @@ def test_batched_search_keeps_the_first_of_tied_starts():
     state.add_initial(np.zeros((1, 2)))
     ucb = state.plan().ucb
     x = maximize_acquisition(state.domain, ucb)
-    assert np.array_equal(x, _reference_search(state, state.domain))
+    assert np.array_equal(x, _reference_search(state.domain, _reference_ucb(state))[0])
     assert not np.array_equal(x, x[::-1]) and ucb(np.atleast_2d(x))[0] == ucb(np.atleast_2d(x[::-1]))[0]
 
 
