@@ -14,6 +14,6 @@ from .objectives import Objective, forrester, make_objective, observe
 from .rcgp import rcgp_fit
 from .schedules import CompactConvex, FiniteDomain, Rkhs, beta_prime, noise_bound, plateau_width, robust_beta
 from .search import DomainSpec, maximize_acquisition
-from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1, estimate_tc
+from .weights import PimqParams, build_corrections, c1_bound, cw_from_c1
 
 __version__ = "0.1.0"

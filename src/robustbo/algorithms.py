@@ -26,7 +26,7 @@ from .schedules import AssumptionCase, CompactConvex, FiniteDomain, Rkhs
 from .schedules import beta_prime, noise_bound, plateau_width, robust_beta
 # step calls maximize_acquisition through this module's binding, which perfbench's tracer wraps.
 from .search import DomainSpec, maximize_acquisition
-from .weights import ZERO_CENTER, PimqParams, c1_bound, cw_from_c1, estimate_tc, plateau_cap
+from .weights import ZERO_CENTER, PimqParams, c1_bound, cw_from_c1, plateau_cap
 from .weights import build_corrections  # noqa: F401
 
 __all__ = [
@@ -257,9 +257,8 @@ class BoState:
 
         params = self._zero_plateau(ys, self.spec, nv)
         model = _fit(self, "anchor" if self.algorithm == "a2" else "model", X, ys, nv, params)
-        beta, tc, anchor = bp, 0, None  # gp_ucb's
+        beta, tc, anchor = bp, _tc(model, ys.shape[0]), None  # gp_ucb's beta, and its tc, 0
         if params is not None:
-            tc = estimate_tc(params, ys)
             tc_eff = 0 if self.tc_mode == "force_zero" else tc
             # Computable stand-in for the center-to-clean-mean gap in the C1 bound.
             sup_delta = math.sqrt(self.spec.outputscale) * (math.sqrt(bp) + self.b_f)
@@ -282,7 +281,7 @@ class BoState:
                 center, width = anchor.predict_mean(X), width_bound
             params = PimqParams(center, width, self.pimq_c)
             model = _fit(self, "model", X, ys, nv, params)
-            tc = estimate_tc(params, ys)
+            tc = _tc(model, ys.shape[0])
             tc_eff = 0 if self.tc_mode == "force_zero" else tc
             # The wrench's C1 takes the scalar width bound, and as the center gap the anchor's
             # certified deviation at the wrench's own tc.
@@ -339,6 +338,11 @@ def _fit(state: BoState, role: str, X: np.ndarray, ys: np.ndarray, nv: float,
         model, rows = gp_fit(X, y, state.spec, nv, corr, state.domain.grid if role == "model" else None), kept
     state._fits[role] = (model, rows)
     return model
+
+
+def _tc(model: GpPosterior, n: int) -> int:
+    """How many of the n points model was fit on lie outside its plateau: the dropped ones, then the kept."""
+    return n - model.y.shape[0] + int(np.count_nonzero(model.corrections.outside))
 
 
 def _bordered(prev: GpPosterior, rows, X, y, corr, kept, n: int):

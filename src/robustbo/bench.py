@@ -332,10 +332,9 @@ def write_trace(path: Path, rows: list[dict]) -> None:
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run every (algorithm, seed) cell; return {(algorithm, seed): rows}.
 
-    A numerical failure in one cell is recorded and skipped; it does not
-    abort the rest of the experiment.  A bad config value raises ConfigError
-    before any cell runs.  When out_dir is given, each cell is written to
-    <algorithm>_seed<seed>.csv plus a metadata.json echo.
+    A numerical failure in one cell is recorded and skipped.  A bad config
+    value, or an out_dir that cannot be made, raises ConfigError before any
+    cell runs.  out_dir gets <algorithm>_seed<seed>.csv per cell, metadata.json.
     """
     start_time = time.monotonic()
     try:
@@ -345,7 +344,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         states = {(a, s): _build_state(cfg, a, s, objective, domain, x_star) for s in cfg.seeds for a in cfg.algorithms}
         # scrambled; an n_initial the Sobol draw cannot give is a config error too
         designs = {s: sobol_points(objective.bounds, cfg.n_initial, _rng(s, STREAM_INITIAL)) for s in cfg.seeds}
-    except ValueError as exc:
+        if out_dir is not None:  # after the checks, so a bad config makes no directory; a file there raises
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     results, failures = {}, {}
     for seed in cfg.seeds:
@@ -374,7 +375,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             "library_version": __version__,
             "wall_time_s": round(time.monotonic() - start_time, 3),
         }
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
         with open(Path(out_dir) / "metadata.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")

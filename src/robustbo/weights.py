@@ -23,7 +23,6 @@ __all__ = [
     "plateau_cap",
     "NEGLIGIBLE_WEIGHT_RATIO",
     "build_corrections",
-    "estimate_tc",
     "c1_bound",
     "cw_from_c1",
 ]
@@ -68,29 +67,31 @@ def plateau_cap(noise_var: float) -> float:
 
 @dataclass(frozen=True)
 class WeightCorrections:
-    """Per-point weights and the induced diagonal/vector posterior corrections."""
+    """Per-point weights, the induced diagonal/vector posterior corrections, and plateau membership."""
 
     weights: np.ndarray  # the cap in-plateau, and can round to it just past the edge
     jw: np.ndarray  # diagonal of J_w; 1 in-plateau, and can round to 1 just past the edge
-    mw: np.ndarray  # mean correction; 0 in-plateau (membership is estimate_tc's test alone)
+    mw: np.ndarray  # mean correction; 0 in-plateau, and can round to 0 just past the edge
+    outside: np.ndarray  # bool, _excess's plateau test: a point just past the edge can keep in-plateau values
 
     @staticmethod
     def in_plateau(n: int, noise_var: float) -> "WeightCorrections":
         """The corrections of n in-plateau points: weight plateau_cap(noise_var), jw 1, mw 0; the plain GP."""
-        return WeightCorrections(np.full(n, plateau_cap(noise_var)), np.ones(n), np.zeros(n))
+        return WeightCorrections(np.full(n, plateau_cap(noise_var)), np.ones(n), np.zeros(n), np.zeros(n, bool))
 
     def __getitem__(self, index) -> "WeightCorrections":
         """The corrections of the indexed points (a slice or a mask)."""
-        return WeightCorrections(self.weights[index], self.jw[index], self.mw[index])
+        return WeightCorrections(self.weights[index], self.jw[index], self.mw[index], self.outside[index])
 
     def __add__(self, other: "WeightCorrections") -> "WeightCorrections":
         """The corrections of self's points followed by other's."""
-        return WeightCorrections(np.concatenate((self.weights, other.weights)),
-                                 np.concatenate((self.jw, other.jw)), np.concatenate((self.mw, other.mw)))
+        return WeightCorrections(np.concatenate((self.weights, other.weights)), np.concatenate((self.jw, other.jw)),
+                                 np.concatenate((self.mw, other.mw)), np.concatenate((self.outside, other.outside)))
 
     def same(self, other: "WeightCorrections") -> np.ndarray:
-        """Per point: whether other's weight, jw and mw, aligned with self's points, equal self's."""
-        return (self.weights == other.weights) & (self.jw == other.jw) & (self.mw == other.mw)
+        """Per point: whether other's weight, jw, mw and outside flag, aligned with self's points, equal self's."""
+        return ((self.weights == other.weights) & (self.jw == other.jw) & (self.mw == other.mw)
+                & (self.outside == other.outside))
 
 
 def _excess(params: PimqParams, y):
@@ -107,24 +108,19 @@ def _excess(params: PimqParams, y):
     return resid, z, ~(z <= 0)
 
 
-def estimate_tc(params: PimqParams, y) -> int:
-    """The number of observations y outside the plateau of params: the points the fit downweights."""
-    return int(np.count_nonzero(_excess(params, y)[2]))
-
-
 def build_corrections(params: PimqParams, noise_var: float, y) -> WeightCorrections:
-    """Weights, J_w diagonal noise_var/(2 w^2), and m_w vector for observations y.
+    """Weights, J_w diagonal noise_var/(2 w^2), and m_w vector for observations y, and which lie outside.
 
     The one implementation of the P-IMQ formula.  The plateau is read from
     params, the cap from noise_var (> 0).  In-plateau entries are exactly
     (plateau_cap(noise_var), 1, 0) so the robust update is bit-identical to
     the standard GP there.
     """
-    if not noise_var > 0:
-        raise ValueError("noise_var must be positive")
-    cap = plateau_cap(noise_var)
+    cap = plateau_cap(noise_var) if noise_var > 0 else 0.0
+    if not cap > 0:  # 5e-324 / 2 rounds to 0: no weight then tells an in-plateau point from a dropped one
+        raise ValueError(f"noise_var must be positive with a positive plateau_cap, got {noise_var!r}")
     resid, z, outside = _excess(params, y)
-    corr = WeightCorrections.in_plateau(z.shape[0], noise_var)  # the outside points' entries follow
+    corr = WeightCorrections(np.full(z.shape, cap), np.ones(z.shape), np.zeros(z.shape), outside)
     if np.any(outside):
         c2 = params.shape_c**2
         zo = np.where(np.isnan(z[outside]), np.inf, z[outside])

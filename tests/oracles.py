@@ -6,7 +6,13 @@ from scipy.linalg import cho_solve, solve_triangular
 from robustbo.gp import gp_fit
 from robustbo.kernels import KernelSpec, _as_points, cross_matrix, jittered_cho_factor
 from robustbo.rcgp import rcgp_data
-from robustbo.weights import PimqParams
+from robustbo.weights import PimqParams, _excess
+
+
+def estimate_tc(params: PimqParams, y) -> int:
+    """The number of observations y outside the plateau of params, counted on its own plateau test.
+    The loop reads the same count off each fit's corrections, dropped points included."""
+    return int(np.count_nonzero(_excess(params, y)[2]))
 
 
 def deviation_schur(clean, corrupt, spec: KernelSpec, noise_var: float, params: PimqParams, x):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import traceback
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import ci_variants
 from conftest import assert_same_posterior, make_state
-from robustbo import algorithms, bench, gp, rcgp
+from oracles import estimate_tc
+from robustbo import algorithms, bench, gp, rcgp, weights
 from robustbo.adversary import CorruptionBudget, EagerBudget
 from robustbo.algorithms import BoState, fit_hyperparameters_loo, run_loop, standardize_targets, step
 from robustbo.gp import gp_fit
@@ -19,8 +21,7 @@ from robustbo.objectives import make_objective
 from robustbo.rcgp import rcgp_data, rcgp_fit
 from robustbo.schedules import CompactConvex, FiniteDomain, Rkhs, beta_prime, noise_bound, plateau_width, robust_beta
 from robustbo.search import DomainSpec, maximize_acquisition, sobol_points
-from robustbo.weights import (ZERO_CENTER, PimqParams, build_corrections, c1_bound, cw_from_c1, estimate_tc,
-                              plateau_cap)
+from robustbo.weights import ZERO_CENTER, PimqParams, build_corrections, c1_bound, cw_from_c1, plateau_cap
 
 
 def seed_points(n=4):
@@ -32,7 +33,7 @@ def same_model(got, want):
     assert (got.spec, got.noise_var, got.jitter) == (want.spec, want.noise_var, want.jitter)
     for a, b in ((got.X, want.X), (got.y, want.y), (got.L, want.L), (got.w, want.w),
                  (got.corrections.weights, want.corrections.weights), (got.corrections.jw, want.corrections.jw),
-                 (got.corrections.mw, want.corrections.mw)):
+                 (got.corrections.mw, want.corrections.mw), (got.corrections.outside, want.corrections.outside)):
         assert np.array_equal(a, b)
     if got.grid is not None:
         assert np.array_equal(got.grid.mean, want.grid.mean) and np.array_equal(got.grid.var, want.grid.var)
@@ -344,7 +345,7 @@ def test_fc_and_a2_are_gp_ucb_until_a_point_leaves_the_plateau(objective, family
     # Up to the first plan with a point outside its plateau, fc's and a2's queries are gp_ucb's and their
     # models are gp_ucb's, field for field: all n points kept, every jw 1 and mw 0, tc 0, beta beta'.  The
     # plateaus are rebuilt here from the settings and gp_ucb's plan, not read from fc's or a2's, and
-    # "outside" is weights.estimate_tc's test; a2 is checked while both its anchor's plateau (fc's) and
+    # "outside" is oracles.estimate_tc's test; a2 is checked while both its anchor's plateau (fc's) and
     # its wrench's hold every point, fc while its own does.
     dim = 2 if objective == "branin" else 1
     raw = {
@@ -568,6 +569,64 @@ def test_a_refit_builds_its_corrections_once(algorithm, monkeypatch):
     assert events == ["gp_fit"] * models
 
 
+@pytest.mark.parametrize("algorithm, per_plan", [("gp_ucb", 0), ("fc", 1), ("a2", 2)])
+def test_each_robust_fit_runs_the_plateau_test_once(algorithm, per_plan, monkeypatch):
+    # a plan's tc is read off its fit's corrections, so the plateau test runs once per fit: none for
+    # gp_ucb, fc's fit, and a2's anchor and wrench; on refits, borders and plans with dropped points
+    state = make_state(algorithm, seed=1, policy=EagerBudget(1e9), budget_count=2, pimq_policy="manual",
+                       tc_mode="estimate")
+    state.add_initial(seed_points())
+    calls, excess = [], weights._excess
+    monkeypatch.setattr(weights, "_excess", lambda *args: calls.append(1) or excess(*args))
+    for t in range(1, 7):
+        step(state)
+        assert len(calls) == per_plan * t
+    assert sum(r.corrupted for r in state.records) == 2
+    assert algorithm == "gp_ucb" or state.records[-1].tc_estimate == 2  # the two dropped outliers
+
+
+@given(
+    algorithm=st.sampled_from(["fc", "a2"]),
+    policy=st.sampled_from(["schedule", "heuristic", "manual"]),
+    adaptive=st.booleans(),
+    standardize=st.sampled_from(["robust", "zscore", "none", "initial"]),
+    half_width=st.floats(0.0, 3.0),
+    shape_c=st.sampled_from([1e-3, 1.0]),
+    ys=st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([math.nan, math.inf, -math.inf, 1e6, -1e300])),
+                min_size=1, max_size=10),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_recorded_tc_counts_the_points_outside_the_plateau(algorithm, policy, adaptive, standardize,
+                                                               half_width, shape_c, ys, seed):
+    # tc is read off the fit: the dropped points, then the kept points outside.  Its slow twin counts
+    # the points outside the plateau the plan fit its model on (a2's wrench: per-point centres, and
+    # per-point widths when adaptive), on every plan of a run that grows a point at a time, so the
+    # bordered models are checked too, with NaN and infinite observations among the data
+    width_mode = "adaptive" if adaptive and policy == "schedule" else "fixed"
+    state = make_state(algorithm, seed=seed, pimq_policy=policy, pimq_half_width=half_width, pimq_c=shape_c,
+                       a2_width_mode=width_mode, standardize=standardize, tc_mode="estimate")
+    state.add_initial(seed_points(3))
+    fits, fit = [], algorithms._fit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_fit", lambda *args: fits.append(args[-1]) or fit(*args))
+        rng = np.random.default_rng(seed)
+        for y in ys:
+            state._append(rng.uniform(0.0, 1.0, size=1), y)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    plan = state.plan()
+            except (ValueError, ArithmeticError) as exc:  # a failed cell in a run, in two known cases:
+                # a NaN, or half the points +inf, leave the heuristic width undefined (a NaN median, or inf - inf);
+                # a spread of the targets below about 1e-154 squares to a scale of 0, which the noise is divided by
+                where = {frame.name for frame in traceback.extract_tb(exc.__traceback__)}
+                assert (policy == "heuristic" and "_zero_plateau" in where) or isinstance(exc, ZeroDivisionError)
+                return
+            assert plan.tc == estimate_tc(fits[-1], plan.ys)  # fc's only fit, a2's wrench
+            if algorithm == "a2":  # the anchor's count, which a2's wrench certificate does not record
+                assert algorithms._tc(plan.anchor, plan.ys.shape[0]) == estimate_tc(fits[-2], plan.ys)
+
+
 def test_fc_matches_baseline_on_clean_data_under_a_moving_heuristic_width(monkeypatch):
     # the heuristic width moves every step, but with the whole range as the
     # quantile no clean point leaves the plateau: fc extends like gp_ucb and
@@ -636,6 +695,20 @@ def test_a_dropped_observation_keeps_the_model():
     before = state.plan().model
     step(state)
     assert state.records[-1].corrupted and state.plan().model is before
+
+
+def test_a_point_that_leaves_the_plateau_at_in_plateau_values_is_bordered_again():
+    # at width 0 and noise variance 0.125, y = 5e-324 is outside, yet its weight, jw and mw (-0.0) are the
+    # in-plateau ones; only its outside flag changes, and the model must border it again to carry the flag
+    state = make_state("fc", pimq_policy="manual")
+    X, ys, nv = seed_points(), np.array([0.5, 5e-324, -0.5, 1.0]), 0.125
+    inside = algorithms._fit(state, "model", X, ys, nv, PimqParams(ZERO_CENTER, 2.0, 1.0))
+    params = PimqParams(ZERO_CENTER, np.array([2.0, 0.0, 2.0, 2.0]), 1.0)
+    past = algorithms._fit(state, "model", X, ys, nv, params)
+    assert algorithms._tc(inside, 4) == 0 and algorithms._tc(past, 4) == estimate_tc(params, ys) == 1
+    assert np.array_equal(past.y, ys[[0, 2, 3, 1]]) and past.corrections.outside.tolist() == [0, 0, 0, 1]
+    for name in ("weights", "jw", "mw"):
+        assert np.array_equal(getattr(past.corrections, name), getattr(inside.corrections, name)[[0, 2, 3, 1]])
 
 
 def test_a_plan_with_no_kept_point_refits_the_prior(monkeypatch):

@@ -577,6 +577,20 @@ def test_repeated_cli_seeds_exit_config_error(tmp_path):
     assert not out.exists()
 
 
+def test_an_out_path_that_is_a_file_exits_config_error(tmp_path, monkeypatch, capsys):
+    # the output directory is made once, after the config checks and before the first cell, so a file
+    # in its place runs no cell and is left as it was
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config()))
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    cells = []
+    monkeypatch.setattr(bench, "run_loop", lambda *args: cells.append(args) or run_loop(*args))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert cells == [] and out.read_text() == "not a directory"
+    assert "config error" in capsys.readouterr().err
+
+
 def test_a_hyperfit_config_refits_only_when_enabled():
     # the good counterpart of the hyperfit cases above: no search space is off, one refits and moves the queries
     space = {"lengthscale": [0.05, 0.3], "noise_var": [0.02, 0.5]}

@@ -102,9 +102,9 @@ def test_identity_corrections_run_the_plain_fit(rng, rbf):
     X = rng.uniform(0, 1, size=9)
     y = rng.normal(size=9)
     plain = gp_fit(X, y, rbf, 0.3)
-    ident = gp_fit(X, y, rbf, 0.3, WeightCorrections(np.ones(9), np.ones(9), np.zeros(9)))
+    ident = gp_fit(X, y, rbf, 0.3, WeightCorrections(np.ones(9), np.ones(9), np.zeros(9), np.zeros(9, bool)))
     want = WeightCorrections.in_plateau(9, 0.3)
-    for name in ("weights", "jw", "mw"):
+    for name in ("weights", "jw", "mw", "outside"):
         assert np.array_equal(getattr(plain.corrections, name), getattr(want, name))
     assert np.all(plain.corrections.weights == build_corrections(PimqParams(0.0, 1.0, 1.0), 0.3, 0.0 * y).weights)
     assert np.all(plain.corrections.weights == math.sqrt(0.3 / 2.0))
@@ -119,7 +119,7 @@ def test_predict_mean_is_predicts_mean(rng, rbf):
     jw = np.where(np.arange(12) % 3 == 0, 4.0, 1.0)
     grid = np.linspace(0, 1, 57)
     for post in (gp_fit([], [], rbf, 0.3), gp_fit(X, y, rbf, 0.3),
-                 gp_fit(X, y, rbf, 0.3, WeightCorrections(np.ones(12), jw, -0.1 * (jw - 1.0)))):
+                 gp_fit(X, y, rbf, 0.3, WeightCorrections(np.ones(12), jw, -0.1 * (jw - 1.0), jw != 1.0))):
         assert np.array_equal(post.predict_mean(grid), post.predict(grid)[0])
 
 
@@ -185,7 +185,8 @@ def test_alpha_is_the_cholesky_solve(seed, n, t, family, robust, on_grid, jitter
     corr = WeightCorrections.in_plateau(n + t, noise_var)
     if robust:
         jw = np.where(rng.random(n + t) < 0.4, rng.uniform(1.0, 50.0, n + t), 1.0)
-        corr = WeightCorrections(np.sqrt(noise_var / 2.0 / jw), jw, np.where(jw != 1.0, rng.normal(size=n + t), 0.0))
+        corr = WeightCorrections(np.sqrt(noise_var / 2.0 / jw), jw, np.where(jw != 1.0, rng.normal(size=n + t), 0.0),
+                                 jw != 1.0)
     post = gp_fit(X[:n], y[:n], spec, noise_var, corr[:n], GRID if on_grid else None)
     assert (post.jitter > 0) == jittered
     _assert_alpha_is_cho_solve(post)
@@ -247,15 +248,15 @@ def test_extend_rejects_non_finite_targets_like_the_fit(rbf):
 
 
 def _fields(post):
-    return (post.X, post.y, post.corrections.weights, post.corrections.jw, post.corrections.mw, post.L,
-            post.w, post.alpha, post.grid.V, post.grid.mean, post.grid.var)
+    return (post.X, post.y, post.corrections.weights, post.corrections.jw, post.corrections.mw,
+            post.corrections.outside, post.L, post.w, post.alpha, post.grid.V, post.grid.mean, post.grid.var)
 
 
 def test_extend_without_corrections_is_extend_with_in_plateau_ones(rng, rbf):
     # the left-out corrections are the in-plateau ones, bit for bit, on a plain and on a robust
     # posterior, for one row and for several
     jw = np.where(np.arange(6) % 2 == 0, 5.0, 1.0)
-    robust = WeightCorrections(np.sqrt(0.05 / jw), jw, np.where(jw != 1.0, -0.3, 0.0))
+    robust = WeightCorrections(np.sqrt(0.05 / jw), jw, np.where(jw != 1.0, -0.3, 0.0), jw != 1.0)
     for t in (1, 3):
         X, y = rng.uniform(0, 1, size=6 + t), rng.normal(size=6 + t)
         for post in (gp_fit(X[:6], y[:6], rbf, 0.1, grid=GRID), gp_fit(X[:6], y[:6], rbf, 0.1, robust, GRID)):
@@ -294,7 +295,7 @@ def test_a_one_row_border_is_the_one_row_formula_bit_for_bit(n, robust, rng):
         corr = None
         if robust:
             jw = np.where(rng.random(n + 1) < 0.4, rng.uniform(1.0, 50.0, n + 1), 1.0)
-            corr = WeightCorrections(np.ones(n + 1), jw, np.where(jw != 1.0, rng.normal(size=n + 1), 0.0))
+            corr = WeightCorrections(np.ones(n + 1), jw, np.where(jw != 1.0, rng.normal(size=n + 1), 0.0), jw != 1.0)
         post = gp_fit(X[:n], y[:n], spec, 0.3, None if corr is None else corr[:n], GRID)
         got = post.extend(X[n:], y[n:], None if corr is None else corr[n:])
         want = _one_row_border(post, X[n], y[n], *((corr.jw[n], corr.mw[n]) if robust else ()))

@@ -181,6 +181,27 @@ def test_the_search_writes_the_traces_of_its_full_block_twin(name, tmp_path, mon
         assert (tmp_path / "fast" / trace).read_bytes() == (tmp_path / "full" / trace).read_bytes(), trace
 
 
+def test_the_search_returns_its_full_block_twins_point_on_random_3d_bumps():
+    # A dedupe that merges starts which are not equal, by their first coordinate say, passes in 2-D: there
+    # the coordinate-1 line search reads x0 alone, so merging by x0 merges equal starts.  In 3-D it does not.
+    # Each acquisition is a sum of 2 to 11 RBF bumps on the unit cube, elementwise per row, so a row's value
+    # does not depend on the batch it is predicted in.
+    cube = DomainSpec(np.array([[0.0, 1.0]] * 3))
+    differ = []
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 12))
+        centers, lengthscales, heights = rng.uniform(0.0, 1.0, (k, 3)), rng.uniform(0.05, 0.3, k), rng.uniform(size=k)
+
+        def bumps(X):
+            d2 = sum((X[:, j, None] - centers[:, j]) ** 2 for j in range(3))  # (m, k)
+            return sum(heights[i] * np.exp(-d2[:, i] / (2.0 * lengthscales[i] ** 2)) for i in range(k))
+
+        if not np.array_equal(maximize_acquisition(cube, bumps), full_block_search(cube, bumps)):
+            differ.append(seed)
+    assert differ == []
+
+
 @pytest.mark.parametrize("case", ["branin2d", "sphere3d"])
 def test_batched_search_predicts_once_per_sweep_coordinate(case, monkeypatch):
     state = make_search_state(case, "fc", steps=2)

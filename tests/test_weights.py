@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import estimate_tc
 from robustbo.weights import (
     ZERO_CENTER,
     PimqParams,
+    WeightCorrections,
     build_corrections,
     c1_bound,
     cw_from_c1,
-    estimate_tc,
     plateau_cap,
 )
 
@@ -180,9 +181,22 @@ def test_estimate_tc_counts_nan_and_stays_finite(residuals, width, per_point):
         corr = build_corrections(params, 1.0, residuals)
     outside = np.array([math.isnan(r) or abs(r) > width or abs(r) == width == math.inf for r in residuals], bool)
     assert isinstance(tc, int) and tc == np.count_nonzero(outside)
+    assert np.array_equal(corr.outside, outside)  # the fit's own record of the same test
     # the points the count leaves out are the fit's in-plateau points, whose corrections are the plain GP's
     inside = corr[~outside]
     assert np.all(inside.weights == plateau_cap(1.0)) and np.all(inside.jw == 1.0) and np.all(inside.mw == 0.0)
+
+
+def test_same_compares_the_outside_flag():
+    # at width 0 and noise variance 0.125, y = 5e-324 is outside, yet its weight, jw and mw (-0.0) are the
+    # in-plateau ones: only the outside flag tells it from y = 0
+    params, nv = PimqParams(ZERO_CENTER, 0.0, 1.0), 0.125
+    past, at = build_corrections(params, nv, [5e-324]), build_corrections(params, nv, [0.0])
+    assert estimate_tc(params, [5e-324]) == 1 and estimate_tc(params, [0.0]) == 0
+    assert (past.weights, past.jw, past.mw) == (at.weights, at.jw, at.mw) == ([plateau_cap(nv)], [1.0], [0.0])
+    assert past.outside.tolist() == [True] and at.outside.tolist() == [False]
+    assert past.same(at).tolist() == at.same(past).tolist() == [False]
+    assert past.same(past).tolist() == [True] and at.same(WeightCorrections.in_plateau(1, nv)).tolist() == [True]
 
 
 def test_c1_bound_value():
@@ -218,7 +232,7 @@ def test_param_validation():
         with pytest.raises(ValueError, match="shape_c"):
             PimqParams(ZERO_CENTER, 1.0, shape_c)
     assert PimqParams(ZERO_CENTER, math.inf, 1e-150).half_width == math.inf  # the plain GP's limit
-    for noise_var in (0.0, -1.0, math.nan):  # the cap needs a positive noise variance
+    for noise_var in (0.0, -1.0, math.nan, 5e-324):  # the cap needs a positive noise variance, half of it nonzero
         with pytest.raises(ValueError, match="noise_var"):
             build_corrections(PimqParams(ZERO_CENTER, 1.0, 1.0), noise_var, [0.0])
 
