@@ -296,11 +296,11 @@ class BoState:
         None for gp_ucb, which has no plateau."""
         if self.algorithm == "gp_ucb":
             return None
-        if self.pimq_policy == "heuristic" and len(ys):
-            # 95% quantile of |y - median| on standardized targets, taken at the
-            # next-lowest order statistic so a sub-5% corrupted fraction cannot
-            # inflate it.
-            width = float(np.quantile(np.abs(ys - np.median(ys)), self.heuristic_quantile, method="lower"))
+        if self.pimq_policy == "heuristic" and len(finite := ys[np.isfinite(ys)]):
+            # 95% quantile of |y - median| on the finite standardized targets
+            # (standardize_targets' rule), taken at the next-lowest order
+            # statistic so a sub-5% corrupted fraction cannot inflate it.
+            width = float(np.quantile(np.abs(finite - np.median(finite)), self.heuristic_quantile, method="lower"))
         elif self.pimq_policy == "manual":
             width = self.pimq_half_width
         else:

@@ -10,7 +10,8 @@ variances |L^-1 k|^2.  So t more points border L by t rows
 (:meth:`GpPosterior.extend`) instead of refactoring A, and the posterior of
 its first k rows is the leading block (:meth:`GpPosterior.head`).  On a fixed
 point set (the 1-D acquisition grid) it also keeps V = L^-1 K(X, points) and
-the predictions there, which grow by one row of V per point as well.
+the predictions there, which grow by one row of V per point as well: V is a
+view of an append-only row store, which extend grows in place when it can.
 """
 
 from __future__ import annotations
@@ -37,18 +38,54 @@ __all__ = ["GpPosterior", "GridPredictions", "gp_fit"]
 MIN_PIVOT_RATIO = 1e-10
 
 
+@dataclass(eq=False)
+class _RowStore:
+    """The rows of V behind a chain of extends, then spare rows; rows below filled are never written again."""
+
+    rows: np.ndarray = field(repr=False)
+    filled: int
+
+
 @dataclass(frozen=True)
 class GridPredictions:
-    """Posterior mean and variance on a fixed point set, with V = L^-1 K(X, points)."""
+    """Posterior mean and variance on a fixed point set, with V = L^-1 K(X, points).
+
+    V is read-only.  After an extend it is a view of the first n rows of
+    store, an append-only row store; a fit's own V has no store (None).
+    """
 
     points: np.ndarray  # (m, d)
     V: np.ndarray = field(repr=False)  # (n, m)
     mean: np.ndarray = field(repr=False)
     var: np.ndarray = field(repr=False)
+    store: Optional[_RowStore] = field(default=None, repr=False)
 
     def __post_init__(self):
-        for a in (self.mean, self.var):  # predict hands these out; no caller may change them
+        for a in (self.V, self.mean, self.var):  # V's rows are shared, predict hands out the others
             a.flags.writeable = False
+
+    def extended(self, V2: np.ndarray, mean: np.ndarray, var: np.ndarray) -> "GridPredictions":
+        """The predictions mean and var, with V2's rows below V.
+
+        The rows go into V's store in place when V ends at its fill mark, the
+        store has room and has np.concatenate's layout, so every product with
+        V has the bits of a fresh copy.  Otherwise V is copied into a new
+        store, with about n/2 spare rows when the chain grows (a fit's own V,
+        a full store) and none for a V cut by head or extended twice: a2's
+        wrench cuts its model again on the next plan.
+        """
+        V, store = self.V, self.store
+        n, t = V.shape[0], V2.shape[0]
+        # np.concatenate's layout: Fortran only for one row below a Fortran-ordered V of two or more rows
+        order = "F" if t == 1 and n > 1 and V.strides[0] < V.strides[1] else "C"
+        at_mark = store is not None and store.filled == n
+        if not (at_mark and store.rows.shape[0] >= n + t and store.rows.flags[order + "_CONTIGUOUS"]):
+            spare = n // 2 if store is None or at_mark else 0
+            store = _RowStore(np.empty((max(n + t + spare, 16), V.shape[1]), order=order), n)
+            store.rows[:n] = V
+        store.rows[n:n + t] = V2
+        store.filled = n + t
+        return GridPredictions(self.points, store.rows[:n + t], mean, var, store)
 
 
 @dataclass(frozen=True)
@@ -112,7 +149,7 @@ class GpPosterior:
         w, grid = self.w[:k], self.grid
         if grid is not None:
             V = grid.V[:k]
-            grid = GridPredictions(grid.points, V, w @ V, self._variance(V))
+            grid = GridPredictions(grid.points, V, w @ V, self._variance(V), grid.store)
         return GpPosterior(self.X[:k], self.y[:k], self.spec, self.noise_var, self.corrections[:k],
                            self.L[:k, :k], w, 0.0, grid)
 
@@ -179,7 +216,7 @@ class GpPosterior:
                 c = L22[i + 1:, i] = S[i + 1:, i] / d
                 S[i + 1:, i + 1:] -= np.outer(c, c)
         if grid is not None:  # a variance is negative only through round-off
-            grid = GridPredictions(grid.points, np.concatenate((grid.V, V2)), mean, np.maximum(var, 0.0))
+            grid = grid.extended(V2, mean, np.maximum(var, 0.0))
         return GpPosterior(np.concatenate((self.X, X2)), np.concatenate((self.y, y2)), spec, self.noise_var,
                            self.corrections + corrections, L1, np.concatenate((self.w, w2)), 0.0, grid)
 

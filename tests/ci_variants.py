@@ -5,6 +5,7 @@ CI writes them with ``python tests/ci_variants.py results``, one
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -81,8 +82,18 @@ def heuristic_eager() -> dict:
     return c
 
 
+def heuristic_nan() -> dict:
+    """The heuristic plateau with NaN outliers: its width is taken over the finite targets; the plain GP's cell fails."""
+    c = shipped("forrester_corrupted_small")
+    c["pimq"] = {"policy": "heuristic", "shape_c": 1.0}
+    c["adversary"] = {"policy": "eager_budget", "corruption_value": math.nan,
+                      "budget": {"mode": "fixed_count", "count": 6}}
+    c.update(name="heuristic_nan")
+    return c
+
+
 VARIANTS = {f.__name__: f for f in (float_limit, branin_small, hyperfit_limit, hyperfit_schedule, branin_hyperfit,
-                                    rkhs_adaptive, heuristic_eager)}
+                                    rkhs_adaptive, heuristic_eager, heuristic_nan)}
 
 
 if __name__ == "__main__":

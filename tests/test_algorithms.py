@@ -1,6 +1,6 @@
 import dataclasses
+import json
 import math
-import traceback
 import warnings
 from pathlib import Path
 
@@ -616,15 +616,31 @@ def test_the_recorded_tc_counts_the_points_outside_the_plateau(algorithm, policy
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     plan = state.plan()
-            except (ValueError, ArithmeticError) as exc:  # a failed cell in a run, in two known cases:
-                # a NaN, or half the points +inf, leave the heuristic width undefined (a NaN median, or inf - inf);
-                # a spread of the targets below about 1e-154 squares to a scale of 0, which the noise is divided by
-                where = {frame.name for frame in traceback.extract_tb(exc.__traceback__)}
-                assert (policy == "heuristic" and "_zero_plateau" in where) or isinstance(exc, ZeroDivisionError)
+            except ZeroDivisionError:  # a failed cell in a run, in one known case: a spread of the
+                # targets below about 1e-154 squares to a scale of 0, which the noise is divided by
                 return
             assert plan.tc == estimate_tc(fits[-1], plan.ys)  # fc's only fit, a2's wrench
             if algorithm == "a2":  # the anchor's count, which a2's wrench certificate does not record
                 assert algorithms._tc(plan.anchor, plan.ys.shape[0]) == estimate_tc(fits[-2], plan.ys)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_the_heuristic_width_runs_on_non_finite_outliers(value, tmp_path):
+    # the width is a quantile over the finite targets, standardize_targets' rule: fc and a2 drop the NaN or
+    # +inf observations and run, and only the plain GP's cell fails, on its non-finite targets
+    config = ci_variants.heuristic_nan()
+    config["adversary"]["corruption_value"] = value
+    cfg = bench.ExperimentConfig.from_dict(dict(config, seeds=[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = bench.run_experiment(cfg, tmp_path)
+    assert sorted(results) == [("a2", 0), ("fc", 0)]
+    assert all(any(r["corrupted"] for r in rows) for rows in results.values())
+    failures = json.loads((tmp_path / "metadata.json").read_text())["failures"]
+    assert failures == {"gp_ucb/seed0": "targets must be finite"}
+    state = make_state("fc", pimq_policy="heuristic")
+    ys = np.array([0.3, value, -1.2, value, value, 2.5, value])  # all of them have a NaN or infinite median
+    assert state._zero_plateau(ys, state.spec, 0.1) == state._zero_plateau(ys[np.isfinite(ys)], state.spec, 0.1)
 
 
 def test_fc_matches_baseline_on_clean_data_under_a_moving_heuristic_width(monkeypatch):
@@ -815,11 +831,11 @@ def test_shipped_corrupted_config_extends_after_the_first_step(algorithm, monkey
 
 
 @pytest.mark.parametrize("name", ["forrester_corrupted_small", "branin_small", "rkhs_adaptive", "hyperfit_limit",
-                                  "hyperfit_schedule", "branin_hyperfit", "heuristic_eager"])
+                                  "hyperfit_schedule", "branin_hyperfit", "heuristic_eager", "heuristic_nan"])
 def test_refitting_on_every_step_gives_the_same_rows(name, monkeypatch):
     # the incremental path (head and extend) is a fast path: its slow twin refits with gp_fit on every step
     config = ci_variants.shipped(name) if name == "forrester_corrupted_small" else ci_variants.VARIANTS[name]()
-    if name == "hyperfit_limit":  # its ±1e300 outliers overflow the plain GP's cell, as CI asserts
+    if name in ("hyperfit_limit", "heuristic_nan"):  # their outliers fail the plain GP's cell, as CI asserts
         config["algorithms"] = ["fc", "a2"]
     cfg = bench.ExperimentConfig.from_dict(dict(config, seeds=[0]))
     bordered, border = [], algorithms._bordered

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 
 from conftest import assert_same_posterior
-from robustbo.gp import gp_fit
+from robustbo.gp import GridPredictions, gp_fit
 from robustbo.kernels import KernelSpec, cross_matrix
 from robustbo.weights import PimqParams, WeightCorrections, build_corrections
 
@@ -319,3 +320,100 @@ def test_a_failed_pivot_anywhere_in_the_block_returns_none(X2):
     post = gp_fit([0.2, 0.7], [1.0, -1.0], spec, 1e-14, grid=GRID)
     assert post.extend(X2, [0.0, 0.5, -0.5]) is None
     assert post.extend([0.35, 0.5, 0.9], [0.0, 0.5, -0.5]) is not None
+
+
+# -- the row store behind the grid's V -----------------------------------------
+
+
+def _grid_bits(post):
+    """Copies of the grid's V, mean and variance, in their memory layout."""
+    return [a.copy(order="K") for a in (post.grid.V, post.grid.mean, post.grid.var)]
+
+
+def _same_bits(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_a_second_extend_of_one_posterior_leaves_the_first_child_as_it_was(rng, rbf):
+    # the first extend of a posterior at its store's fill mark writes in place; a second one of the same
+    # posterior finds the mark moved and copies, so neither child sees the other's rows
+    # (one row below the fit's Fortran-ordered V keeps its layout, several rows make it C)
+    X, y = rng.uniform(0, 1, size=12), rng.normal(size=12)
+    for n0, t in ((6, 1), (5, 1), (5, 3)):
+        post = gp_fit(X[:n0], y[:n0], rbf, 0.1, grid=GRID).extend(X[n0:7], y[n0:7])
+        first = post.extend(X[7:7 + t], y[7:7 + t])
+        assert first.grid.store is post.grid.store  # in place
+        kept = _grid_bits(first)
+        second = post.extend(X[10:12], y[10:12])
+        assert second.grid.store is not post.grid.store  # copied
+        assert _same_bits(_grid_bits(first), kept)
+        fresh = dataclasses.replace(post, grid=GridPredictions(GRID, *_grid_bits(post)))  # no store
+        assert _same_bits(_grid_bits(second), _grid_bits(fresh.extend(X[10:12], y[10:12])))
+
+
+def test_extending_a_head_leaves_its_parent_as_it_was(rng, rbf):
+    X, y = rng.uniform(0, 1, size=14), rng.normal(size=14)
+    parent = _extended(X[:10], y[:10], rbf, 0.1, 6, GRID)
+    kept = _grid_bits(parent)
+    for k, t in ((9, 1), (7, 1), (5, 3), (2, 4)):
+        child = parent.head(k).extend(X[10:10 + t], y[10:10 + t])
+        assert child.grid.store is not parent.grid.store
+        assert _same_bits(_grid_bits(parent), kept)
+    # the parent still ends at its store's fill mark: it grows in place, as if no head had been extended
+    grown = parent.extend(X[10], y[10])
+    assert grown.grid.store is parent.grid.store
+    assert _same_bits(_grid_bits(grown), _grid_bits(_extended(X[:11], y[:11], rbf, 0.1, 6, GRID)))
+
+
+def test_a_failed_border_leaves_the_store_as_it_was():
+    # a pivot that fails returns None before any row is written, so the next extend writes in place
+    # and gives what it gives without the failed one
+    spec = KernelSpec("rbf", 0.3, 1.0)
+    posts = [gp_fit([0.2, 0.7], [1.0, -1.0], spec, 1e-14, grid=GRID).extend(0.45, 0.0) for _ in range(2)]
+    assert posts[0].extend(0.7, -1.0) is None and posts[0].extend([0.35, 0.2], [0.0, 1.0]) is None
+    got, want = posts[0].extend(0.3, 0.1), posts[1].extend(0.3, 0.1)
+    assert got.grid.store is posts[0].grid.store
+    for a, b in zip(_fields(got), _fields(want)):
+        assert np.array_equal(a, b)
+
+
+def test_the_grid_v_is_read_only(rng, rbf):
+    X, y = rng.uniform(0, 1, size=8), rng.normal(size=8)
+    post = gp_fit(X[:5], y[:5], rbf, 0.1, grid=GRID)
+    for p in (post, post.extend(X[5], y[5]), post.extend(X[5:], y[5:]), post.extend(X[5:], y[5:]).head(6)):
+        for a in (p.grid.V, p.grid.mean, p.grid.var):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+
+def _concatenated(post, ext):
+    """ext with its grid's V rebuilt as extend built it before the store, and no store: a fresh
+    np.concatenate of post's V and ext's new rows, which extend computes as a C-ordered array."""
+    g = ext.grid
+    V = np.concatenate((post.grid.V, np.ascontiguousarray(g.V[post.y.shape[0]:])))
+    return dataclasses.replace(ext, grid=GridPredictions(g.points, V, g.mean, g.var))
+
+
+@pytest.mark.parametrize("n0", [0, 1, 4, 9])
+def test_a_chain_of_borders_in_the_store_is_the_chain_of_fresh_copies_bit_for_bit(n0):
+    # The slow twin of the row store: the same 30 borders, each starting from a fresh np.concatenate of V,
+    # as extend grew V before the store.  The products with V (B'V, w'V and the variance sums) depend on
+    # its memory layout, so this also pins the store's layout to np.concatenate's: Fortran after a fit of
+    # two or more points and its one-row borders (the first 15 here), C once a border adds several rows.
+    rng = np.random.default_rng(n0)
+    spec = KernelSpec("rbf", rng.uniform(0.05, 0.3), rng.uniform(0.5, 2.0))
+    X, y = rng.uniform(0, 1, size=(n0, 1)), rng.normal(size=n0)
+    fast = twin = gp_fit(X, y, spec, 0.2, grid=GRID)
+    for step in range(30):
+        n = fast.y.shape[0]
+        if n > 3 and rng.random() < 0.2:  # a head, as a2's wrench cuts its model
+            k = int(rng.integers(2, n))
+            fast, twin = fast.head(k), twin.head(k)
+        t = 1 if step < 15 or rng.random() < 0.5 else int(rng.integers(2, 5))
+        X2, y2 = rng.uniform(0, 1, size=(t, 1)), rng.normal(size=t)
+        jw = np.where(rng.random(t) < 0.3, rng.uniform(1.0, 20.0, t), 1.0)
+        corr = WeightCorrections(np.sqrt(0.1 / jw), jw, np.where(jw != 1.0, rng.normal(size=t), 0.0), jw != 1.0)
+        fast, twin = fast.extend(X2, y2, corr), _concatenated(twin, twin.extend(X2, y2, corr))
+        assert twin.grid.store is None
+        assert _same_bits(_grid_bits(fast), _grid_bits(twin)), step
+        assert np.array_equal(fast.L, twin.L) and np.array_equal(fast.w, twin.w)
